@@ -234,3 +234,15 @@ def test_golden_files_are_stable(tmp_path):
                  "--rounds-log", "all"]) == 0
     assert (out / "rounds.csv").read_bytes() == (DATA / "golden_rounds.csv").read_bytes()
     assert (out / "summary.csv").read_bytes() == (DATA / "golden_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config_name, fmt, stem",
+    [("golden_multi.cfg", "csv", "golden_multi"), ("golden.cfg", "jsonl", "golden")],
+)
+def test_golden_files_cover_multi_slot_and_jsonl(tmp_path, config_name, fmt, stem):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(DATA / config_name), "--out", str(out),
+                 "--rounds-log", "all", "--format", fmt]) == 0
+    assert (out / f"rounds.{fmt}").read_bytes() == (DATA / f"{stem}_rounds.{fmt}").read_bytes()
+    assert (out / f"summary.{fmt}").read_bytes() == (DATA / f"{stem}_summary.{fmt}").read_bytes()
