@@ -8,6 +8,7 @@ from .core import (
     Phase,
     RoundRecord,
     exploration_budget,
+    gammas_from_lambdas,
     validate_config,
     validate_profiles,
 )
@@ -18,14 +19,8 @@ from .environment import (
     load_realization,
     realized_click,
 )
-from .mechanism import SingleSlotOutcome, declare_winner, run_single_slot, ucb_pair
-from .mechanism_multi import (
-    MultiSlotOutcome,
-    SlotModel,
-    gammas_from_lambdas,
-    multi_slot_payment,
-    run_multi_slot,
-)
+from .mechanism import Outcome, declare_winner, run_single_slot, ucb_pair
+from .mechanism_multi import multi_slot_payment, run_multi_slot
 from .metrics import RunResult, RunSummary, agent_utility, delta_set, welfare
 from .strategy_lab import (
     BaselineKind,

@@ -70,6 +70,20 @@ class AuctionConfig:
     seed: int = 0
 
 
+def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
+    """Per-slot observation probabilities from the chain of view-through probabilities.
+
+    The first slot is always observed (empty product); slot m multiplies in
+    the first m-1 view-through terms.
+    """
+    gammas = [1.0]
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise ConfigError("lambdas must lie in (0, 1]")
+        gammas.append(gammas[-1] * float(lam))
+    return tuple(gammas)
+
+
 def validate_config(config: AuctionConfig) -> AuctionConfig:
     """Check every config invariant; returns the config with prominences resolved.
 
@@ -84,18 +98,16 @@ def validate_config(config: AuctionConfig) -> AuctionConfig:
         raise ConfigError("num_slots exceeds num_agents")
     if int(config.horizon) != config.horizon or config.horizon < 1:
         raise ConfigError("horizon must be a positive integer")
-    if not config.delta > 0:
-        raise ConfigError("delta must be positive")
-    if not config.v_max > 0:
-        raise ConfigError("v_max must be positive")
+    if not 0 < config.delta < math.inf:
+        raise ConfigError("delta must be positive and finite")
+    if not 0 < config.v_max < math.inf:
+        raise ConfigError("v_max must be positive and finite")
     if not (0 <= config.seed <= MAX_SEED):
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
     prominences = config.prominences
     if prominences is None:
         if config.lambdas is not None:
-            from .mechanism_multi import gammas_from_lambdas
-
             derived = gammas_from_lambdas(config.lambdas)
             if len(derived) < config.num_slots:
                 raise ConfigError("lambdas too short for num_slots")

@@ -92,6 +92,18 @@ def realized_click(realization: ClickRealization, agent: int, slot: int, round: 
     return int(click)
 
 
+def realized_clicks(realization: ClickRealization, agent: int, slot: int, rounds) -> np.ndarray:
+    """Click outcomes for an agent shown at a slot over many rounds.
+
+    ``rounds`` indexes the round axis 0-based: an integer array or a slice
+    (a slice of a single-slot realization is a view, not a copy).
+    """
+    clicks = realization.intrinsic_clicks[agent - 1, rounds]
+    if realization.observations is not None:
+        clicks = clicks & realization.observations[slot - 1, rounds]
+    return clicks
+
+
 def dump_realization(realization: ClickRealization, path) -> None:
     """Write a realization as text: header "K T M seed", then rows of 0/1 characters."""
     with open(path, "w", encoding="ascii") as fh:

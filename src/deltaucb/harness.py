@@ -25,8 +25,8 @@ from .core import AgentProfile, AuctionConfig, ConfigError, validate_config, val
 from .environment import draw_realization
 from .mechanism import run_single_slot
 from .mechanism_multi import run_multi_slot
+from .metrics import InstanceTables
 from .strategy_lab import BaselineKind, build_scenario, run_baseline, verify_dsic, verify_ir
-from . import metrics
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
@@ -235,18 +235,15 @@ def fmt_num(x: float) -> str:
 def round_log_rows(records, profiles, config):
     """Flatten records into one row per slot per round with running totals."""
     config = validate_config(config)
-    prominences = config.prominences
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
     delta_cum = 0.0
     regret_cum = 0.0
     revenue_cum = 0.0
     for record in records:
         for slot in sorted(record.allocation):
             agent = record.allocation[slot]
-            single = {slot: agent}
-            delta_cum += metrics.delta_regret_increment(
-                single, profiles, config.delta, prominences
-            )
-            regret_cum += metrics.standard_regret_increment(single, profiles, prominences)
+            delta_cum += tables.delta_gap[agent - 1][slot - 1]
+            regret_cum += tables.gap[agent - 1][slot - 1]
             revenue_cum += record.payment_of(agent)
             yield {
                 "t": record.round,

@@ -1,13 +1,20 @@
-"""Single-slot auction mechanism: free round-robin learning, then a fixed per-click price.
+"""The Δ-UCB engine: free rotated learning, then a ranking frozen on bid-weighted UCB scores.
 
-For a budgeted number of free rounds the slot rotates over agents in id
-order, ignoring bids entirely, and only the shown agent's click is
-observed. At the end of the budget the agent with the highest bid-weighted
-upper-confidence score wins every remaining round; per click it pays the
-runner-up's score divided by its own upper confidence index. Indices never
-change after the budget.
+For a budgeted number of free rounds, slot m of round t shows agent
+(((t-1) mod K) + m - 1) mod K + 1, ignoring bids entirely, so over K
+consecutive rounds every agent occupies every slot exactly once. A click
+observed at slot m is folded into the agent's single learner entry as the
+prominence-corrected sample click / prominence_m, and the confidence radius
+is widened by 1 / min(prominence) to cover that sample range. With one slot
+(prominences (1.0,)) this is plain round-robin learning with an unscaled
+radius. At the end of the budget agents are ranked once by ucb * bid, the
+rank-m agent takes slot m for every remaining round, and a price rule fixes
+each slot's per-click price. Indices never change after the budget.
 
-``run_single_slot`` computes aggregates through a vectorized path;
+The single-slot mechanism uses ``normalized_runner_up`` (here); the
+multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
+
+``run_mechanism`` computes aggregates directly from the realization;
 ``iter_rounds`` is the literal round-by-round reference that also produces
 the per-round records. The two are checked against each other in tests.
 """
@@ -31,21 +38,31 @@ from .core import (
     validate_config,
     validate_profiles,
 )
-from .environment import ClickRealization, draw_realization, realized_click
-from . import metrics
-from .metrics import RunResult, RunSummary
+from .environment import ClickRealization, draw_realization, realized_click, realized_clicks
+from .metrics import NO_ACCRUAL, SINGLE_SLOT, InstanceTables, RunResult, summarize
 
 ROUNDS_LOG_LEVELS = ("none", "all", "exploit-only")
 
 
 @dataclass(frozen=True)
-class SingleSlotOutcome:
-    """Winner, runner-up, and the per-click price fixed at the end of exploration."""
+class Outcome:
+    """Score ranking and per-slot per-click prices fixed at the end of exploration."""
 
-    winner: int
-    runner_up: Optional[int]
-    payment_per_click: float
+    ranking: tuple
+    payments_per_click: tuple
     learner: LearnerState
+
+    @property
+    def winner(self) -> int:
+        return self.ranking[0]
+
+    @property
+    def runner_up(self) -> Optional[int]:
+        return self.ranking[1] if len(self.ranking) > 1 else None
+
+    @property
+    def payment_per_click(self) -> float:
+        return self.payments_per_click[0]
 
 
 def ucb_pair(empirical_ctr: float, pull_count: int, horizon: float, scale: float = 1.0):
@@ -54,9 +71,26 @@ def ucb_pair(empirical_ctr: float, pull_count: int, horizon: float, scale: float
     return empirical_ctr + radius, empirical_ctr - radius
 
 
+def multi_exploration_allocation(t: int, slot: int, num_agents: int) -> int:
+    """Shifted rotation: slot m of round t shows agent (((t-1) mod K) + m - 1) mod K + 1."""
+    if slot > num_agents:
+        raise ValueError("slot index exceeds number of agents")
+    return (((t - 1) % num_agents) + slot - 1) % num_agents + 1
+
+
 def exploration_agent(t: int, num_agents: int) -> int:
-    """Round-robin allocation for free rounds: ((t-1) mod K) + 1."""
-    return ((t - 1) % num_agents) + 1
+    """Single-slot round-robin allocation for free rounds: ((t-1) mod K) + 1."""
+    return multi_exploration_allocation(t, 1, num_agents)
+
+
+def exploration_clicks(
+    realization: ClickRealization, config: AuctionConfig, agent: int, until: int
+):
+    """Yield (slot, rounds in 1..until where the rotation shows the agent there, its clicks)."""
+    for m in range(1, config.num_slots + 1):
+        # the inverse of multi_exploration_allocation: (t - 1) mod K == (agent - m) mod K
+        rounds = np.arange((agent - m) % config.num_agents + 1, until + 1, config.num_agents)
+        yield m, rounds, realized_clicks(realization, agent, m, rounds - 1)
 
 
 def bid_vector(profiles: Sequence[AgentProfile], bids, config: AuctionConfig) -> np.ndarray:
@@ -67,216 +101,235 @@ def bid_vector(profiles: Sequence[AgentProfile], bids, config: AuctionConfig) ->
         arr = np.asarray(bids, dtype=float)
         if arr.shape != (config.num_agents,):
             raise ConfigError("bids must have one entry per agent")
-    if np.any(arr < 0.0) or np.any(arr > config.v_max):
+    # written so that NaN fails the test too
+    if not np.all((arr >= 0.0) & (arr <= config.v_max)):
         raise ConfigError("bid must lie in [0, v_max]")
     return arr
+
+
+def normalized_runner_up(ranking, scores, ucb, prominences) -> tuple:
+    """Single-slot price: the runner-up's score divided by the winner's upper index.
+
+    The division caps the price at the winner's own bid. With a single
+    agent there is no competition and the price is zero.
+    """
+    winner_ucb = float(ucb[ranking[0] - 1])
+    # after one pull the index is at least its radius, hence > 0
+    if not winner_ucb > 0.0:
+        raise ValueError(f"winner's upper confidence index must be positive, got {winner_ucb}")
+    if len(ranking) == 1:
+        return (0.0,)
+    return (float(scores[ranking[1] - 1]) / winner_ucb,)
+
+
+def declare(state: LearnerState, bids, prominences, price_rule) -> Outcome:
+    """Rank agents by ucb * bid (ties toward the lower id), price every slot, and freeze learning.
+
+    ``price_rule(ranking, scores, ucb, prominences)`` returns one per-click
+    price per slot.
+    """
+    bids = np.asarray(bids, dtype=float)
+    if np.any(state.pull_count == 0):
+        raise ValueError("every agent must be pulled at least once before declaring an outcome")
+    scores = state.ucb * bids
+    ranking = tuple(int(i) + 1 for i in np.argsort(-scores, kind="stable"))
+    prices = tuple(price_rule(ranking, scores, state.ucb, prominences))
+    state.freeze(ranking)
+    return Outcome(ranking=ranking, payments_per_click=prices, learner=state)
+
+
+def declare_winner(state: LearnerState, bids) -> Outcome:
+    """Single-slot declare: the top score wins and pays the normalized runner-up price."""
+    return declare(state, bids, SINGLE_SLOT, normalized_runner_up)
+
+
+def _play_round(realization, t, phase, allocation, prices, tables) -> RoundRecord:
+    """Show each slot's agent, observe its click, and charge the slot's price on a click."""
+    clicks = {agent: realized_click(realization, agent, m, t) for m, agent in allocation.items()}
+    payments = {agent: prices[m - 1] * clicks[agent] for m, agent in allocation.items()}
+    return tables.record(t, phase, allocation, clicks, payments)
 
 
 def exploration_step(
     state: LearnerState,
     realization: ClickRealization,
     t: int,
-    profiles: Sequence[AgentProfile],
     config: AuctionConfig,
-    budget: Optional[int] = None,
+    tables: InstanceTables,
+    budget: int,
 ) -> RoundRecord:
-    """One free round: allocate by rotation, observe that click, update only that agent's indices."""
-    budget = exploration_budget(config) if budget is None else budget
-    if t > min(budget, config.horizon):
-        raise ValueError(f"exploration is over after round {min(budget, config.horizon)}")
-    agent = exploration_agent(t, config.num_agents)
-    click = realized_click(realization, agent, 1, t)
-    state.record_pull(agent, float(click))
+    """One free round: rotate M distinct agents through the slots and learn from each click."""
+    explore_until = min(budget, config.horizon)
+    if t > explore_until:
+        raise ValueError(f"exploration is over after round {explore_until}")
+    slots = range(1, config.num_slots + 1)
+    allocation = {m: multi_exploration_allocation(t, m, config.num_agents) for m in slots}
+    record = _play_round(realization, t, Phase.EXPLORATION, allocation, [0.0] * len(slots), tables)
+    for m, agent in allocation.items():
+        state.record_pull(agent, record.clicks[agent] / config.prominences[m - 1])
     state.round = t
-    allocation = {1: agent}
-    return RoundRecord(
-        round=t,
-        phase=Phase.EXPLORATION,
-        allocation=allocation,
-        clicks={agent: click},
-        payments={agent: 0.0},
-        delta_regret_increment=metrics.delta_regret_increment(allocation, profiles, config.delta),
-        welfare_increment=metrics.welfare(profiles[agent - 1]),
-    )
-
-
-def declare_winner(state: LearnerState, bids) -> SingleSlotOutcome:
-    """Fix the winner, runner-up, and per-click price from the current indices.
-
-    Scores are ucb * bid; ties break toward the lower agent id. With a
-    single agent there is no competition and the price is zero.
-    """
-    bids = np.asarray(bids, dtype=float)
-    if np.any(state.pull_count == 0):
-        raise ValueError("every agent must be pulled at least once before declaring a winner")
-    scores = state.ucb * bids
-    order = np.argsort(-scores, kind="stable")
-    winner = int(order[0]) + 1
-    winner_ucb = float(state.ucb[winner - 1])
-    # after one pull the index is at least its radius, hence > 0
-    assert winner_ucb > 0.0
-    if len(order) > 1:
-        runner_up = int(order[1]) + 1
-        payment = float(scores[runner_up - 1]) / winner_ucb
-    else:
-        runner_up = None
-        payment = 0.0
-    state.freeze(int(i) + 1 for i in order)
-    return SingleSlotOutcome(
-        winner=winner, runner_up=runner_up, payment_per_click=payment, learner=state
-    )
+    return record
 
 
 def exploitation_step(
-    outcome: SingleSlotOutcome,
+    outcome: Outcome,
     realization: ClickRealization,
     t: int,
-    profiles: Sequence[AgentProfile],
     config: AuctionConfig,
+    tables: InstanceTables,
 ) -> RoundRecord:
-    """One committed round: the winner is shown and pays the fixed price only on a click."""
-    winner = outcome.winner
-    click = realized_click(realization, winner, 1, t)
+    """One committed round: slot m shows the rank-m agent, who pays its price only on a click."""
+    allocation = {m: outcome.ranking[m - 1] for m in range(1, config.num_slots + 1)}
     outcome.learner.round = t
-    allocation = {1: winner}
-    return RoundRecord(
-        round=t,
-        phase=Phase.EXPLOITATION,
-        allocation=allocation,
-        clicks={winner: click},
-        payments={winner: outcome.payment_per_click * click},
-        delta_regret_increment=metrics.delta_regret_increment(allocation, profiles, config.delta),
-        welfare_increment=metrics.welfare(profiles[winner - 1]),
+    prices = outcome.payments_per_click
+    return _play_round(realization, t, Phase.EXPLOITATION, allocation, prices, tables)
+
+
+def _prepare(config, profiles, bids, realization, budget_override):
+    config = validate_config(config)
+    profiles = validate_profiles(profiles, config)
+    bids_arr = bid_vector(profiles, bids, config)
+    if realization is None:
+        realization = draw_realization(config, profiles)
+    budget = exploration_budget(config) if budget_override is None else budget_override
+    return config, profiles, bids_arr, realization, budget
+
+
+def _fresh_learner(config: AuctionConfig) -> LearnerState:
+    return LearnerState.fresh(
+        config.num_agents, config.horizon, eps_scale=1.0 / config.prominences[-1]
     )
 
 
 def iter_rounds(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
+    price_rule,
     bids=None,
     realization: Optional[ClickRealization] = None,
     budget_override: Optional[int] = None,
 ) -> Iterator[RoundRecord]:
-    """Replay the whole mechanism round by round (reference path)."""
-    config = validate_config(config)
-    profiles = validate_profiles(profiles, config)
-    if config.num_slots != 1:
-        raise ConfigError("single-slot mechanism requires num_slots == 1")
-    bids_arr = bid_vector(profiles, bids, config)
-    if realization is None:
-        realization = draw_realization(config, profiles)
-    budget = exploration_budget(config) if budget_override is None else budget_override
+    """Replay the whole mechanism round by round (reference path).
+
+    The generator's return value is the final learner state, so tests can
+    compare it with the aggregate path's.
+    """
+    config, profiles, bids_arr, realization, budget = _prepare(
+        config, profiles, bids, realization, budget_override
+    )
     explore_until = min(budget, config.horizon)
-
-    state = LearnerState.fresh(config.num_agents, config.horizon)
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
+    state = _fresh_learner(config)
     for t in range(1, explore_until + 1):
-        yield exploration_step(state, realization, t, profiles, config, budget=budget)
+        yield exploration_step(state, realization, t, config, tables, budget)
     if budget < config.horizon:
-        outcome = declare_winner(state, bids_arr)
+        outcome = declare(state, bids_arr, config.prominences, price_rule)
         for t in range(explore_until + 1, config.horizon + 1):
-            yield exploitation_step(outcome, realization, t, profiles, config)
+            yield exploitation_step(outcome, realization, t, config, tables)
+    return state
 
 
-def run_single_slot(
+def run_mechanism(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
+    price_rule,
     bids=None,
     realization: Optional[ClickRealization] = None,
     rounds_log: str = "none",
     budget_override: Optional[int] = None,
-    mechanism_label: str = "delta-ucb-single",
+    mechanism_label: str = "delta-ucb",
 ) -> RunResult:
-    """Run the full single-slot mechanism and aggregate regret, revenue, welfare, and utilities."""
+    """Run the mechanism and aggregate regret, revenue, welfare, and utilities.
+
+    Each agent's learner entry folds in its exploration samples in round
+    order (a sequential sum, so it matches ``record_pull`` to the byte);
+    regret and welfare accrue as pull count times the per-(agent, slot)
+    table entry, agent by agent.
+    """
     if rounds_log not in ROUNDS_LOG_LEVELS:
         raise ConfigError(f"rounds_log must be one of {ROUNDS_LOG_LEVELS}")
-    config = validate_config(config)
-    profiles = validate_profiles(profiles, config)
-    if config.num_slots != 1:
-        raise ConfigError("single-slot mechanism requires num_slots == 1")
-    bids_arr = bid_vector(profiles, bids, config)
-    if realization is None:
-        realization = draw_realization(config, profiles)
-
+    config, profiles, bids_arr, realization, budget = _prepare(
+        config, profiles, bids, realization, budget_override
+    )
     horizon = config.horizon
-    num_agents = config.num_agents
-    budget = exploration_budget(config) if budget_override is None else budget_override
     explore_until = min(budget, horizon)
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
-    welfares = np.array([metrics.welfare(p) for p in profiles])
-    best_welfare = float(welfares.max())
-    tolerated = metrics.delta_set(profiles, config.delta)
-    gaps = best_welfare - welfares
-    delta_gaps = np.where([p.id not in tolerated for p in profiles], gaps, 0.0)
-
-    state = LearnerState.fresh(num_agents, horizon)
-    intrinsic = realization.intrinsic_clicks
+    state = _fresh_learner(config)
     per_agent_utility = {p.id: 0.0 for p in profiles}
-    explore_delta = 0.0
-    explore_standard = 0.0
-    total_welfare = 0.0
+    pulls = []
     for p in profiles:
         i = p.id - 1
-        pull_rounds = np.arange(p.id, explore_until + 1, num_agents)
-        pulls = len(pull_rounds)
-        if pulls:
-            clicks = intrinsic[i, pull_rounds - 1].astype(np.float64)
-            click_total = float(np.cumsum(clicks)[-1])
-            state.pull_count[i] = pulls
-            state.sample_sum[i] = click_total
-            state.empirical_ctr[i] = click_total / pulls
-            state.ucb[i], state.lcb[i] = ucb_pair(click_total / pulls, pulls, horizon)
-            per_agent_utility[p.id] += p.valuation * click_total
-        explore_delta += pulls * delta_gaps[i]
-        explore_standard += pulls * gaps[i]
-        total_welfare += pulls * welfares[i]
+        rounds, samples, clicks = [], [], 0
+        for m, shown, observed in exploration_clicks(realization, config, p.id, explore_until):
+            pulls.append((len(shown), p.id, m))
+            rounds.append(shown)
+            samples.append(observed / config.prominences[m - 1])
+            clicks += int(observed.sum())
+        order = np.argsort(np.concatenate(rounds), kind="stable")
+        count = len(order)
+        if count:
+            total = float(np.cumsum(np.concatenate(samples)[order])[-1])
+            state.pull_count[i] = count
+            state.sample_sum[i] = total
+            state.empirical_ctr[i] = total / count
+            state.ucb[i], state.lcb[i] = ucb_pair(total / count, count, horizon, state.eps_scale)
+            per_agent_utility[p.id] += p.valuation * clicks
     state.round = explore_until
+    exploration = tables.accrue(pulls)
 
     outcome = None
     winners = ()
     flags = ()
-    exploit_delta = 0.0
-    exploit_standard = 0.0
+    exploitation = NO_ACCRUAL
     total_revenue = 0.0
     if budget >= horizon:
         flags = ("exploration-only",)
     else:
-        outcome = declare_winner(state, bids_arr)
-        w = outcome.winner
-        exploit_rounds = horizon - explore_until
-        winner_clicks = int(intrinsic[w - 1, explore_until:horizon].sum())
-        price = outcome.payment_per_click
-        total_revenue = price * winner_clicks
-        per_agent_utility[w] += (profiles[w - 1].valuation - price) * winner_clicks
-        exploit_delta = exploit_rounds * float(delta_gaps[w - 1])
-        exploit_standard = exploit_rounds * float(gaps[w - 1])
-        total_welfare += exploit_rounds * float(welfares[w - 1])
-        winners = (w,)
+        outcome = declare(state, bids_arr, config.prominences, price_rule)
+        winners = outcome.ranking[: config.num_slots]
+        exploit_rounds = slice(explore_until, horizon)
+        for m, agent in enumerate(winners, start=1):
+            n_clicks = int(realized_clicks(realization, agent, m, exploit_rounds).sum())
+            price = outcome.payments_per_click[m - 1]
+            total_revenue += price * n_clicks
+            per_agent_utility[agent] += (profiles[agent - 1].valuation - price) * n_clicks
+        exploitation = tables.accrue(
+            (horizon - explore_until, agent, m) for m, agent in enumerate(winners, start=1)
+        )
         state.round = horizon
 
     records = None
     if rounds_log != "none":
-        records = list(iter_rounds(config, profiles, bids, realization, budget_override))
+        records = iter_rounds(config, profiles, price_rule, bids, realization, budget_override)
+        records = list(records)
         if rounds_log == "exploit-only":
             records = [r for r in records if r.phase is Phase.EXPLOITATION]
 
-    summary = RunSummary(
-        mechanism=mechanism_label,
-        num_agents=num_agents,
-        num_slots=1,
-        horizon=horizon,
-        delta=config.delta,
-        v_max=config.v_max,
+    summary = summarize(
+        mechanism_label,
+        config,
         seed=realization.seed,
-        exploration_budget=budget,
-        exploration_rounds_used=explore_until,
-        total_delta_regret=explore_delta + exploit_delta,
-        exploration_delta_regret=explore_delta,
-        exploitation_delta_regret=exploit_delta,
-        total_standard_regret=explore_standard + exploit_standard,
-        total_revenue=total_revenue,
-        total_welfare=total_welfare,
-        per_agent_utility=per_agent_utility,
+        budget=budget,
+        rounds_used=explore_until,
+        exploration=exploration,
+        exploitation=exploitation,
+        revenue=total_revenue,
+        utilities=per_agent_utility,
         winners=winners,
         flags=flags,
     )
     return RunResult(summary=summary, outcome=outcome, records=records)
+
+
+def run_single_slot(
+    config: AuctionConfig, profiles: Sequence[AgentProfile], **options
+) -> RunResult:
+    """Run the single-slot mechanism: one winner, charged the normalized runner-up price.
+
+    ``options`` are ``run_mechanism``'s keyword arguments.
+    """
+    if validate_config(config).num_slots != 1:
+        raise ConfigError("single-slot mechanism requires num_slots == 1")
+    options.setdefault("mechanism_label", "delta-ucb-single")
+    return run_mechanism(config, profiles, normalized_runner_up, **options)

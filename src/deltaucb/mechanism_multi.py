@@ -1,16 +1,9 @@
-"""Multi-slot auction mechanism: rotated free exploration, then rank-by-score with telescoping prices.
+"""Multi-slot Δ-UCB: the engine in ``mechanism`` with telescoping list prices.
 
-Slots have non-increasing observation probabilities (prominences). During
-the free budget, each round shows M distinct agents picked by a shifted
-rotation, so over K consecutive rounds every agent occupies every slot
-offset exactly once. A click observed at slot m is a sample with success
-probability prominence_m * ctr, so the learner folds in the
-prominence-corrected value click / prominence_m, keeping the empirical
-rate unbiased; the confidence radius is widened by 1 / min(prominence) to
-cover the enlarged sample range. After the budget, agents are ranked by
-bid-weighted upper-confidence score once and for all; the occupant of
-slot m pays, per click, the telescoping sum of prominence drops times the
-scores ranked below it.
+Slots have non-increasing observation probabilities (prominences). Learning
+and the ranking are the engine's. After the budget the occupant of slot m
+pays, per click, the telescoping sum of prominence drops times the scores
+ranked below it.
 
 Note the price rule differs in shape from the single-slot one: with M = 1
 it charges the runner-up score without dividing by the winner's own index.
@@ -20,127 +13,12 @@ payments do not, and tests pin both facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .core import (
-    AgentProfile,
-    AuctionConfig,
-    ConfigError,
-    LearnerState,
-    Phase,
-    RoundRecord,
-    exploration_budget,
-    validate_config,
-    validate_profiles,
-)
-from .environment import ClickRealization, draw_realization, realized_click
-from .mechanism import ROUNDS_LOG_LEVELS, bid_vector, ucb_pair
-from . import metrics
-from .metrics import RunResult, RunSummary
-
-
-def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
-    """Per-slot observation probabilities from the chain of view-through probabilities.
-
-    The first slot is always observed (empty product); slot m multiplies in
-    the first m-1 view-through terms.
-    """
-    gammas = [1.0]
-    for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise ConfigError("lambdas must lie in (0, 1]")
-        gammas.append(gammas[-1] * float(lam))
-    return tuple(gammas)
-
-
-@dataclass(frozen=True)
-class SlotModel:
-    """Slot observation probabilities, with an implicit zero below the last slot."""
-
-    prominences: tuple
-
-    @classmethod
-    def from_config(cls, config: AuctionConfig) -> "SlotModel":
-        return cls(prominences=tuple(config.prominences))
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.prominences)
-
-    @property
-    def min_gamma(self) -> float:
-        return self.prominences[-1]
-
-    def gamma(self, slot: int) -> float:
-        return self.prominences[slot - 1]
-
-    def gamma_or_zero(self, slot: int) -> float:
-        # the slot "below the page" is never observed
-        return self.prominences[slot - 1] if slot <= self.num_slots else 0.0
-
-
-@dataclass(frozen=True)
-class MultiSlotOutcome:
-    """Full score ranking and the per-slot per-click prices fixed at exploration end."""
-
-    ranking: tuple
-    payments_per_click: tuple
-    learner: LearnerState
-
-
-def multi_exploration_allocation(t: int, slot: int, num_agents: int) -> int:
-    """Shifted rotation: slot m of round t shows agent (((t-1) mod K) + m - 1) mod K + 1."""
-    if slot > num_agents:
-        raise ValueError("slot index exceeds number of agents")
-    return (((t - 1) % num_agents) + slot - 1) % num_agents + 1
-
-
-def multi_exploration_step(
-    state: LearnerState,
-    realization: ClickRealization,
-    t: int,
-    profiles: Sequence[AgentProfile],
-    config: AuctionConfig,
-    slot_model: SlotModel,
-    budget: Optional[int] = None,
-) -> RoundRecord:
-    """One free multi-slot round: rotate M distinct agents through the slots.
-
-    Each shown agent's layered click is observed and folded in as a
-    prominence-corrected sample against its single pull counter (a sample
-    at any slot informs all slots).
-    """
-    budget = exploration_budget(config) if budget is None else budget
-    if t > min(budget, config.horizon):
-        raise ValueError(f"exploration is over after round {min(budget, config.horizon)}")
-    allocation = {}
-    clicks = {}
-    payments = {}
-    for m in range(1, config.num_slots + 1):
-        agent = multi_exploration_allocation(t, m, config.num_agents)
-        click = realized_click(realization, agent, m, t)
-        state.record_pull(agent, click / slot_model.gamma(m))
-        allocation[m] = agent
-        clicks[agent] = click
-        payments[agent] = 0.0
-    state.round = t
-    return RoundRecord(
-        round=t,
-        phase=Phase.EXPLORATION,
-        allocation=allocation,
-        clicks=clicks,
-        payments=payments,
-        delta_regret_increment=metrics.delta_regret_increment(
-            allocation, profiles, config.delta, slot_model.prominences
-        ),
-        welfare_increment=sum(
-            metrics.welfare_at_slot(profiles[a - 1], m, slot_model.prominences)
-            for m, a in allocation.items()
-        ),
-    )
+from .core import AgentProfile, AuctionConfig
+from .mechanism import normalized_runner_up, run_mechanism
+from .mechanism import declare as declare_ranking  # noqa: F401  (the multi-slot name for declare)
+from .metrics import RunResult
 
 
 def multi_slot_payment(slot: int, ranking, prominences, scores) -> float:
@@ -159,210 +37,23 @@ def multi_slot_payment(slot: int, ranking, prominences, scores) -> float:
     return float(total)
 
 
-def declare_ranking(state: LearnerState, bids, slot_model: SlotModel) -> MultiSlotOutcome:
-    """Sort agents by bid-weighted upper-confidence score and fix every slot's price."""
-    bids = np.asarray(bids, dtype=float)
-    if np.any(state.pull_count == 0):
-        raise ValueError("every agent must be pulled at least once before declaring a ranking")
-    scores = state.ucb * bids
-    order = np.argsort(-scores, kind="stable")
-    ranking = tuple(int(i) + 1 for i in order)
-    payments = tuple(
-        multi_slot_payment(m, ranking, slot_model.prominences, scores)
-        for m in range(1, slot_model.num_slots + 1)
-    )
-    state.freeze(ranking)
-    return MultiSlotOutcome(ranking=ranking, payments_per_click=payments, learner=state)
-
-
-def multi_exploitation_step(
-    outcome: MultiSlotOutcome,
-    realization: ClickRealization,
-    t: int,
-    profiles: Sequence[AgentProfile],
-    config: AuctionConfig,
-    slot_model: SlotModel,
-) -> RoundRecord:
-    """One committed round: slot m shows the rank-m agent; several slots may be clicked at once."""
-    allocation = {}
-    clicks = {}
-    payments = {}
-    for m in range(1, config.num_slots + 1):
-        agent = outcome.ranking[m - 1]
-        click = realized_click(realization, agent, m, t)
-        allocation[m] = agent
-        clicks[agent] = click
-        payments[agent] = outcome.payments_per_click[m - 1] * click
-    outcome.learner.round = t
-    return RoundRecord(
-        round=t,
-        phase=Phase.EXPLOITATION,
-        allocation=allocation,
-        clicks=clicks,
-        payments=payments,
-        delta_regret_increment=metrics.delta_regret_increment(
-            allocation, profiles, config.delta, slot_model.prominences
-        ),
-        welfare_increment=sum(
-            metrics.welfare_at_slot(profiles[a - 1], m, slot_model.prominences)
-            for m, a in allocation.items()
-        ),
+def telescoping(ranking, scores, ucb, prominences) -> tuple:
+    """Multi-slot price rule: ``multi_slot_payment`` for every slot."""
+    return tuple(
+        multi_slot_payment(m, ranking, prominences, scores) for m in range(1, len(prominences) + 1)
     )
 
 
-def iter_rounds_multi(
-    config: AuctionConfig,
-    profiles: Sequence[AgentProfile],
-    bids=None,
-    realization: Optional[ClickRealization] = None,
-    budget_override: Optional[int] = None,
-) -> Iterator[RoundRecord]:
-    """Replay the whole multi-slot mechanism round by round (reference path)."""
-    config = validate_config(config)
-    profiles = validate_profiles(profiles, config)
-    bids_arr = bid_vector(profiles, bids, config)
-    if realization is None:
-        realization = draw_realization(config, profiles)
-    slot_model = SlotModel.from_config(config)
-    budget = exploration_budget(config) if budget_override is None else budget_override
-    explore_until = min(budget, config.horizon)
-
-    state = LearnerState.fresh(config.num_agents, config.horizon, eps_scale=1.0 / slot_model.min_gamma)
-    for t in range(1, explore_until + 1):
-        yield multi_exploration_step(state, realization, t, profiles, config, slot_model, budget=budget)
-    if budget < config.horizon:
-        outcome = declare_ranking(state, bids_arr, slot_model)
-        for t in range(explore_until + 1, config.horizon + 1):
-            yield multi_exploitation_step(outcome, realization, t, profiles, config, slot_model)
+def price_rule_for(num_slots: int):
+    """The Δ-UCB price rule: normalized runner-up on one slot, telescoping on more."""
+    return normalized_runner_up if num_slots == 1 else telescoping
 
 
-def run_multi_slot(
-    config: AuctionConfig,
-    profiles: Sequence[AgentProfile],
-    bids=None,
-    realization: Optional[ClickRealization] = None,
-    rounds_log: str = "none",
-    budget_override: Optional[int] = None,
-    mechanism_label: str = "delta-ucb-multi",
-) -> RunResult:
-    """Run the full multi-slot mechanism and aggregate regret, revenue, welfare, and utilities."""
-    if rounds_log not in ROUNDS_LOG_LEVELS:
-        raise ConfigError(f"rounds_log must be one of {ROUNDS_LOG_LEVELS}")
-    config = validate_config(config)
-    profiles = validate_profiles(profiles, config)
-    bids_arr = bid_vector(profiles, bids, config)
-    if realization is None:
-        realization = draw_realization(config, profiles)
-    slot_model = SlotModel.from_config(config)
+def run_multi_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **options) -> RunResult:
+    """Run the multi-slot mechanism: the top M scores take the slots at telescoping prices.
 
-    horizon = config.horizon
-    num_agents = config.num_agents
-    num_slots = config.num_slots
-    budget = exploration_budget(config) if budget_override is None else budget_override
-    explore_until = min(budget, horizon)
-
-    gammas = np.array(slot_model.prominences)
-    welfares = np.array([metrics.welfare(p) for p in profiles])
-    ranking_true = metrics.welfare_ranking(profiles)
-    # per (agent, slot) tables of tolerance and plain regret increments
-    ideal_per_slot = np.array(
-        [gammas[m - 1] * welfares[ranking_true[m - 1] - 1] for m in range(1, num_slots + 1)]
+    ``options`` are ``run_mechanism``'s keyword arguments.
+    """
+    return run_mechanism(
+        config, profiles, telescoping, mechanism_label="delta-ucb-multi", **options
     )
-    slot_welfare = welfares[:, None] * gammas[None, :]
-    gap_table = ideal_per_slot[None, :] - slot_welfare
-    member_table = np.array(
-        [
-            [
-                p.id in metrics.delta_set_for_slot(profiles, config.delta, m, slot_model.prominences)
-                for m in range(1, num_slots + 1)
-            ]
-            for p in profiles
-        ]
-    )
-    delta_table = np.where(member_table, 0.0, gap_table)
-
-    # event grid over exploration rounds, flattened in (round, slot) order
-    t_grid = np.arange(1, explore_until + 1)
-    tt = np.repeat(t_grid, num_slots)
-    mm = np.tile(np.arange(1, num_slots + 1), explore_until)
-    agents = ((tt - 1) % num_agents + mm - 1) % num_agents + 1
-    intrinsic = realization.intrinsic_clicks
-    clicks = intrinsic[agents - 1, tt - 1]
-    if realization.observations is not None:
-        clicks = clicks & realization.observations[mm - 1, tt - 1]
-    samples = clicks / gammas[mm - 1]
-
-    state = LearnerState.fresh(num_agents, horizon, eps_scale=1.0 / slot_model.min_gamma)
-    per_agent_utility = {p.id: 0.0 for p in profiles}
-    for p in profiles:
-        i = p.id - 1
-        mask = agents == p.id
-        pulls = int(mask.sum())
-        if pulls:
-            seq = np.cumsum(samples[mask])
-            state.pull_count[i] = pulls
-            state.sample_sum[i] = seq[-1]
-            state.empirical_ctr[i] = seq[-1] / pulls
-            state.ucb[i], state.lcb[i] = ucb_pair(
-                seq[-1] / pulls, pulls, horizon, scale=state.eps_scale
-            )
-            per_agent_utility[p.id] += p.valuation * int(clicks[mask].sum())
-    state.round = explore_until
-
-    explore_delta = float(delta_table[agents - 1, mm - 1].sum())
-    explore_standard = float(gap_table[agents - 1, mm - 1].sum())
-    total_welfare = float(slot_welfare[agents - 1, mm - 1].sum())
-
-    outcome = None
-    winners = ()
-    flags = ()
-    exploit_delta = 0.0
-    exploit_standard = 0.0
-    total_revenue = 0.0
-    if budget >= horizon:
-        flags = ("exploration-only",)
-    else:
-        outcome = declare_ranking(state, bids_arr, slot_model)
-        exploit_rounds = horizon - explore_until
-        for m in range(1, num_slots + 1):
-            agent = outcome.ranking[m - 1]
-            vec = intrinsic[agent - 1, explore_until:horizon]
-            if realization.observations is not None:
-                vec = vec & realization.observations[m - 1, explore_until:horizon]
-            n_clicks = int(vec.sum())
-            price = outcome.payments_per_click[m - 1]
-            total_revenue += price * n_clicks
-            per_agent_utility[agent] += (profiles[agent - 1].valuation - price) * n_clicks
-            exploit_delta += exploit_rounds * float(delta_table[agent - 1, m - 1])
-            exploit_standard += exploit_rounds * float(gap_table[agent - 1, m - 1])
-            total_welfare += exploit_rounds * float(slot_welfare[agent - 1, m - 1])
-        winners = tuple(outcome.ranking[:num_slots])
-        state.round = horizon
-
-    records = None
-    if rounds_log != "none":
-        records = list(iter_rounds_multi(config, profiles, bids, realization, budget_override))
-        if rounds_log == "exploit-only":
-            records = [r for r in records if r.phase is Phase.EXPLOITATION]
-
-    summary = RunSummary(
-        mechanism=mechanism_label,
-        num_agents=num_agents,
-        num_slots=num_slots,
-        horizon=horizon,
-        delta=config.delta,
-        v_max=config.v_max,
-        seed=realization.seed,
-        exploration_budget=budget,
-        exploration_rounds_used=explore_until,
-        total_delta_regret=explore_delta + exploit_delta,
-        exploration_delta_regret=explore_delta,
-        exploitation_delta_regret=exploit_delta,
-        total_standard_regret=explore_standard + exploit_standard,
-        total_revenue=total_revenue,
-        total_welfare=total_welfare,
-        per_agent_utility=per_agent_utility,
-        winners=winners,
-        flags=flags,
-    )
-    return RunResult(summary=summary, outcome=outcome, records=records)

@@ -5,14 +5,20 @@ the evaluation side only; the mechanism never sees them. Regret is counted
 with a tolerance: allocating any agent whose welfare sits within ``delta``
 of the best choice for its slot costs nothing, and only larger gaps accrue.
 Tolerance regret accrues in exploration and exploitation rounds alike.
+
+Runs do their accounting through ``InstanceTables``, built once per run;
+the per-call functions below define the same quantities one allocation at a
+time and serve as the tables' test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .core import AgentProfile, RoundRecord
+import numpy as np
+
+from .core import AgentProfile, AuctionConfig, Phase, RoundRecord
 
 SINGLE_SLOT = (1.0,)
 
@@ -97,6 +103,79 @@ def agent_utility(record: RoundRecord, agent: int, valuation: float) -> float:
     return valuation - record.payment_of(agent)
 
 
+class Accrual(NamedTuple):
+    """Tolerance regret, plain regret, and welfare summed over some rounds."""
+
+    delta: float
+    standard: float
+    welfare: float
+
+
+NO_ACCRUAL = Accrual(0.0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class InstanceTables:
+    """Per-(agent, slot) welfare, regret gap, and tolerated-set membership of one instance.
+
+    Row a-1, column m-1 describes agent a shown at slot m. ``gap`` is the
+    slot's ideal welfare (its m-th best agent's) minus the agent's;
+    ``delta_gap`` is that gap where the agent is outside the slot's
+    tolerated set and 0.0 inside it. Entries are Python floats, computed
+    with the same operations as the per-call functions, so lookups match
+    them bit for bit.
+    """
+
+    ranking: tuple
+    welfare: list
+    gap: list
+    delta_gap: list
+    member: list
+
+    @classmethod
+    def build(
+        cls, profiles: Sequence[AgentProfile], delta: float, prominences: Sequence[float]
+    ) -> "InstanceTables":
+        welfares = np.array([welfare(p) for p in profiles])
+        order = np.argsort(-welfares, kind="stable")
+        slot_welfare = welfares[:, None] * np.array(prominences, dtype=float)[None, :]
+        ideal = slot_welfare[order[: len(prominences)], np.arange(len(prominences))]
+        gap = ideal[None, :] - slot_welfare
+        member = gap < delta
+        return cls(
+            ranking=tuple(int(i) + 1 for i in order),
+            welfare=slot_welfare.tolist(),
+            gap=gap.tolist(),
+            delta_gap=np.where(member, 0.0, gap).tolist(),
+            member=member.tolist(),
+        )
+
+    def accrue(self, counts) -> Accrual:
+        """Sum count times the table entry over (count, agent, slot) triples, in order, from 0.0."""
+        delta = standard = total_welfare = 0.0
+        for count, agent, slot in counts:
+            delta += count * self.delta_gap[agent - 1][slot - 1]
+            standard += count * self.gap[agent - 1][slot - 1]
+            total_welfare += count * self.welfare[agent - 1][slot - 1]
+        return Accrual(delta, standard, total_welfare)
+
+    def record(
+        self, t: int, phase: Phase, allocation: dict, clicks: dict, payments: dict
+    ) -> RoundRecord:
+        """A round's record, its tolerance regret and welfare summed over the allocated slots."""
+        return RoundRecord(
+            round=t,
+            phase=phase,
+            allocation=allocation,
+            clicks=clicks,
+            payments=payments,
+            delta_regret_increment=sum(
+                self.delta_gap[a - 1][m - 1] for m, a in allocation.items()
+            ),
+            welfare_increment=sum(self.welfare[a - 1][m - 1] for m, a in allocation.items()),
+        )
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Aggregates of one seeded run."""
@@ -128,3 +207,40 @@ class RunResult:
     summary: RunSummary
     outcome: object = None
     records: Optional[list] = None
+
+
+def summarize(
+    mechanism: str,
+    config: AuctionConfig,
+    *,
+    seed: int,
+    budget: int,
+    rounds_used: int,
+    exploration: Accrual,
+    exploitation: Accrual,
+    revenue: float,
+    utilities: dict,
+    winners: tuple,
+    flags: tuple,
+) -> RunSummary:
+    """A run's summary from its config and what accrued in each phase."""
+    return RunSummary(
+        mechanism=mechanism,
+        num_agents=config.num_agents,
+        num_slots=config.num_slots,
+        horizon=config.horizon,
+        delta=config.delta,
+        v_max=config.v_max,
+        seed=seed,
+        exploration_budget=budget,
+        exploration_rounds_used=rounds_used,
+        total_delta_regret=exploration.delta + exploitation.delta,
+        exploration_delta_regret=exploration.delta,
+        exploitation_delta_regret=exploitation.delta,
+        total_standard_regret=exploration.standard + exploitation.standard,
+        total_revenue=revenue,
+        total_welfare=exploration.welfare + exploitation.welfare,
+        per_agent_utility=utilities,
+        winners=winners,
+        flags=flags,
+    )

@@ -28,17 +28,16 @@ from .core import (
     ConfigError,
     LearnerState,
     Phase,
-    RoundRecord,
     confidence_radius,
     exploration_budget,
     validate_config,
     validate_profiles,
 )
-from .environment import ClickRealization, draw_realization
-from .mechanism import bid_vector, declare_winner, run_single_slot
-from .mechanism_multi import SlotModel, declare_ranking, run_multi_slot
+from .environment import ClickRealization, draw_realization, realized_clicks
+from .mechanism import bid_vector, declare, exploration_clicks, run_mechanism, run_single_slot
+from .mechanism_multi import price_rule_for
 from . import metrics
-from .metrics import RunResult, RunSummary
+from .metrics import NO_ACCRUAL, Accrual, InstanceTables, RunResult, summarize
 
 DSIC_TOLERANCE = 1e-12
 PIVOT_PROBE = 1e-6
@@ -77,12 +76,6 @@ class IrReport:
     witness_round: Optional[int]
 
 
-def _agent_slot_rounds(agent: int, slot: int, num_agents: int, until: int) -> np.ndarray:
-    """Rounds in 1..until where the rotation puts this agent at this slot."""
-    first = ((agent - slot) % num_agents) + 1
-    return np.arange(first, until + 1, num_agents)
-
-
 def per_round_utilities(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
@@ -100,39 +93,18 @@ def per_round_utilities(
     """
     horizon = config.horizon
     valuation = profiles[agent - 1].valuation
-    intrinsic = realization.intrinsic_clicks
     util = np.zeros(horizon)
-    for m in range(1, config.num_slots + 1):
-        rounds = _agent_slot_rounds(agent, m, config.num_agents, explore_until)
-        if len(rounds) == 0:
-            continue
-        clicks = intrinsic[agent - 1, rounds - 1]
-        if realization.observations is not None:
-            clicks = clicks & realization.observations[m - 1, rounds - 1]
+    for _, rounds, clicks in exploration_clicks(realization, config, agent, explore_until):
         util[rounds - 1] += valuation * clicks
 
     if outcome is None or explore_until >= horizon:
         return util
 
-    if config.num_slots == 1:
-        if outcome.winner == agent:
-            clicks = intrinsic[agent - 1, explore_until:horizon]
-            util[explore_until:] = (valuation - outcome.payment_per_click) * clicks
-    else:
-        rank = outcome.ranking.index(agent)
-        if rank < config.num_slots:
-            clicks = intrinsic[agent - 1, explore_until:horizon]
-            if realization.observations is not None:
-                clicks = clicks & realization.observations[rank, explore_until:horizon]
-            price = outcome.payments_per_click[rank]
-            util[explore_until:] = (valuation - price) * clicks
+    rank = outcome.ranking.index(agent)
+    if rank < config.num_slots:
+        clicks = realized_clicks(realization, agent, rank + 1, slice(explore_until, horizon))
+        util[explore_until:] = (valuation - outcome.payments_per_click[rank]) * clicks
     return util
-
-
-def _declare(config: AuctionConfig, state: LearnerState, bids: np.ndarray):
-    if config.num_slots == 1:
-        return declare_winner(state, bids)
-    return declare_ranking(state, bids, SlotModel.from_config(config))
 
 
 def build_scenario(
@@ -190,9 +162,8 @@ def build_scenario(
 
 
 def _run_mechanism(config, profiles, bids, realization) -> RunResult:
-    bids = np.array(bids, dtype=float)
-    runner = run_single_slot if config.num_slots == 1 else run_multi_slot
-    return runner(config, profiles, bids=bids, realization=realization)
+    rule = price_rule_for(config.num_slots)
+    return run_mechanism(config, profiles, rule, bids=bids, realization=realization)
 
 
 def verify_dsic(
@@ -214,7 +185,8 @@ def verify_dsic(
 
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = truthful_value
-    base = _run_mechanism(config, profiles, truthful_bids, realization)
+    rule = price_rule_for(config.num_slots)
+    base = run_mechanism(config, profiles, rule, bids=truthful_bids, realization=realization)
     explore_until = base.summary.exploration_rounds_used
     truth_util = per_round_utilities(
         config, profiles, realization, base.outcome, deviator, explore_until
@@ -229,7 +201,7 @@ def verify_dsic(
         else:
             bids = truthful_bids.copy()
             bids[deviator - 1] = bid
-            outcome = _declare(config, base.outcome.learner.copy(), bids)
+            outcome = declare(base.outcome.learner.copy(), bids, config.prominences, rule)
             dev_util = per_round_utilities(
                 config, profiles, realization, outcome, deviator, explore_until
             )
@@ -310,13 +282,12 @@ def welfare_interval_violations(
     explore_until = min(exploration_budget(config), horizon)
     total = 0
     for p in profiles:
-        rounds = np.arange(p.id, explore_until + 1, config.num_agents)
+        ((_, rounds, clicks),) = exploration_clicks(realization, config, p.id, explore_until)
         pulls = len(rounds)
         if pulls == 0:
             continue
-        clicks = realization.intrinsic_clicks[p.id - 1, rounds - 1].astype(np.float64)
         counts = np.arange(1, pulls + 1)
-        means = np.cumsum(clicks) / counts
+        means = np.cumsum(clicks, dtype=np.float64) / counts
         radii = np.sqrt(2.0 * math.log(horizon) / counts)
         low = (means - radii) * p.valuation
         high = (means + radii) * p.valuation
@@ -374,42 +345,30 @@ def run_baseline(
 
 def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
     """Clairvoyant reference: always show the true-welfare maximizer, charge nothing."""
-    winner = metrics.welfare_ranking(profiles)[0]
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
+    winner = tables.ranking[0]
     horizon = config.horizon
-    n_clicks = int(realization.intrinsic_clicks[winner - 1].sum())
+    clicks = realization.intrinsic_clicks[winner - 1]
     per_agent_utility = {p.id: 0.0 for p in profiles}
-    per_agent_utility[winner] = profiles[winner - 1].valuation * n_clicks
+    per_agent_utility[winner] = profiles[winner - 1].valuation * int(clicks.sum())
     records = None
     if rounds_log != "none":
         records = [
-            RoundRecord(
-                round=t,
-                phase=Phase.EXPLOITATION,
-                allocation={1: winner},
-                clicks={winner: int(realization.intrinsic_clicks[winner - 1, t - 1])},
-                payments={winner: 0.0},
-                delta_regret_increment=0.0,
-                welfare_increment=metrics.welfare(profiles[winner - 1]),
+            tables.record(
+                t, Phase.EXPLOITATION, {1: winner}, {winner: int(clicks[t - 1])}, {winner: 0.0}
             )
             for t in range(1, horizon + 1)
         ]
-    summary = RunSummary(
-        mechanism="oracle",
-        num_agents=config.num_agents,
-        num_slots=1,
-        horizon=horizon,
-        delta=config.delta,
-        v_max=config.v_max,
+    summary = summarize(
+        "oracle",
+        config,
         seed=realization.seed,
-        exploration_budget=0,
-        exploration_rounds_used=0,
-        total_delta_regret=0.0,
-        exploration_delta_regret=0.0,
-        exploitation_delta_regret=0.0,
-        total_standard_regret=0.0,
-        total_revenue=0.0,
-        total_welfare=horizon * metrics.welfare(profiles[winner - 1]),
-        per_agent_utility=per_agent_utility,
+        budget=0,
+        rounds_used=0,
+        exploration=NO_ACCRUAL,
+        exploitation=tables.accrue([(horizon, winner, 1)]),
+        revenue=0.0,
+        utilities=per_agent_utility,
         winners=(winner,),
         flags=(),
     )
@@ -424,10 +383,7 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
     bids_arr = bid_vector(profiles, bids, config)
     horizon = config.horizon
     num_agents = config.num_agents
-    welfares = np.array([metrics.welfare(p) for p in profiles])
-    gaps = float(welfares.max()) - welfares
-    tolerated = metrics.delta_set(profiles, config.delta)
-    delta_gaps = np.where([p.id not in tolerated for p in profiles], gaps, 0.0)
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
     state = LearnerState.fresh(num_agents, horizon)
     per_agent_utility = {p.id: 0.0 for p in profiles}
@@ -444,38 +400,23 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
         state.record_pull(agent, float(click))
         state.round = t
         per_agent_utility[agent] += profiles[agent - 1].valuation * click
-        delta_total += delta_gaps[agent - 1]
-        standard_total += gaps[agent - 1]
-        welfare_total += welfares[agent - 1]
+        delta_total += tables.delta_gap[agent - 1][0]
+        standard_total += tables.gap[agent - 1][0]
+        welfare_total += tables.welfare[agent - 1][0]
         if records is not None:
             records.append(
-                RoundRecord(
-                    round=t,
-                    phase=Phase.EXPLORATION,
-                    allocation={1: agent},
-                    clicks={agent: click},
-                    payments={agent: 0.0},
-                    delta_regret_increment=float(delta_gaps[agent - 1]),
-                    welfare_increment=float(welfares[agent - 1]),
-                )
+                tables.record(t, Phase.EXPLORATION, {1: agent}, {agent: click}, {agent: 0.0})
             )
-    summary = RunSummary(
-        mechanism="plain-ucb",
-        num_agents=num_agents,
-        num_slots=1,
-        horizon=horizon,
-        delta=config.delta,
-        v_max=config.v_max,
+    summary = summarize(
+        "plain-ucb",
+        config,
         seed=realization.seed,
-        exploration_budget=horizon,
-        exploration_rounds_used=horizon,
-        total_delta_regret=float(delta_total),
-        exploration_delta_regret=float(delta_total),
-        exploitation_delta_regret=0.0,
-        total_standard_regret=float(standard_total),
-        total_revenue=0.0,
-        total_welfare=float(welfare_total),
-        per_agent_utility=per_agent_utility,
+        budget=horizon,
+        rounds_used=horizon,
+        exploration=Accrual(delta_total, standard_total, welfare_total),
+        exploitation=NO_ACCRUAL,
+        revenue=0.0,
+        utilities=per_agent_utility,
         winners=(),
         flags=("continual-learning",),
     )

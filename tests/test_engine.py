@@ -1,0 +1,236 @@
+"""Generated equivalence checks for the one Δ-UCB engine.
+
+The aggregate path (``run_single_slot`` / ``run_multi_slot``) is checked
+against the round-by-round reference ``iter_rounds`` for both price rules,
+and ``InstanceTables`` against the per-call ``metrics`` functions it
+replaces in the runs. Instances draw click rates, values, bids and
+prominences from small grids, so ties in welfare and in scores, zero bids
+and zero welfare are common; horizons include 1 and 2, and budgets include
+the horizon and one round short of it. Examples are derandomized, so the
+suite is deterministic.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from deltaucb import metrics
+from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget, validate_config
+from deltaucb.environment import draw_realization
+from deltaucb.harness import fmt_num
+from deltaucb.mechanism import (
+    iter_rounds,
+    multi_exploration_allocation,
+    normalized_runner_up,
+    run_single_slot,
+)
+from deltaucb.mechanism_multi import run_multi_slot, telescoping
+from deltaucb.metrics import InstanceTables
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+ENGINES = {
+    "normalized-runner-up": (run_single_slot, normalized_runner_up, 1),
+    "telescoping": (run_multi_slot, telescoping, 3),
+}
+
+
+@st.composite
+def instances(draw, max_slots):
+    num_agents = draw(st.integers(1, 4))
+    num_slots = draw(st.integers(1, min(num_agents, max_slots)))
+    lower = draw(
+        st.lists(st.sampled_from([0.25, 0.6, 1.0]), min_size=num_slots - 1, max_size=num_slots - 1)
+    )
+    prominences = (1.0, *sorted(lower, reverse=True))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    ctrs = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
+    valuations = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
+    bids = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
+    profiles = [
+        AgentProfile(id=i + 1, ctr=ctrs[i], valuation=valuations[i], bid=bids[i])
+        for i in range(num_agents)
+    ]
+    horizon = draw(st.sampled_from(range(1, 61)))
+    config = validate_config(
+        AuctionConfig(
+            num_agents=num_agents,
+            num_slots=num_slots,
+            horizon=horizon,
+            delta=draw(st.sampled_from([0.05, 0.25, 0.5, 2.0])),
+            prominences=prominences,
+            seed=draw(st.integers(0, 2**32)),
+        )
+    )
+    budget_override = draw(
+        st.one_of(
+            st.sampled_from([None, horizon, horizon - 1]),
+            st.integers(0, horizon),
+        )
+    )
+    return config, profiles, budget_override
+
+
+def _drain(generator):
+    """All records of the reference path, and the learner state it returns."""
+    records = []
+    while True:
+        try:
+            records.append(next(generator))
+        except StopIteration as stop:
+            return records, stop.value
+
+
+def _label_edges(config, profiles, budget, rounds_log):
+    scores = {p.ctr * p.bid for p in profiles}
+    event(f"horizon {config.horizon}" if config.horizon <= 2 else "horizon > 2")
+    if budget == config.horizon:
+        event("budget = T")
+    if budget == config.horizon - 1:
+        event("budget = T - 1")
+    if config.num_agents == config.num_slots:
+        event("K = M")
+    if len(scores) < len(profiles):
+        event("tied bid-weighted rates")
+    if any(p.bid == 0.0 for p in profiles):
+        event("zero bid")
+    event(f"rounds_log={rounds_log}")
+
+
+def _at_fmt_precision(x):
+    # compared as values: fmt_num may print a trailing zero more or less
+    # depending on the last bits (0.275 and 0.27499999999999997)
+    return float(fmt_num(x))
+
+
+def _pairwise_exploration_sums(config, profiles, explore_until):
+    """Exploration regret and welfare summed pairwise over the (round, slot) event grid."""
+    prominences = config.prominences
+    delta, standard, welfare = [], [], []
+    for t in range(1, explore_until + 1):
+        for m in range(1, config.num_slots + 1):
+            shown = {m: multi_exploration_allocation(t, m, config.num_agents)}
+            delta.append(metrics.delta_regret_increment(shown, profiles, config.delta, prominences))
+            standard.append(metrics.standard_regret_increment(shown, profiles, prominences))
+            welfare.append(metrics.welfare_at_slot(profiles[shown[m] - 1], m, prominences))
+    return tuple(float(np.array(sums).sum()) for sums in (delta, standard, welfare))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@PROPERTY
+@given(data=st.data())
+def test_engine_matches_round_by_round_reference(engine, data):
+    run, price_rule, max_slots = ENGINES[engine]
+    config, profiles, budget_override = data.draw(instances(max_slots))
+    rounds_log = data.draw(st.sampled_from(["none", "all", "exploit-only"]))
+    realization = draw_realization(config, profiles)
+    budget = exploration_budget(config) if budget_override is None else budget_override
+    _label_edges(config, profiles, budget, rounds_log)
+    reference = iter_rounds(
+        config, profiles, price_rule, realization=realization, budget_override=budget_override
+    )
+    try:
+        records, learner = _drain(reference)
+    except ValueError:
+        # the budget ended before every agent was shown: neither path may declare
+        event("declare refused")
+        with pytest.raises(ValueError, match="pulled at least once"):
+            run(config, profiles, realization=realization, budget_override=budget_override)
+        return
+    result = run(
+        config,
+        profiles,
+        realization=realization,
+        rounds_log=rounds_log,
+        budget_override=budget_override,
+    )
+    summary = result.summary
+    assert len(records) == config.horizon
+
+    if rounds_log == "none":
+        assert result.records is None
+    else:
+        wanted = [r for r in records if rounds_log == "all" or r.phase is Phase.EXPLOITATION]
+        assert result.records == wanted
+
+    outcome = result.outcome
+    if budget >= config.horizon:
+        event("exploration-only")
+        assert outcome is None and summary.flags == ("exploration-only",)
+    else:
+        event("declared")
+        if summary.total_delta_regret > 0.0:
+            event("declared with tolerance regret")
+        assert outcome.learner.to_bytes() == learner.to_bytes()
+        assert summary.winners == outcome.ranking[: config.num_slots]
+        for record in records:
+            if record.phase is Phase.EXPLOITATION:
+                for m, agent in record.allocation.items():
+                    assert agent == outcome.ranking[m - 1]
+                    price = outcome.payments_per_click[m - 1]
+                    assert record.payment_of(agent) == price * record.click_of(agent)
+
+    revenue = sum(sum(r.payments.values()) for r in records)
+    assert summary.total_revenue == pytest.approx(revenue, rel=1e-12, abs=1e-12)
+    for p in profiles:
+        utility = sum(metrics.agent_utility(r, p.id, p.valuation) for r in records)
+        assert summary.per_agent_utility[p.id] == pytest.approx(utility, rel=1e-12, abs=1e-12)
+
+    explore = [r for r in records if r.phase is Phase.EXPLORATION]
+    exploit = [r for r in records if r.phase is Phase.EXPLOITATION]
+    assert summary.exploration_rounds_used == len(explore)
+    for value, increments in (
+        (summary.exploration_delta_regret, [r.delta_regret_increment for r in explore]),
+        (summary.exploitation_delta_regret, [r.delta_regret_increment for r in exploit]),
+        (summary.total_welfare, [r.welfare_increment for r in records]),
+    ):
+        assert _at_fmt_precision(value) == _at_fmt_precision(sum(increments))
+
+    # the summed-over-the-event-grid figures the aggregate path used to report
+    delta, standard, welfare = _pairwise_exploration_sums(config, profiles, len(explore))
+    exploit_rounds = len(exploit)
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
+    for m, agent in enumerate(summary.winners, start=1):
+        standard += exploit_rounds * tables.gap[agent - 1][m - 1]
+        welfare += exploit_rounds * tables.welfare[agent - 1][m - 1]
+    assert _at_fmt_precision(summary.exploration_delta_regret) == _at_fmt_precision(delta)
+    assert _at_fmt_precision(summary.total_standard_regret) == _at_fmt_precision(standard)
+    assert _at_fmt_precision(summary.total_welfare) == _at_fmt_precision(welfare)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_instance_tables_match_per_call_metrics(data):
+    config, profiles, _ = data.draw(instances(max_slots=4))
+    delta, prominences = config.delta, config.prominences
+    tables = InstanceTables.build(profiles, delta, prominences)
+    assert tables.ranking == tuple(metrics.welfare_ranking(profiles))
+    for m in range(1, config.num_slots + 1):
+        members = metrics.delta_set_for_slot(profiles, delta, m, prominences)
+        for p in profiles:
+            single = {m: p.id}
+            row = p.id - 1
+            assert tables.welfare[row][m - 1] == metrics.welfare_at_slot(p, m, prominences)
+            assert tables.gap[row][m - 1] == metrics.standard_regret_increment(
+                single, profiles, prominences
+            )
+            assert tables.delta_gap[row][m - 1] == metrics.delta_regret_increment(
+                single, profiles, delta, prominences
+            )
+            assert tables.member[row][m - 1] == (p.id in members)
+    if config.num_slots == 1:
+        members = {p.id for p in profiles if tables.member[p.id - 1][0]}
+        assert members == metrics.delta_set(profiles, delta)
+
+    t = data.draw(st.integers(1, config.num_agents))
+    allocation = {
+        m: multi_exploration_allocation(t, m, config.num_agents)
+        for m in range(1, config.num_slots + 1)
+    }
+    record = tables.record(t, Phase.EXPLORATION, allocation, {}, {})
+    assert record.delta_regret_increment == metrics.delta_regret_increment(
+        allocation, profiles, delta, prominences
+    )
+    assert record.welfare_increment == sum(
+        metrics.welfare_at_slot(profiles[a - 1], m, prominences) for m, a in allocation.items()
+    )

@@ -1,5 +1,10 @@
+import ast
 import csv
+import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -246,3 +251,45 @@ def test_golden_files_cover_multi_slot_and_jsonl(tmp_path, config_name, fmt, ste
                  "--rounds-log", "all", "--format", fmt]) == 0
     assert (out / f"rounds.{fmt}").read_bytes() == (DATA / f"{stem}_rounds.{fmt}").read_bytes()
     assert (out / f"summary.{fmt}").read_bytes() == (DATA / f"{stem}_summary.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("line", ["v_max = inf", "delta = inf"])
+def test_infinite_delta_or_v_max_is_a_config_error(tmp_path, capsys, command, line):
+    text = BASIC.replace("v_max = 1.0", "").replace("delta = 1.2", "") + line + "\n"
+    if line.startswith("v_max"):
+        text += "delta = 1.2\n"
+    cfg = _write(tmp_path, "inf.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "deltaucb", "run", "--config", str(DATA / "golden.cfg"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("run: mechanism=delta-ucb-single seed=42")
+    assert (tmp_path / "summary.csv").read_bytes() == (DATA / "golden_summary.csv").read_bytes()
+
+
+def test_benchmark_tracer_layers_resolve():
+    """Every function the benchmark's tracer wraps must still exist under its recorded name."""
+    traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+    tree = ast.parse(traced.read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    assert layers
+    for name in layers:
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"deltaucb.{module_name}")
+        assert callable(getattr(module, attr, None)), name

@@ -9,6 +9,7 @@ from deltaucb.mechanism import (
     declare_winner,
     exploration_agent,
     iter_rounds,
+    normalized_runner_up,
     run_single_slot,
     ucb_pair,
 )
@@ -57,7 +58,9 @@ def test_exploration_updates_only_allocated_agent():
     intrinsic[0, 0] = 1
     realization = make_realization(intrinsic)
     records = []
-    gen = iter_rounds(config, make_profiles([0.5, 0.5]), realization=realization)
+    gen = iter_rounds(
+        config, make_profiles([0.5, 0.5]), normalized_runner_up, realization=realization
+    )
     for _ in range(4):
         records.append(next(gen))
     assert [r.allocation[1] for r in records] == [1, 2, 1, 2]
@@ -122,7 +125,7 @@ def test_exploitation_pays_only_on_click():
 def test_indices_frozen_through_exploitation():
     config = AuctionConfig(num_agents=2, horizon=60, delta=1.5, seed=2)
     profiles = make_profiles([0.7, 0.3])
-    records = list(iter_rounds(config, profiles))
+    records = list(iter_rounds(config, profiles, normalized_runner_up))
     state_rounds = [r for r in records if r.phase is Phase.EXPLOITATION]
     assert state_rounds  # exploitation happened
     result = run_single_slot(config, profiles, rounds_log="none")
@@ -138,12 +141,16 @@ def test_exploration_step_rejects_rounds_past_budget():
     config = validate_config(AuctionConfig(num_agents=2, horizon=60, delta=1.5, seed=2))
     profiles = make_profiles([0.7, 0.3])
     realization = draw_realization(config, profiles)
-    from deltaucb.core import LearnerState
+    from deltaucb.core import LearnerState, exploration_budget
     from deltaucb.mechanism import exploration_step
+    from deltaucb.metrics import InstanceTables
 
     state = LearnerState.fresh(2, config.horizon)
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
     with pytest.raises(ValueError, match="exploration is over"):
-        exploration_step(state, realization, config.horizon + 1, profiles, config)
+        exploration_step(
+            state, realization, config.horizon + 1, config, tables, exploration_budget(config)
+        )
 
 
 def test_exploration_only_run_has_zero_revenue():
@@ -255,7 +262,7 @@ def test_fast_path_matches_round_by_round_reference():
     profiles = make_profiles([0.85, 0.5, 0.15], [1.0, 0.7, 0.4], [0.9, 0.7, 0.4])
     realization = draw_realization(validate_config(config), profiles)
     fast = run_single_slot(config, profiles, realization=realization)
-    records = list(iter_rounds(config, profiles, realization=realization))
+    records = list(iter_rounds(config, profiles, normalized_runner_up, realization=realization))
 
     # learned state must agree to the byte
     stepper_state = None
@@ -270,3 +277,22 @@ def test_fast_path_matches_round_by_round_reference():
     assert fast.summary.total_delta_regret == pytest.approx(total_delta, rel=1e-9, abs=1e-9)
     assert fast.summary.total_welfare == pytest.approx(total_welfare, rel=1e-9)
     assert fast.summary.total_revenue == pytest.approx(revenue, rel=1e-9)
+
+
+@pytest.mark.parametrize("runner", ["single", "multi"])
+def test_nan_bids_are_rejected(runner):
+    from deltaucb.core import ConfigError
+    from deltaucb.mechanism_multi import run_multi_slot
+
+    config = AuctionConfig(num_agents=2, horizon=200, delta=1.5, seed=5)
+    run = run_single_slot if runner == "single" else run_multi_slot
+    with pytest.raises(ConfigError, match="bid must lie"):
+        run(config, make_profiles([0.7, 0.3]), bids=[1.0, math.nan])
+
+
+@pytest.mark.parametrize("winner_ucb", [0.0, -0.25, math.nan])
+def test_declare_winner_rejects_non_positive_winner_index(winner_ucb):
+    # a learned index is always positive; a hand-set one must not yield a price
+    state = _state_with_indices([winner_ucb, -0.5])
+    with pytest.raises(ValueError, match="must be positive"):
+        declare_winner(state, np.ones(2))

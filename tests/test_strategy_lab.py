@@ -98,7 +98,7 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
 
 
 def test_multi_dsic_shortcut_matches_full_runs():
-    from deltaucb.mechanism_multi import SlotModel, declare_ranking, run_multi_slot
+    from deltaucb.mechanism_multi import declare_ranking, run_multi_slot, telescoping
 
     config = validate_config(
         AuctionConfig(num_agents=3, num_slots=2, horizon=1200, delta=0.7,
@@ -108,10 +108,9 @@ def test_multi_dsic_shortcut_matches_full_runs():
     realization = draw_realization(config, profiles)
     base = run_multi_slot(config, profiles, realization=realization)
     explore_until = base.summary.exploration_rounds_used
-    slot_model = SlotModel.from_config(config)
     for bid in (0.1, 0.5, 1.0):
         bids = np.array([1.0, 0.9, bid])
-        direct = declare_ranking(base.outcome.learner.copy(), bids, slot_model)
+        direct = declare_ranking(base.outcome.learner.copy(), bids, config.prominences, telescoping)
         full = run_multi_slot(config, profiles, bids=bids, realization=realization)
         assert direct.ranking == full.outcome.ranking
         assert direct.payments_per_click == full.outcome.payments_per_click
