@@ -78,20 +78,6 @@ def draw_realization(
     )
 
 
-def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
-    """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
-    if not 1 <= agent <= realization.num_agents:
-        raise IndexError(f"agent {agent} out of range 1..{realization.num_agents}")
-    if not 1 <= slot <= realization.num_slots:
-        raise IndexError(f"slot {slot} out of range 1..{realization.num_slots}")
-    if not 1 <= round <= realization.horizon:
-        raise IndexError(f"round {round} out of range 1..{realization.horizon}")
-    click = realization.intrinsic_clicks[agent - 1, round - 1]
-    if realization.observations is not None:
-        click = click & realization.observations[slot - 1, round - 1]
-    return int(click)
-
-
 def realized_clicks(realization: ClickRealization, agent: int, slot: int, rounds) -> np.ndarray:
     """Click outcomes for an agent shown at a slot over many rounds.
 
@@ -102,6 +88,17 @@ def realized_clicks(realization: ClickRealization, agent: int, slot: int, rounds
     if realization.observations is not None:
         clicks = clicks & realization.observations[slot - 1, rounds]
     return clicks
+
+
+def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
+    """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
+    if not 1 <= agent <= realization.num_agents:
+        raise IndexError(f"agent {agent} out of range 1..{realization.num_agents}")
+    if not 1 <= slot <= realization.num_slots:
+        raise IndexError(f"slot {slot} out of range 1..{realization.num_slots}")
+    if not 1 <= round <= realization.horizon:
+        raise IndexError(f"round {round} out of range 1..{realization.horizon}")
+    return int(realized_clicks(realization, agent, slot, round - 1))
 
 
 def dump_realization(realization: ClickRealization, path) -> None:

@@ -13,7 +13,7 @@ time and serve as the tables' test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,6 +131,9 @@ class InstanceTables:
     gap: list
     delta_gap: list
     member: list
+    # allocation items -> its (tolerance regret, welfare) increments; a run
+    # repeats few allocations, and records then share the float objects
+    _increments: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -163,17 +166,14 @@ class InstanceTables:
         self, t: int, phase: Phase, allocation: dict, clicks: dict, payments: dict
     ) -> RoundRecord:
         """A round's record, its tolerance regret and welfare summed over the allocated slots."""
-        return RoundRecord(
-            round=t,
-            phase=phase,
-            allocation=allocation,
-            clicks=clicks,
-            payments=payments,
-            delta_regret_increment=sum(
-                self.delta_gap[a - 1][m - 1] for m, a in allocation.items()
-            ),
-            welfare_increment=sum(self.welfare[a - 1][m - 1] for m, a in allocation.items()),
-        )
+        key = tuple(allocation.items())
+        increments = self._increments.get(key)
+        if increments is None:
+            increments = self._increments[key] = (
+                sum(self.delta_gap[a - 1][m - 1] for m, a in key),
+                sum(self.welfare[a - 1][m - 1] for m, a in key),
+            )
+        return RoundRecord(t, phase, allocation, clicks, payments, *increments)
 
 
 @dataclass(frozen=True)
