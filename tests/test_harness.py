@@ -253,6 +253,32 @@ def test_golden_files_cover_multi_slot_and_jsonl(tmp_path, config_name, fmt, ste
     assert (out / f"summary.{fmt}").read_bytes() == (DATA / f"{stem}_summary.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "mechanism, rounds_log, stem",
+    [
+        (None, "exploit-only", "golden_exploit"),
+        ("oracle", "all", "golden_oracle"),
+        ("plain-ucb", "all", "golden_plain_ucb"),
+    ],
+)
+def test_golden_files_cover_exploit_only_and_baselines(tmp_path, mechanism, rounds_log, stem):
+    text = (DATA / "golden.cfg").read_text()
+    if mechanism is not None:
+        text += f"mechanism = {mechanism}\n"
+    cfg = _write(tmp_path, "golden.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--rounds-log", rounds_log]) == 0
+    summary = DATA / ("golden_summary.csv" if mechanism is None else f"{stem}_summary.csv")
+    assert (out / "rounds.csv").read_bytes() == (DATA / f"{stem}_rounds.csv").read_bytes()
+    assert (out / "summary.csv").read_bytes() == summary.read_bytes()
+
+
+def test_golden_sweep_summary_is_stable(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(DATA / "golden_sweep.cfg"), "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == (DATA / "golden_sweep_summary.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("line", ["v_max = inf", "delta = inf"])
 def test_infinite_delta_or_v_max_is_a_config_error(tmp_path, capsys, command, line):
