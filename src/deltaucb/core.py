@@ -102,6 +102,10 @@ def validate_config(config: AuctionConfig) -> AuctionConfig:
         raise ConfigError("delta must be positive and finite")
     if not 0 < config.v_max < math.inf:
         raise ConfigError("v_max must be positive and finite")
+    try:
+        per_agent_pulls(config.v_max, config.delta, config.horizon)
+    except (ArithmeticError, ValueError) as err:
+        raise ConfigError("delta, v_max: 8 v_max^2 ln T / delta^2 is not finite") from err
     if not (0 <= config.seed <= MAX_SEED):
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
@@ -275,7 +279,7 @@ class LearnerState:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did: allocation, observed clicks, payments, and evaluation increments.
+    """What one round did: allocation, observed clicks, and payments.
 
     ``allocation`` maps slot -> agent id; ``clicks`` and ``payments`` carry
     entries for allocated agents only (everyone else implicitly got no
@@ -287,8 +291,6 @@ class RoundRecord:
     allocation: dict
     clicks: dict
     payments: dict
-    delta_regret_increment: float
-    welfare_increment: float
 
     def payment_of(self, agent: int) -> float:
         return self.payments.get(agent, 0.0)

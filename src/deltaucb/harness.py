@@ -25,25 +25,13 @@ from .core import AgentProfile, AuctionConfig, ConfigError, validate_config, val
 from .environment import draw_realization
 from .mechanism import run_single_slot
 from .mechanism_multi import run_multi_slot
-from .metrics import InstanceTables
+from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
 from .strategy_lab import BaselineKind, build_scenario, run_baseline, verify_dsic, verify_ir
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
 
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", "oracle", "plain-ucb", "explore-t23")
-
-ROUND_LOG_COLUMNS = (
-    "t",
-    "phase",
-    "slot",
-    "agent",
-    "click",
-    "payment",
-    "delta_regret_cum",
-    "regret_cum",
-    "revenue_cum",
-)
 
 SUMMARY_COLUMNS = (
     "mechanism",
@@ -174,12 +162,15 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
         agents_choices=values.get("agents_choices"),
         jobs=values.get("jobs", 1),
     )
-    if spec.ctrs is not None and len(spec.ctrs) != config.num_agents:
-        raise ConfigError("ctrs length must equal num_agents")
-    if spec.valuations is not None and len(spec.valuations) != config.num_agents:
-        raise ConfigError("valuations length must equal num_agents")
-    if spec.bids is not None and len(spec.bids) != config.num_agents:
-        raise ConfigError("bids length must equal num_agents")
+    for key in ("ctrs", "valuations", "bids"):
+        if key in values and len(values[key]) != config.num_agents:
+            raise ConfigError(f"{key} length must equal num_agents")
+    for key in ("ctr_range", "valuation_range"):
+        bounds = values.get(key)
+        if bounds is None:
+            continue
+        if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:
+            raise ConfigError(f"{key} must be two finite numbers lo, hi with lo <= hi")
     return spec
 
 
@@ -232,57 +223,48 @@ def fmt_num(x: float) -> str:
     return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
 
 
-def round_log_rows(records, profiles, config):
-    """Flatten records into one row per slot per round with running totals."""
+def round_log_rows(log, profiles, config) -> dict:
+    """The round log as table columns, one row per shown (round, slot), with running totals.
+
+    The running columns are ``np.cumsum`` of per-row amounts; numpy
+    accumulates them in row order, so each entry is the left-to-right sum.
+    """
     config = validate_config(config)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
-    delta_cum = 0.0
-    regret_cum = 0.0
-    revenue_cum = 0.0
-    for record in records:
-        for slot in sorted(record.allocation):
-            agent = record.allocation[slot]
-            delta_cum += tables.delta_gap[agent - 1][slot - 1]
-            regret_cum += tables.gap[agent - 1][slot - 1]
-            revenue_cum += record.payment_of(agent)
-            yield {
-                "t": record.round,
-                "phase": record.phase.value,
-                "slot": slot,
-                "agent": agent,
-                "click": record.click_of(agent),
-                "payment": record.payment_of(agent),
-                "delta_regret_cum": delta_cum,
-                "regret_cum": regret_cum,
-                "revenue_cum": revenue_cum,
-            }
+    cell = (log.agent - 1, log.slot - 1)
+    columns = {
+        "t": log.t,
+        "phase": log.phase,
+        "slot": log.slot,
+        "agent": log.agent,
+        "click": log.click,
+        "payment": log.payment,
+        "delta_regret_cum": np.cumsum(np.array(tables.delta_gap)[cell]),
+        "regret_cum": np.cumsum(np.array(tables.gap)[cell]),
+        "revenue_cum": np.cumsum(log.payment),
+    }
+    return {name: column.tolist() for name, column in columns.items()}
 
 
-def emit_round_log(records, path, fmt, profiles, config) -> None:
-    """Write the per-round log as CSV (12-significant-digit numbers) or JSONL."""
-    rows = round_log_rows(records, profiles, config)
-    lines = []
+def emit_round_log(log, path, fmt, profiles, config) -> None:
+    """Write the round log as CSV (12-significant-digit numbers) or JSONL."""
+    write_table(round_log_rows(log, profiles, config), path, fmt)
+
+
+def write_table(columns: dict, path, fmt) -> None:
+    """Write equal-length columns as CSV or JSONL.
+
+    CSV has a header row and renders floats with ``fmt_num`` and anything
+    else with ``str``; JSONL has one object per row, keys sorted.
+    """
+    rows = zip(*columns.values())
     if fmt == "csv":
-        lines.append(",".join(ROUND_LOG_COLUMNS))
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["t"]),
-                        row["phase"],
-                        str(row["slot"]),
-                        str(row["agent"]),
-                        str(row["click"]),
-                        fmt_num(row["payment"]),
-                        fmt_num(row["delta_regret_cum"]),
-                        fmt_num(row["regret_cum"]),
-                        fmt_num(row["revenue_cum"]),
-                    ]
-                )
-            )
+        lines = [",".join(columns)]
+        lines += [
+            ",".join(fmt_num(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+        ]
     elif fmt == "jsonl":
-        for row in rows:
-            lines.append(json.dumps(row, sort_keys=True))
+        lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
     else:
         raise ConfigError(f"unknown format: {fmt}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -321,21 +303,7 @@ def summary_row(summary) -> dict:
 def emit_summary(summaries, path, fmt) -> None:
     """Write one summary record per run/cell as CSV or JSONL."""
     rows = [summary_row(s) for s in summaries]
-    lines = []
-    if fmt == "csv":
-        lines.append(",".join(SUMMARY_COLUMNS))
-        for row in rows:
-            rendered = []
-            for col in SUMMARY_COLUMNS:
-                value = row[col]
-                rendered.append(fmt_num(value) if isinstance(value, float) else str(value))
-            lines.append(",".join(rendered))
-    elif fmt == "jsonl":
-        for row in rows:
-            lines.append(json.dumps(row, sort_keys=True))
-    else:
-        raise ConfigError(f"unknown format: {fmt}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table({col: [row[col] for row in rows] for col in SUMMARY_COLUMNS}, path, fmt)
 
 
 def derive_subseed(master_seed: int, cell: dict) -> int:
@@ -487,10 +455,10 @@ def _cmd_run(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ext = "csv" if args.format == "csv" else "jsonl"
-        emit_summary([result.summary], out_dir / f"summary.{ext}", args.format)
-        if result.records is not None:
-            emit_round_log(result.records, out_dir / f"rounds.{ext}", args.format, profiles, config)
+        emit_summary([result.summary], out_dir / f"summary.{args.format}", args.format)
+        if result.log is not None:
+            path = out_dir / f"rounds.{args.format}"
+            emit_round_log(result.log, path, args.format, profiles, config)
     row = summary_row(result.summary)
     print(
         f"run: mechanism={row['mechanism']} seed={row['seed']} "
@@ -512,8 +480,7 @@ def _cmd_sweep(args) -> int:
         summaries = [run_cell(spec, cell) for cell in cells]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "jsonl"
-    emit_summary(summaries, out_dir / f"summary.{ext}", args.format)
+    emit_summary(summaries, out_dir / f"summary.{args.format}", args.format)
     print(f"sweep: wrote {len(summaries)} rows")
     return 0
 
@@ -546,9 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--out", default=None, help="directory for summary/rounds files")
     p_run.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_run.add_argument(
-        "--rounds-log", choices=("none", "all", "exploit-only"), default="none", dest="rounds_log"
-    )
+    p_run.add_argument("--rounds-log", choices=ROUNDS_LOG_LEVELS, default="none", dest="rounds_log")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cartesian experiment grid")

@@ -14,9 +14,9 @@ each slot's per-click price. Indices never change after the budget.
 The single-slot mechanism uses ``normalized_runner_up`` (here); the
 multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
 
-``run_mechanism`` computes aggregates directly from the realization;
-``iter_rounds`` is the literal round-by-round reference that also produces
-the per-round records. The two are checked against each other in tests.
+``run_mechanism`` computes aggregates and the round log directly from the
+realization; ``iter_rounds`` is the literal round-by-round reference that
+tests check both against.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization, draw_realization, realized_click, realized_clicks
-from .metrics import NO_ACCRUAL, SINGLE_SLOT, InstanceTables, RunResult, summarize
-
-ROUNDS_LOG_LEVELS = ("none", "all", "exploit-only")
+from .metrics import NO_ACCRUAL, SINGLE_SLOT, InstanceTables, RunResult, round_log, summarize
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,11 @@ def ucb_pair(empirical_ctr: float, pull_count: int, horizon: float, scale: float
     return empirical_ctr + radius, empirical_ctr - radius
 
 
-def multi_exploration_allocation(t: int, slot: int, num_agents: int) -> int:
-    """Shifted rotation: slot m of round t shows agent (((t-1) mod K) + m - 1) mod K + 1."""
+def multi_exploration_allocation(t, slot: int, num_agents: int):
+    """Shifted rotation: slot m of round t shows agent (((t-1) mod K) + m - 1) mod K + 1.
+
+    ``t`` may be an integer array of rounds; the result is then the array of agents.
+    """
     if slot > num_agents:
         raise ValueError("slot index exceeds number of agents")
     return (((t - 1) % num_agents) + slot - 1) % num_agents + 1
@@ -143,11 +144,11 @@ def declare_winner(state: LearnerState, bids) -> Outcome:
     return declare(state, bids, SINGLE_SLOT, normalized_runner_up)
 
 
-def _play_round(realization, t, phase, allocation, prices, tables) -> RoundRecord:
+def _play_round(realization, t, phase, allocation, prices) -> RoundRecord:
     """Show each slot's agent, observe its click, and charge the slot's price on a click."""
     clicks = {agent: realized_click(realization, agent, m, t) for m, agent in allocation.items()}
     payments = {agent: prices[m - 1] * clicks[agent] for m, agent in allocation.items()}
-    return tables.record(t, phase, allocation, clicks, payments)
+    return RoundRecord(t, phase, allocation, clicks, payments)
 
 
 def exploration_step(
@@ -155,7 +156,6 @@ def exploration_step(
     realization: ClickRealization,
     t: int,
     config: AuctionConfig,
-    tables: InstanceTables,
     budget: int,
 ) -> RoundRecord:
     """One free round: rotate M distinct agents through the slots and learn from each click."""
@@ -164,7 +164,7 @@ def exploration_step(
         raise ValueError(f"exploration is over after round {explore_until}")
     slots = range(1, config.num_slots + 1)
     allocation = {m: multi_exploration_allocation(t, m, config.num_agents) for m in slots}
-    record = _play_round(realization, t, Phase.EXPLORATION, allocation, [0.0] * len(slots), tables)
+    record = _play_round(realization, t, Phase.EXPLORATION, allocation, [0.0] * len(slots))
     for m, agent in allocation.items():
         state.record_pull(agent, record.clicks[agent] / config.prominences[m - 1])
     state.round = t
@@ -176,13 +176,12 @@ def exploitation_step(
     realization: ClickRealization,
     t: int,
     config: AuctionConfig,
-    tables: InstanceTables,
 ) -> RoundRecord:
     """One committed round: slot m shows the rank-m agent, who pays its price only on a click."""
     allocation = {m: outcome.ranking[m - 1] for m in range(1, config.num_slots + 1)}
     outcome.learner.round = t
     prices = outcome.payments_per_click
-    return _play_round(realization, t, Phase.EXPLOITATION, allocation, prices, tables)
+    return _play_round(realization, t, Phase.EXPLOITATION, allocation, prices)
 
 
 def _prepare(config, profiles, bids, realization, budget_override):
@@ -209,7 +208,7 @@ def iter_rounds(
     realization: Optional[ClickRealization] = None,
     budget_override: Optional[int] = None,
 ) -> Iterator[RoundRecord]:
-    """Replay the whole mechanism round by round (reference path).
+    """Replay the whole mechanism round by round (the tests' reference path).
 
     The generator's return value is the final learner state, so tests can
     compare it with the aggregate path's.
@@ -218,15 +217,31 @@ def iter_rounds(
         config, profiles, bids, realization, budget_override
     )
     explore_until = min(budget, config.horizon)
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
     state = _fresh_learner(config)
     for t in range(1, explore_until + 1):
-        yield exploration_step(state, realization, t, config, tables, budget)
+        yield exploration_step(state, realization, t, config, budget)
     if budget < config.horizon:
         outcome = declare(state, bids_arr, config.prominences, price_rule)
         for t in range(explore_until + 1, config.horizon + 1):
-            yield exploitation_step(outcome, realization, t, config, tables)
+            yield exploitation_step(outcome, realization, t, config)
     return state
+
+
+def _round_grids(realization, config, explore_until, outcome):
+    """Agents, clicks and payments per (round, slot): the rotation, then the frozen ranking."""
+    horizon, num_slots = config.horizon, config.num_slots
+    rounds = np.arange(1, horizon + 1)
+    agents = np.empty((horizon, num_slots), dtype=np.int64)
+    prices = np.zeros((horizon, num_slots))
+    if outcome is not None:
+        agents[explore_until:] = outcome.ranking[:num_slots]
+        prices[explore_until:] = outcome.payments_per_click
+    clicks = np.empty((horizon, num_slots), dtype=np.uint8)
+    explored = rounds[:explore_until]
+    for m in range(1, num_slots + 1):
+        agents[:explore_until, m - 1] = multi_exploration_allocation(explored, m, config.num_agents)
+        clicks[:, m - 1] = realized_clicks(realization, agents[:, m - 1], m, rounds - 1)
+    return agents, clicks, prices * clicks
 
 
 def run_mechanism(
@@ -246,8 +261,6 @@ def run_mechanism(
     regret and welfare accrue as pull count times the per-(agent, slot)
     table entry, agent by agent.
     """
-    if rounds_log not in ROUNDS_LOG_LEVELS:
-        raise ConfigError(f"rounds_log must be one of {ROUNDS_LOG_LEVELS}")
     config, profiles, bids_arr, realization, budget = _prepare(
         config, profiles, bids, realization, budget_override
     )
@@ -299,13 +312,9 @@ def run_mechanism(
         )
         state.round = horizon
 
-    records = None
-    if rounds_log != "none":
-        records = iter_rounds(config, profiles, price_rule, bids, realization, budget_override)
-        records = list(records)
-        if rounds_log == "exploit-only":
-            records = [r for r in records if r.phase is Phase.EXPLOITATION]
-
+    log = round_log(
+        rounds_log, explore_until, lambda: _round_grids(realization, config, explore_until, outcome)
+    )
     summary = summarize(
         mechanism_label,
         config,
@@ -319,7 +328,7 @@ def run_mechanism(
         winners=winners,
         flags=flags,
     )
-    return RunResult(summary=summary, outcome=outcome, records=records)
+    return RunResult(summary=summary, outcome=outcome, log=log)
 
 
 def run_single_slot(

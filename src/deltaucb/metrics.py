@@ -8,19 +8,21 @@ Tolerance regret accrues in exploration and exploitation rounds alike.
 
 Runs do their accounting through ``InstanceTables``, built once per run;
 the per-call functions below define the same quantities one allocation at a
-time and serve as the tables' test oracle.
+time and serve as the tables' test oracle. A run's round log is one
+``RoundLog`` of event arrays, whichever mechanism built it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentProfile, AuctionConfig, Phase, RoundRecord
+from .core import AgentProfile, AuctionConfig, ConfigError, Phase, RoundRecord
 
 SINGLE_SLOT = (1.0,)
+ROUNDS_LOG_LEVELS = ("none", "all", "exploit-only")
 
 
 def welfare(profile: AgentProfile) -> float:
@@ -131,9 +133,6 @@ class InstanceTables:
     gap: list
     delta_gap: list
     member: list
-    # allocation items -> its (tolerance regret, welfare) increments; a run
-    # repeats few allocations, and records then share the float objects
-    _increments: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -162,19 +161,6 @@ class InstanceTables:
             total_welfare += count * self.welfare[agent - 1][slot - 1]
         return Accrual(delta, standard, total_welfare)
 
-    def record(
-        self, t: int, phase: Phase, allocation: dict, clicks: dict, payments: dict
-    ) -> RoundRecord:
-        """A round's record, its tolerance regret and welfare summed over the allocated slots."""
-        key = tuple(allocation.items())
-        increments = self._increments.get(key)
-        if increments is None:
-            increments = self._increments[key] = (
-                sum(self.delta_gap[a - 1][m - 1] for m, a in key),
-                sum(self.welfare[a - 1][m - 1] for m, a in key),
-            )
-        return RoundRecord(t, phase, allocation, clicks, payments, *increments)
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -201,12 +187,55 @@ class RunSummary:
 
 
 @dataclass(frozen=True)
+class RoundLog:
+    """One row per shown (round, slot), in (round, slot) order.
+
+    ``t``, ``slot``, ``agent``, ``click`` and ``payment`` are equal-length
+    1-D arrays; a row's payment is its slot's per-click price times its
+    click. Rows with ``t <= explore_until`` are exploration rounds.
+    """
+
+    t: np.ndarray
+    slot: np.ndarray
+    agent: np.ndarray
+    click: np.ndarray
+    payment: np.ndarray
+    explore_until: int
+
+    @property
+    def phase(self) -> np.ndarray:
+        """Each row's phase label: exploration up to ``explore_until``, exploitation after."""
+        labels = (Phase.EXPLORATION.value, Phase.EXPLOITATION.value)
+        return np.where(self.t <= self.explore_until, *labels)
+
+
+def round_log(level: str, explore_until: int, grids) -> Optional[RoundLog]:
+    """The rows of a run's round log that a ``rounds_log`` level keeps.
+
+    ``grids()`` returns the run's agents, clicks and payments as (round,
+    slot) arrays whose row r - 1 holds round r; level "none" never calls
+    it, and "exploit-only" keeps the rounds after ``explore_until``.
+    """
+    if level not in ROUNDS_LOG_LEVELS:
+        raise ConfigError(f"rounds_log must be one of {ROUNDS_LOG_LEVELS}")
+    if level == "none":
+        return None
+    agents, clicks, payments = grids()
+    rounds, slots = agents.shape
+    t = np.repeat(np.arange(1, rounds + 1), slots)
+    slot = np.tile(np.arange(1, slots + 1), rounds)
+    keep = t > explore_until if level == "exploit-only" else slice(None)
+    columns = (t, slot, agents.ravel(), clicks.ravel(), payments.ravel())
+    return RoundLog(*(column[keep] for column in columns), explore_until)
+
+
+@dataclass(frozen=True)
 class RunResult:
-    """A run's summary plus, when requested, its outcome object and round records."""
+    """A run's summary plus, when requested, its outcome object and round log."""
 
     summary: RunSummary
     outcome: object = None
-    records: Optional[list] = None
+    log: Optional[RoundLog] = None
 
 
 def summarize(

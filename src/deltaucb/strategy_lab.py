@@ -27,7 +27,6 @@ from .core import (
     AuctionConfig,
     ConfigError,
     LearnerState,
-    Phase,
     confidence_radius,
     exploration_budget,
     validate_config,
@@ -37,7 +36,7 @@ from .environment import ClickRealization, draw_realization, realized_clicks
 from .mechanism import bid_vector, declare, exploration_clicks, run_mechanism, run_single_slot
 from .mechanism_multi import price_rule_for
 from . import metrics
-from .metrics import NO_ACCRUAL, Accrual, InstanceTables, RunResult, summarize
+from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
 
 DSIC_TOLERANCE = 1e-12
 PIVOT_PROBE = 1e-6
@@ -131,7 +130,8 @@ def build_scenario(
         own = float(ucb[deviator - 1])
         other_scores = np.delete(ucb * others, deviator - 1)
         pivots = np.sort(other_scores)[::-1]
-        targets = [pivots[0]]
+        # no competitor, no pivot: the uniform grid alone
+        targets = list(pivots[:1])
         second_idx = min(config.num_slots, len(pivots) - 1)
         if second_idx > 0:
             targets.append(pivots[second_idx])
@@ -351,14 +351,11 @@ def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
     clicks = realization.intrinsic_clicks[winner - 1]
     per_agent_utility = {p.id: 0.0 for p in profiles}
     per_agent_utility[winner] = profiles[winner - 1].valuation * int(clicks.sum())
-    records = None
-    if rounds_log != "none":
-        records = [
-            tables.record(
-                t, Phase.EXPLOITATION, {1: winner}, {winner: int(clicks[t - 1])}, {winner: 0.0}
-            )
-            for t in range(1, horizon + 1)
-        ]
+    log = metrics.round_log(
+        rounds_log,
+        0,
+        lambda: (np.full((horizon, 1), winner), clicks[:, None], np.zeros((horizon, 1))),
+    )
     summary = summarize(
         "oracle",
         config,
@@ -372,7 +369,7 @@ def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
         winners=(winner,),
         flags=(),
     )
-    return RunResult(summary=summary, outcome=None, records=records)
+    return RunResult(summary=summary, outcome=None, log=log)
 
 
 def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult:
@@ -387,10 +384,8 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
 
     state = LearnerState.fresh(num_agents, horizon)
     per_agent_utility = {p.id: 0.0 for p in profiles}
-    delta_total = 0.0
-    standard_total = 0.0
-    welfare_total = 0.0
-    records = [] if rounds_log != "none" else None
+    shown = np.empty((horizon, 1), dtype=np.int64)
+    clicks = np.empty((horizon, 1), dtype=np.uint8)
     for t in range(1, horizon + 1):
         if t <= num_agents:
             agent = t
@@ -400,24 +395,19 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
         state.record_pull(agent, float(click))
         state.round = t
         per_agent_utility[agent] += profiles[agent - 1].valuation * click
-        delta_total += tables.delta_gap[agent - 1][0]
-        standard_total += tables.gap[agent - 1][0]
-        welfare_total += tables.welfare[agent - 1][0]
-        if records is not None:
-            records.append(
-                tables.record(t, Phase.EXPLORATION, {1: agent}, {agent: click}, {agent: 0.0})
-            )
+        shown[t - 1], clicks[t - 1] = agent, click
     summary = summarize(
         "plain-ucb",
         config,
         seed=realization.seed,
         budget=horizon,
         rounds_used=horizon,
-        exploration=Accrual(delta_total, standard_total, welfare_total),
+        exploration=tables.accrue((1, agent, 1) for agent in shown[:, 0].tolist()),
         exploitation=NO_ACCRUAL,
         revenue=0.0,
         utilities=per_agent_utility,
         winners=(),
         flags=("continual-learning",),
     )
-    return RunResult(summary=summary, outcome=None, records=records)
+    log = metrics.round_log(rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))))
+    return RunResult(summary=summary, outcome=None, log=log)

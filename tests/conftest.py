@@ -1,6 +1,7 @@
 import numpy as np
 
-from deltaucb.core import AgentProfile
+from deltaucb import metrics
+from deltaucb.core import AgentProfile, validate_config
 from deltaucb.environment import ClickRealization
 
 
@@ -22,6 +23,38 @@ def make_realization(intrinsic, observations=None, seed=0):
     num_slots = 1 if obs is None else obs.shape[0]
     return ClickRealization(
         seed=seed, num_slots=num_slots, intrinsic_clicks=intrinsic, observations=obs
+    )
+
+
+def log_rows(log):
+    """A round log's rows as (t, slot, agent, click, payment) tuples."""
+    columns = (log.t, log.slot, log.agent, log.click, log.payment)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def record_rows(records):
+    """Reference records flattened to the same tuples, one per shown (round, slot)."""
+    return [
+        (r.round, m, a, r.click_of(a), r.payment_of(a))
+        for r in records
+        for m, a in sorted(r.allocation.items())
+    ]
+
+
+def delta_regret_of(record, profiles, config):
+    """A record's tolerance regret, from the per-call oracle."""
+    config = validate_config(config)
+    return metrics.delta_regret_increment(
+        record.allocation, profiles, config.delta, config.prominences
+    )
+
+
+def welfare_of(record, profiles, config):
+    """A record's welfare summed over its slots, from the per-call oracle."""
+    prominences = validate_config(config).prominences
+    return sum(
+        metrics.welfare_at_slot(profiles[a - 1], m, prominences)
+        for m, a in record.allocation.items()
     )
 
 

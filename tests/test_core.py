@@ -17,7 +17,7 @@ from deltaucb.core import (
 )
 from deltaucb.mechanism import run_single_slot
 
-from conftest import make_profiles
+from conftest import log_rows, make_profiles
 
 
 def test_validate_accepts_basic_config():
@@ -157,9 +157,9 @@ def test_exploration_rounds_have_zero_payments():
     profiles = make_profiles([0.8, 0.5, 0.2])
     result = run_single_slot(config, profiles, rounds_log="all")
     budget = result.summary.exploration_budget
-    for record in result.records:
-        if record.round <= budget:
-            assert all(p == 0.0 for p in record.payments.values())
+    log = result.log
+    assert log.explore_until == budget
+    assert np.all(log.payment[log.t <= budget] == 0.0)
 
 
 def test_replay_same_seed_is_bit_identical():
@@ -167,5 +167,5 @@ def test_replay_same_seed_is_bit_identical():
     profiles = make_profiles([0.9, 0.4, 0.1], [1.0, 0.8, 0.5])
     first = run_single_slot(config, profiles, rounds_log="all")
     second = run_single_slot(config, profiles, rounds_log="all")
-    assert first.records == second.records
+    assert log_rows(first.log) == log_rows(second.log)
     assert first.summary == second.summary

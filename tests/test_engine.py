@@ -1,9 +1,10 @@
 """Generated equivalence checks for the one Δ-UCB engine.
 
-The aggregate path (``run_single_slot`` / ``run_multi_slot``) is checked
-against the round-by-round reference ``iter_rounds`` for both price rules,
-and ``InstanceTables`` against the per-call ``metrics`` functions it
-replaces in the runs. Instances draw click rates, values, bids and
+The aggregate path (``run_single_slot`` / ``run_multi_slot``) and its
+round log are checked against the round-by-round reference ``iter_rounds``
+for both price rules, the log's running totals against left-to-right sums
+of the per-call ``metrics`` functions, and ``InstanceTables`` against
+those functions. Instances draw click rates, values, bids and
 prominences from small grids, so ties in welfare and in scores, zero bids
 and zero welfare are common; horizons include 1 and 2, and budgets include
 the horizon and one round short of it. Examples are derandomized, so the
@@ -17,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 from deltaucb import metrics
 from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget, validate_config
 from deltaucb.environment import draw_realization
-from deltaucb.harness import fmt_num
+from deltaucb.harness import fmt_num, round_log_rows
 from deltaucb.mechanism import (
     iter_rounds,
     multi_exploration_allocation,
@@ -26,6 +27,8 @@ from deltaucb.mechanism import (
 )
 from deltaucb.mechanism_multi import run_multi_slot, telescoping
 from deltaucb.metrics import InstanceTables
+
+from conftest import delta_regret_of, log_rows, record_rows, welfare_of
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -116,6 +119,30 @@ def _pairwise_exploration_sums(config, profiles, explore_until):
     return tuple(float(np.array(sums).sum()) for sums in (delta, standard, welfare))
 
 
+def _check_running_totals(log, records, profiles, config):
+    """round_log_rows' columns against the records, its totals as Python sums, bit for bit."""
+    table = round_log_rows(log, profiles, config)
+    delta = regret = revenue = 0.0
+    expected = {"phase": [], "delta_regret_cum": [], "regret_cum": [], "revenue_cum": []}
+    for record in records:
+        for m, agent in sorted(record.allocation.items()):
+            shown = {m: agent}
+            delta += metrics.delta_regret_increment(
+                shown, profiles, config.delta, config.prominences
+            )
+            regret += metrics.standard_regret_increment(shown, profiles, config.prominences)
+            revenue += record.payment_of(agent)
+            expected["phase"].append(record.phase.value)
+            expected["delta_regret_cum"].append(delta.hex())
+            expected["regret_cum"].append(regret.hex())
+            expected["revenue_cum"].append(revenue.hex())
+    assert table["phase"] == expected.pop("phase")
+    for name, values in expected.items():
+        assert [x.hex() for x in table[name]] == values, name
+    flat = list(zip(*(table[name] for name in ("t", "slot", "agent", "click", "payment"))))
+    assert flat == record_rows(records)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @PROPERTY
 @given(data=st.data())
@@ -148,10 +175,11 @@ def test_engine_matches_round_by_round_reference(engine, data):
     assert len(records) == config.horizon
 
     if rounds_log == "none":
-        assert result.records is None
+        assert result.log is None
     else:
         wanted = [r for r in records if rounds_log == "all" or r.phase is Phase.EXPLOITATION]
-        assert result.records == wanted
+        assert log_rows(result.log) == record_rows(wanted)
+        _check_running_totals(result.log, wanted, profiles, config)
 
     outcome = result.outcome
     if budget >= config.horizon:
@@ -179,10 +207,12 @@ def test_engine_matches_round_by_round_reference(engine, data):
     explore = [r for r in records if r.phase is Phase.EXPLORATION]
     exploit = [r for r in records if r.phase is Phase.EXPLOITATION]
     assert summary.exploration_rounds_used == len(explore)
+    explore_regret = [delta_regret_of(r, profiles, config) for r in explore]
+    exploit_regret = [delta_regret_of(r, profiles, config) for r in exploit]
     for value, increments in (
-        (summary.exploration_delta_regret, [r.delta_regret_increment for r in explore]),
-        (summary.exploitation_delta_regret, [r.delta_regret_increment for r in exploit]),
-        (summary.total_welfare, [r.welfare_increment for r in records]),
+        (summary.exploration_delta_regret, explore_regret),
+        (summary.exploitation_delta_regret, exploit_regret),
+        (summary.total_welfare, [welfare_of(r, profiles, config) for r in records]),
     ):
         assert _at_fmt_precision(value) == _at_fmt_precision(sum(increments))
 
@@ -221,16 +251,3 @@ def test_instance_tables_match_per_call_metrics(data):
     if config.num_slots == 1:
         members = {p.id for p in profiles if tables.member[p.id - 1][0]}
         assert members == metrics.delta_set(profiles, delta)
-
-    t = data.draw(st.integers(1, config.num_agents))
-    allocation = {
-        m: multi_exploration_allocation(t, m, config.num_agents)
-        for m in range(1, config.num_slots + 1)
-    }
-    record = tables.record(t, Phase.EXPLORATION, allocation, {}, {})
-    assert record.delta_regret_increment == metrics.delta_regret_increment(
-        allocation, profiles, delta, prominences
-    )
-    assert record.welfare_increment == sum(
-        metrics.welfare_at_slot(profiles[a - 1], m, prominences) for m, a in allocation.items()
-    )

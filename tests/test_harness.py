@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import csv
+import io
 import importlib
 import json
 import os
@@ -9,10 +11,15 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltaucb.core import ConfigError
 from deltaucb.harness import (
-    ROUND_LOG_COLUMNS,
+    _FLOAT_KEYS,
+    _FLOAT_LIST_KEYS,
+    _INT_KEYS,
+    _INT_LIST_KEYS,
+    _STR_KEYS,
     derive_subseed,
     fmt_num,
     main,
@@ -20,6 +27,7 @@ from deltaucb.harness import (
 )
 
 DATA = Path(__file__).parent / "data"
+ROUND_LOG_HEADER = "t,phase,slot,agent,click,payment,delta_regret_cum,regret_cum,revenue_cum"
 
 
 def _write(tmp_path, name, text):
@@ -92,7 +100,7 @@ def test_round_log_schema_single_slot(tmp_path):
     cfg = _write(tmp_path, "run.cfg", BASIC)
     main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--rounds-log", "all"])
     lines = (tmp_path / "out" / "rounds.csv").read_text().splitlines()
-    assert lines[0] == ",".join(ROUND_LOG_COLUMNS)
+    assert lines[0] == ROUND_LOG_HEADER
     assert len(lines) == 1 + 200  # header + one row per round for a single slot
     reader = csv.DictReader(lines)
     for row in reader:
@@ -222,7 +230,7 @@ def test_jsonl_round_log(tmp_path):
     lines = (tmp_path / "out" / "rounds.jsonl").read_text().splitlines()
     assert len(lines) == 200
     first = json.loads(lines[0])
-    assert set(first) == set(ROUND_LOG_COLUMNS)
+    assert set(first) == set(ROUND_LOG_HEADER.split(","))
     summary = json.loads((tmp_path / "out" / "summary.jsonl").read_text().splitlines()[0])
     assert summary["mechanism"] == "delta-ucb-single"
 
@@ -319,3 +327,86 @@ def test_benchmark_tracer_layers_resolve():
         module_name, attr = name.split(".")
         module = importlib.import_module(f"deltaucb.{module_name}")
         assert callable(getattr(module, attr, None)), name
+
+
+def test_plain_ucb_exploit_only_log_is_empty(tmp_path):
+    # plain UCB never stops learning, so it has no exploitation rows to keep
+    cfg = _write(
+        tmp_path,
+        "plain.cfg",
+        "num_agents = 3\nhorizon = 40\ndelta = 1.0\nseed = 2\nmechanism = plain-ucb\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--rounds-log", "exploit-only"]) == 0
+    assert (out / "rounds.csv").read_text() == ROUND_LOG_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "line, scenarios",
+    [("num_agents = 1", "6 scenarios"), ("agents_choices = 1, 2", "8 scenarios")],
+)
+def test_dsic_check_reports_on_one_agent_instances(tmp_path, capsys, line, scenarios):
+    # a lone agent has no competitor to pivot on; with agents_choices = 1, 2
+    # six instances give 8 scenarios, so four of them have one agent
+    text = "num_agents = 2\nhorizon = 300\ndelta = 1.5\nseed = 4\n"
+    if line.startswith("num_agents"):
+        text = text.replace("num_agents = 2", line)
+    else:
+        text += line + "\n"
+    cfg = _write(tmp_path, "one.cfg", text)
+    assert main(["dsic-check", "--config", cfg, "--instances", "6"]) == 0
+    report = capsys.readouterr().out.splitlines()[-1]
+    assert report.startswith(f"dsic-check: 6 instances, {scenarios},")
+    assert report.endswith("violations 0")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("ctr_range = 0.5", "ctr_range"),
+        ("valuation_range = 0.5", "valuation_range"),
+        ("ctr_range = 0.9, 0.1", "ctr_range"),
+        ("valuation_range = 0, inf", "valuation_range"),
+        ("delta = 1e-300", "delta, v_max"),
+        ("delta = 1e-160", "delta, v_max"),
+        ("v_max = 1e200", "delta, v_max"),
+    ],
+)
+def test_config_values_that_used_to_crash_exit_2(tmp_path, capsys, command, line, field):
+    text = "num_agents = 3\nhorizon = 200\nseed = 11\n" + line + "\n"
+    if not line.startswith("delta"):
+        text += "delta = 1.2\n"
+    cfg = _write(tmp_path, "crash.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
+_FUZZ_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS)
+_FUZZ_VALUES = (
+    "", "abc", "1,,2", ",", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e-300",
+    "1e-160", "1e200", "1e308", "0.5, 0.2", "0.2, 0.8", "1.0, 0.5", "1.0, 0.5, 0.25",
+    "0.5, nan", "0, inf", "1, 2, 3", "-1, 2", "delta-ucb-multi", "oracle", "plain-ucb",
+    "explore-t23",
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    overrides=st.dictionaries(
+        st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES), max_size=5
+    ),
+    dropped=st.sets(st.sampled_from(["num_agents", "horizon", "delta"]), max_size=1),
+    horizon=st.sampled_from(["1", "2", "50", "1000"]),
+)
+def test_config_parser_fuzz_exits_0_or_2(tmp_path_factory, overrides, dropped, horizon):
+    # ints in the value pool stay small: horizon <= 1e3, jobs <= 3, no large K x T draw
+    values = {"num_agents": "3", "horizon": horizon, "delta": "1.0", **overrides}
+    for key in dropped:
+        values.pop(key)
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", "--config", str(path)]) in (0, 2)
+        out = path.parent / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--rounds-log", "all"]) in (0, 2)

@@ -15,7 +15,14 @@ from deltaucb.mechanism import (
 )
 from deltaucb.strategy_lab import max_tolerance_width, welfare_interval_violations
 
-from conftest import make_profiles, make_realization
+from conftest import (
+    delta_regret_of,
+    log_rows,
+    make_profiles,
+    make_realization,
+    record_rows,
+    welfare_of,
+)
 
 
 def _state_with_indices(ucb_values, horizon=100):
@@ -114,12 +121,11 @@ def test_exploitation_pays_only_on_click():
     assert budget < 20
     price = result.outcome.payment_per_click
     assert price > 0
-    for record in result.records:
-        if record.phase is Phase.EXPLOITATION:
-            winner = record.allocation[1]
+    for t, _, winner, click, payment in log_rows(result.log):
+        if t > budget:
             assert winner == result.outcome.winner
-            expected = price if record.click_of(winner) else 0.0
-            assert record.payment_of(winner) == expected
+            expected = price if click else 0.0
+            assert payment == expected
 
 
 def test_indices_frozen_through_exploitation():
@@ -143,14 +149,11 @@ def test_exploration_step_rejects_rounds_past_budget():
     realization = draw_realization(config, profiles)
     from deltaucb.core import LearnerState, exploration_budget
     from deltaucb.mechanism import exploration_step
-    from deltaucb.metrics import InstanceTables
 
     state = LearnerState.fresh(2, config.horizon)
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
     with pytest.raises(ValueError, match="exploration is over"):
-        exploration_step(
-            state, realization, config.horizon + 1, config, tables, exploration_budget(config)
-        )
+        budget = exploration_budget(config)
+        exploration_step(state, realization, config.horizon + 1, config, budget)
 
 
 def test_exploration_only_run_has_zero_revenue():
@@ -193,8 +196,8 @@ def test_exploration_is_bid_independent():
     high = run_single_slot(config, profiles, bids=[1.0, 0.9, 0.8], realization=realization,
                            rounds_log="all")
     budget = low.summary.exploration_budget
-    explore_low = [r for r in low.records if r.phase is Phase.EXPLORATION]
-    explore_high = [r for r in high.records if r.phase is Phase.EXPLORATION]
+    explore_low = [row for row in log_rows(low.log) if row[0] <= low.log.explore_until]
+    explore_high = [row for row in log_rows(high.log) if row[0] <= high.log.explore_until]
     assert explore_low == explore_high
     assert len(explore_low) == min(budget, config.horizon)
     assert low.outcome.learner.learning_bytes() == high.outcome.learner.learning_bytes()
@@ -268,11 +271,11 @@ def test_fast_path_matches_round_by_round_reference():
     stepper_state = None
     result_with_records = run_single_slot(config, profiles, realization=realization,
                                           rounds_log="all")
-    assert result_with_records.records == records
+    assert log_rows(result_with_records.log) == record_rows(records)
     assert fast.outcome.learner.to_bytes() == result_with_records.outcome.learner.to_bytes()
 
-    total_delta = sum(r.delta_regret_increment for r in records)
-    total_welfare = sum(r.welfare_increment for r in records)
+    total_delta = sum(delta_regret_of(r, profiles, config) for r in records)
+    total_welfare = sum(welfare_of(r, profiles, config) for r in records)
     revenue = sum(sum(r.payments.values()) for r in records)
     assert fast.summary.total_delta_regret == pytest.approx(total_delta, rel=1e-9, abs=1e-9)
     assert fast.summary.total_welfare == pytest.approx(total_welfare, rel=1e-9)

@@ -7,7 +7,14 @@ from deltaucb.mechanism import iter_rounds, multi_exploration_allocation, run_si
 from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot, telescoping
 from deltaucb import metrics
 
-from conftest import make_profiles, make_realization, random_instance
+from conftest import (
+    delta_regret_of,
+    log_rows,
+    make_profiles,
+    make_realization,
+    random_instance,
+    record_rows,
+)
 
 
 def _config(num_agents, num_slots, horizon, delta, prominences, seed=0):
@@ -201,8 +208,8 @@ def test_single_slot_special_case_matches_single_mechanism():
     single = run_single_slot(config, profiles, realization=realization, rounds_log="all")
     multi = run_multi_slot(config, profiles, realization=realization, rounds_log="all")
     assert multi.outcome.ranking[0] == single.outcome.winner
-    allocations_single = [r.allocation for r in single.records]
-    allocations_multi = [r.allocation for r in multi.records]
+    allocations_single = [row[:3] for row in log_rows(single.log)]
+    allocations_multi = [row[:3] for row in log_rows(multi.log)]
     assert allocations_single == allocations_multi
     # price shapes: the one-slot list price is the runner-up score, without the
     # division by the winner's own index that the dedicated single-slot rule applies
@@ -264,9 +271,9 @@ def test_multi_fast_path_matches_reference():
     fast = run_multi_slot(config, profiles, realization=realization)
     records = list(iter_rounds(config, profiles, telescoping, realization=realization))
     with_records = run_multi_slot(config, profiles, realization=realization, rounds_log="all")
-    assert with_records.records == records
+    assert log_rows(with_records.log) == record_rows(records)
     assert fast.outcome.learner.to_bytes() == with_records.outcome.learner.to_bytes()
-    total_delta = sum(r.delta_regret_increment for r in records)
+    total_delta = sum(delta_regret_of(r, profiles, config) for r in records)
     revenue = sum(sum(r.payments.values()) for r in records)
     assert fast.summary.total_delta_regret == pytest.approx(total_delta, rel=1e-9, abs=1e-9)
     assert fast.summary.total_revenue == pytest.approx(revenue, rel=1e-9, abs=1e-9)

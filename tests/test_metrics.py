@@ -84,8 +84,6 @@ def _record(allocation, clicks, payments, phase=Phase.EXPLOITATION):
         allocation=allocation,
         clicks=clicks,
         payments=payments,
-        delta_regret_increment=0.0,
-        welfare_increment=0.0,
     )
 
 
@@ -111,15 +109,13 @@ def test_tiny_tolerance_recovers_standard_regret():
         profiles = random_instance(rng, 4, truthful=True)
         config = AuctionConfig(num_agents=4, horizon=400, delta=0.7, seed=seed)
         result = run_single_slot(config, profiles, rounds_log="all")
-        tiny = sum(
-            metrics.delta_regret_increment(r.allocation, profiles, delta=1e-12)
-            for r in result.records
-        )
+        shown = result.log.agent.tolist()
+        assert result.log.slot.tolist() == [1] * config.horizon
+        tiny = sum(metrics.delta_regret_increment({1: a}, profiles, delta=1e-12) for a in shown)
         brute = 0.0
         best = max(metrics.welfare(p) for p in profiles)
-        for record in result.records:
-            shown = record.allocation[1]
-            brute += best - metrics.welfare(profiles[shown - 1])
+        for agent in shown:
+            brute += best - metrics.welfare(profiles[agent - 1])
         assert tiny == pytest.approx(brute, abs=1e-9)
         assert result.summary.total_standard_regret == pytest.approx(brute, abs=1e-9)
 
@@ -129,8 +125,12 @@ def test_double_entry_accounting():
                            prominences=(1.0, 0.6), seed=13)
     profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.8, 0.6])
     result = run_multi_slot(config, profiles, rounds_log="all")
-    revenue = sum(sum(r.payments.values()) for r in result.records)
-    welfare_total = sum(r.welfare_increment for r in result.records)
+    log = result.log
+    revenue = sum(log.payment.tolist())
+    welfare_total = sum(
+        metrics.welfare_at_slot(profiles[a - 1], m, (1.0, 0.6))
+        for m, a in zip(log.slot.tolist(), log.agent.tolist())
+    )
     assert revenue >= 0.0
     assert result.summary.total_revenue == pytest.approx(revenue, rel=1e-9, abs=1e-9)
     assert result.summary.total_welfare == pytest.approx(welfare_total, rel=1e-9)
