@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,18 @@ from deltaucb.environment import (
 )
 
 from conftest import make_profiles, make_realization
+
+DATA = Path(__file__).parent / "data"
+
+# (golden file, config arguments, click rates): small pinned draws of both layers
+GOLDEN_REALIZATIONS = (
+    ("golden_realization_single.txt", dict(num_agents=3, horizon=64, seed=31), [0.2, 0.5, 0.9]),
+    (
+        "golden_realization_multi.txt",
+        dict(num_agents=4, horizon=64, num_slots=3, prominences=(1.0, 0.7, 0.4), seed=32),
+        [0.3, 0.6, 0.8, 0.1],
+    ),
+)
 
 
 def _config(num_agents, horizon, num_slots=1, prominences=None, seed=0):
@@ -118,3 +132,11 @@ def test_out_of_range_indices_error():
         realized_click(realization, 1, 2, 1)
     with pytest.raises(IndexError):
         realized_click(realization, 1, 1, 3)
+
+
+@pytest.mark.parametrize("name, config_args, ctrs", GOLDEN_REALIZATIONS)
+def test_dump_matches_golden(tmp_path, name, config_args, ctrs):
+    realization = draw_realization(_config(**config_args), make_profiles(ctrs))
+    path = tmp_path / name
+    dump_realization(realization, path)
+    assert path.read_bytes() == (DATA / name).read_bytes()
