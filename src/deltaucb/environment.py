@@ -1,20 +1,25 @@
-"""Pre-drawn click outcomes, replayable across counterfactual bid profiles.
+"""Seeded click outcomes, replayable across counterfactual bid profiles.
 
-All randomness for a run is drawn up front: one row per agent of intrinsic
-click outcomes, plus (for multi-slot runs) one row per slot of observation
-outcomes. A shown ad is clicked when its intrinsic outcome AND the slot's
-observation outcome are both 1, so the marginal click probability at slot m
-is prominence_m * ctr_i while the draw stays independent of who occupies
-which slot. That independence is what makes truthfulness checks ex post:
-two runs that differ only in bids see identical randomness.
+A run's randomness is one row per agent of intrinsic click outcomes, plus
+(for multi-slot runs) one row per slot of observation outcomes. A shown ad
+is clicked when its intrinsic outcome AND the slot's observation outcome
+are both 1, so the marginal click probability at slot m is
+prominence_m * ctr_i while the draw stays independent of who occupies which
+slot. That independence is what makes truthfulness checks ex post: two runs
+that differ only in bids see identical randomness.
 
 Each row comes from its own seeded substream keyed by (seed, layer, row),
-so adding agents or slots never perturbs existing rows.
+so adding agents or slots never perturbs existing rows; outcome t of a row
+is its substream's t-th double below the row's rate. Rows are drawn only
+when read, a round window at a time: the substream is advanced to the
+window's first round and drawn in fixed chunks, which gives the same bytes
+as drawing the whole row up front. A run then draws what the mechanism
+reads (every row over the exploration window, the winners' rows after it),
+and counting clicks over a window never holds more than one chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,28 +28,131 @@ from .core import AgentProfile, AuctionConfig, validate_config, validate_profile
 
 _INTRINSIC_LAYER = 0
 _OBSERVATION_LAYER = 1
+# doubles per draw call: bounds the scratch memory of reading a window
+_CHUNK = 65_536
 
 
 def _row_rng(seed: int, layer: int, row: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), layer, row]))
 
 
-@dataclass(frozen=True)
 class ClickRealization:
-    """Immutable matrices of pre-drawn outcomes for one seeded run."""
+    """The click outcomes of one seeded run, read by (agent, slot, round window).
 
-    seed: int
-    num_slots: int
-    intrinsic_clicks: np.ndarray
-    observations: Optional[np.ndarray] = None
+    Round windows ``[start, stop)`` are 0-based and half-open. A realization
+    is backed either by seeded substreams (``draw_realization``), whose rows
+    are drawn on demand, or by explicit 0/1 matrices (``from_matrices``);
+    both serve the same reads.
+    """
+
+    def __init__(self, seed: int, num_slots: int, horizon: int, rates=None, matrices=None):
+        # rates[layer][row - 1] is a substream row's click rate; matrices[layer]
+        # is that layer's rows as a 0/1 matrix, given or built on first use
+        self.seed = int(seed)
+        self.num_slots = num_slots
+        self.horizon = horizon
+        self._rates = rates
+        self._matrices = dict(matrices or {})
+        self._rows = {layer: len(rows) for layer, rows in (rates or self._matrices).items()}
+        self.num_agents = self._rows[_INTRINSIC_LAYER]
+        self._windows = {}
+        self._counts = {}
+
+    @classmethod
+    def from_matrices(cls, seed: int, intrinsic_clicks, observations=None) -> "ClickRealization":
+        """A realization of explicit K×T intrinsic and (multi-slot) M×T observation matrices."""
+        intrinsic = np.asarray(intrinsic_clicks, dtype=np.uint8)
+        matrices = {_INTRINSIC_LAYER: intrinsic}
+        num_slots = 1
+        if observations is not None:
+            matrices[_OBSERVATION_LAYER] = np.asarray(observations, dtype=np.uint8)
+            num_slots = matrices[_OBSERVATION_LAYER].shape[0]
+        return cls(seed, num_slots, intrinsic.shape[1], matrices=matrices)
+
+    def _chunks(self, layer: int, row: int, start: int, stop: int):
+        """A row's outcomes over [start, stop), as consecutive uint8 pieces."""
+        matrix = self._matrices.get(layer)
+        if matrix is None:
+            rng = _row_rng(self.seed, layer, row)
+            rng.bit_generator.advance(start)
+            rate = self._rates[layer][row - 1]
+        # the same piece boundaries for both backings, so rows of two layers zip
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            if matrix is None:
+                yield (rng.random(hi - lo) < rate).view(np.uint8)
+            else:
+                yield matrix[row - 1, lo:hi]
+
+    def _fill(self, out: np.ndarray, layer: int, row: int, start: int) -> np.ndarray:
+        lo = 0
+        for chunk in self._chunks(layer, row, start, start + len(out)):
+            out[lo : lo + len(chunk)] = chunk
+            lo += len(chunk)
+        return out
+
+    def _window(self, layer: int, row: int, start: int, stop: int) -> np.ndarray:
+        key = (layer, row, start, stop)
+        window = self._windows.get(key)
+        if window is None:
+            window = self._fill(np.empty(stop - start, dtype=np.uint8), layer, row, start)
+            window.flags.writeable = False
+            self._windows[key] = window
+        return window
+
+    def _check(self, agent: int, slot: int, start: int, stop: int) -> None:
+        if not 1 <= agent <= self.num_agents:
+            raise IndexError(f"agent {agent} out of range 1..{self.num_agents}")
+        if not 1 <= slot <= self.num_slots:
+            raise IndexError(f"slot {slot} out of range 1..{self.num_slots}")
+        if not 0 <= start <= stop <= self.horizon:
+            raise IndexError(f"round window [{start}, {stop}) out of range 0..{self.horizon}")
+
+    def clicks(self, agent: int, slot: int, start: int, stop: int) -> np.ndarray:
+        """Clicks of an agent shown at a slot in rounds [start, stop), as a read-only uint8 array.
+
+        Each row window read is kept, so reading it again (as counterfactual
+        replays do) draws nothing.
+        """
+        self._check(agent, slot, start, stop)
+        window = self._window(_INTRINSIC_LAYER, agent, start, stop)
+        if _OBSERVATION_LAYER in self._rows:
+            window = window & self._window(_OBSERVATION_LAYER, slot, start, stop)
+        return window
+
+    def click_count(self, agent: int, slot: int, start: int, stop: int) -> int:
+        """Number of clicks in ``clicks(agent, slot, start, stop)``, counted a chunk at a time."""
+        self._check(agent, slot, start, stop)
+        key = (agent, slot, start, stop)
+        count = self._counts.get(key)
+        if count is None:
+            pieces = self._chunks(_INTRINSIC_LAYER, agent, start, stop)
+            if _OBSERVATION_LAYER in self._rows:
+                observed = self._chunks(_OBSERVATION_LAYER, slot, start, stop)
+                pieces = (a & b for a, b in zip(pieces, observed))
+            count = self._counts[key] = sum(int(np.count_nonzero(p)) for p in pieces)
+        return count
+
+    def _matrix(self, layer: int) -> np.ndarray:
+        matrix = self._matrices.get(layer)
+        if matrix is None:
+            matrix = np.empty((self._rows[layer], self.horizon), dtype=np.uint8)
+            for row in range(1, len(matrix) + 1):
+                self._fill(matrix[row - 1], layer, row, 0)
+            self._matrices[layer] = matrix
+        return matrix
 
     @property
-    def num_agents(self) -> int:
-        return self.intrinsic_clicks.shape[0]
+    def intrinsic_clicks(self) -> np.ndarray:
+        """The K×T intrinsic outcome matrix (drawn in full on first use)."""
+        return self._matrix(_INTRINSIC_LAYER)
 
     @property
-    def horizon(self) -> int:
-        return self.intrinsic_clicks.shape[1]
+    def observations(self) -> Optional[np.ndarray]:
+        """The M×T observation outcome matrix of a multi-slot run, else None."""
+        if _OBSERVATION_LAYER not in self._rows:
+            return None
+        return self._matrix(_OBSERVATION_LAYER)
 
 
 def draw_realization(
@@ -52,53 +160,23 @@ def draw_realization(
     profiles: Sequence[AgentProfile],
     seed: Optional[int] = None,
 ) -> ClickRealization:
-    """Draw the full outcome matrices for a run; a pure function of the seed."""
+    """The run's seeded realization; a pure function of the seed, drawn as it is read."""
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
-    seed = config.seed if seed is None else int(seed)
-    horizon = config.horizon
-
-    intrinsic = np.empty((config.num_agents, horizon), dtype=np.uint8)
-    for p in profiles:
-        draws = _row_rng(seed, _INTRINSIC_LAYER, p.id).random(horizon)
-        intrinsic[p.id - 1] = draws < p.ctr
-
-    observations = None
+    rates = {_INTRINSIC_LAYER: [p.ctr for p in profiles]}
     if config.num_slots > 1:
-        observations = np.empty((config.num_slots, horizon), dtype=np.uint8)
-        for m in range(1, config.num_slots + 1):
-            draws = _row_rng(seed, _OBSERVATION_LAYER, m).random(horizon)
-            observations[m - 1] = draws < config.prominences[m - 1]
-
-    return ClickRealization(
-        seed=seed,
-        num_slots=config.num_slots,
-        intrinsic_clicks=intrinsic,
-        observations=observations,
-    )
-
-
-def realized_clicks(realization: ClickRealization, agent: int, slot: int, rounds) -> np.ndarray:
-    """Click outcomes for an agent shown at a slot over many rounds.
-
-    ``rounds`` indexes the round axis 0-based: an integer array or a slice
-    (a slice of a single-slot realization is a view, not a copy).
-    """
-    clicks = realization.intrinsic_clicks[agent - 1, rounds]
-    if realization.observations is not None:
-        clicks = clicks & realization.observations[slot - 1, rounds]
-    return clicks
+        rates[_OBSERVATION_LAYER] = list(config.prominences)
+    seed = config.seed if seed is None else seed
+    return ClickRealization(seed, config.num_slots, config.horizon, rates=rates)
 
 
 def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
     """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
-    if not 1 <= agent <= realization.num_agents:
-        raise IndexError(f"agent {agent} out of range 1..{realization.num_agents}")
-    if not 1 <= slot <= realization.num_slots:
-        raise IndexError(f"slot {slot} out of range 1..{realization.num_slots}")
-    if not 1 <= round <= realization.horizon:
-        raise IndexError(f"round {round} out of range 1..{realization.horizon}")
-    return int(realized_clicks(realization, agent, slot, round - 1))
+    realization._check(agent, slot, round - 1, round)
+    click = realization.intrinsic_clicks[agent - 1, round - 1]
+    if realization.observations is not None:
+        click &= realization.observations[slot - 1, round - 1]
+    return int(click)
 
 
 def dump_realization(realization: ClickRealization, path) -> None:
@@ -135,6 +213,4 @@ def load_realization(path) -> ClickRealization:
         intrinsic = read_rows(num_agents)
         observations = read_rows(num_slots) if num_slots > 1 else None
 
-    return ClickRealization(
-        seed=seed, num_slots=num_slots, intrinsic_clicks=intrinsic, observations=observations
-    )
+    return ClickRealization.from_matrices(seed, intrinsic, observations)

@@ -32,6 +32,7 @@ _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
 
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", "oracle", "plain-ucb", "explore-t23")
+SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", "oracle", "plain-ucb", "explore-t23")
 
 SUMMARY_COLUMNS = (
     "mechanism",
@@ -149,6 +150,11 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
         key = f"sweep_{axis}"
         if key in values:
             sweep[axis] = tuple(values[key])
+    slot_counts = {config.num_slots, *sweep.get("num_slots", ())}
+    if mechanism in SINGLE_SLOT_MECHANISMS and slot_counts != {1}:
+        raise ConfigError(f"mechanism, num_slots: {mechanism} runs on one slot only")
+    if values.get("sweep_seeds", 1) < 1:
+        raise ConfigError("sweep_seeds: must be at least 1")
     spec = ExperimentSpec(
         config=config,
         mechanism=mechanism,

@@ -15,8 +15,9 @@ The single-slot mechanism uses ``normalized_runner_up`` (here); the
 multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
 
 ``run_mechanism`` computes aggregates and the round log directly from the
-realization; ``iter_rounds`` is the literal round-by-round reference that
-tests check both against.
+realization, reading every agent's clicks over the exploration window and
+only the winners' after it; ``iter_rounds`` is the literal round-by-round
+reference that tests check both against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     validate_config,
     validate_profiles,
 )
-from .environment import ClickRealization, draw_realization, realized_click, realized_clicks
+from .environment import ClickRealization, draw_realization, realized_click
 from .metrics import NO_ACCRUAL, SINGLE_SLOT, InstanceTables, RunResult, round_log, summarize
 
 
@@ -91,7 +92,7 @@ def exploration_clicks(
     for m in range(1, config.num_slots + 1):
         # the inverse of multi_exploration_allocation: (t - 1) mod K == (agent - m) mod K
         rounds = np.arange((agent - m) % config.num_agents + 1, until + 1, config.num_agents)
-        yield m, rounds, realized_clicks(realization, agent, m, rounds - 1)
+        yield m, rounds, realization.clicks(agent, m, 0, until)[rounds - 1]
 
 
 def bid_vector(profiles: Sequence[AgentProfile], bids, config: AuctionConfig) -> np.ndarray:
@@ -229,18 +230,23 @@ def iter_rounds(
 
 def _round_grids(realization, config, explore_until, outcome):
     """Agents, clicks and payments per (round, slot): the rotation, then the frozen ranking."""
-    horizon, num_slots = config.horizon, config.num_slots
-    rounds = np.arange(1, horizon + 1)
+    horizon, num_slots, num_agents = config.horizon, config.num_slots, config.num_agents
+    explored = np.arange(1, explore_until + 1)
     agents = np.empty((horizon, num_slots), dtype=np.int64)
     prices = np.zeros((horizon, num_slots))
-    if outcome is not None:
-        agents[explore_until:] = outcome.ranking[:num_slots]
-        prices[explore_until:] = outcome.payments_per_click
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
-    explored = rounds[:explore_until]
     for m in range(1, num_slots + 1):
-        agents[:explore_until, m - 1] = multi_exploration_allocation(explored, m, config.num_agents)
-        clicks[:, m - 1] = realized_clicks(realization, agents[:, m - 1], m, rounds - 1)
+        shown = multi_exploration_allocation(explored, m, num_agents)
+        window = np.stack(
+            [realization.clicks(a, m, 0, explore_until) for a in range(1, num_agents + 1)]
+        )
+        agents[:explore_until, m - 1] = shown
+        clicks[:explore_until, m - 1] = window[shown - 1, explored - 1]
+        if outcome is not None:
+            agent = outcome.ranking[m - 1]
+            agents[explore_until:, m - 1] = agent
+            prices[explore_until:, m - 1] = outcome.payments_per_click[m - 1]
+            clicks[explore_until:, m - 1] = realization.clicks(agent, m, explore_until, horizon)
     return agents, clicks, prices * clicks
 
 
@@ -301,9 +307,8 @@ def run_mechanism(
     else:
         outcome = declare(state, bids_arr, config.prominences, price_rule)
         winners = outcome.ranking[: config.num_slots]
-        exploit_rounds = slice(explore_until, horizon)
         for m, agent in enumerate(winners, start=1):
-            n_clicks = int(realized_clicks(realization, agent, m, exploit_rounds).sum())
+            n_clicks = realization.click_count(agent, m, explore_until, horizon)
             price = outcome.payments_per_click[m - 1]
             total_revenue += price * n_clicks
             per_agent_utility[agent] += (profiles[agent - 1].valuation - price) * n_clicks

@@ -32,7 +32,7 @@ from .core import (
     validate_config,
     validate_profiles,
 )
-from .environment import ClickRealization, draw_realization, realized_clicks
+from .environment import ClickRealization, draw_realization
 from .mechanism import bid_vector, declare, exploration_clicks, run_mechanism, run_single_slot
 from .mechanism_multi import price_rule_for
 from . import metrics
@@ -101,7 +101,7 @@ def per_round_utilities(
 
     rank = outcome.ranking.index(agent)
     if rank < config.num_slots:
-        clicks = realized_clicks(realization, agent, rank + 1, slice(explore_until, horizon))
+        clicks = realization.clicks(agent, rank + 1, explore_until, horizon)
         util[explore_until:] = (valuation - outcome.payments_per_click[rank]) * clicks
     return util
 
@@ -348,13 +348,17 @@ def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
     winner = tables.ranking[0]
     horizon = config.horizon
-    clicks = realization.intrinsic_clicks[winner - 1]
     per_agent_utility = {p.id: 0.0 for p in profiles}
-    per_agent_utility[winner] = profiles[winner - 1].valuation * int(clicks.sum())
+    n_clicks = realization.click_count(winner, 1, 0, horizon)
+    per_agent_utility[winner] = profiles[winner - 1].valuation * n_clicks
     log = metrics.round_log(
         rounds_log,
         0,
-        lambda: (np.full((horizon, 1), winner), clicks[:, None], np.zeros((horizon, 1))),
+        lambda: (
+            np.full((horizon, 1), winner),
+            realization.clicks(winner, 1, 0, horizon)[:, None],
+            np.zeros((horizon, 1)),
+        ),
     )
     summary = summarize(
         "oracle",
@@ -386,12 +390,14 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
     per_agent_utility = {p.id: 0.0 for p in profiles}
     shown = np.empty((horizon, 1), dtype=np.int64)
     clicks = np.empty((horizon, 1), dtype=np.uint8)
+    # the agent shown depends on every earlier click, so read the whole matrix
+    intrinsic = realization.intrinsic_clicks
     for t in range(1, horizon + 1):
         if t <= num_agents:
             agent = t
         else:
             agent = int(np.argmax(state.ucb * bids_arr)) + 1
-        click = int(realization.intrinsic_clicks[agent - 1, t - 1])
+        click = int(intrinsic[agent - 1, t - 1])
         state.record_pull(agent, float(click))
         state.round = t
         per_agent_utility[agent] += profiles[agent - 1].valuation * click

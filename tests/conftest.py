@@ -18,12 +18,7 @@ def make_profiles(ctrs, valuations=None, bids=None):
 
 def make_realization(intrinsic, observations=None, seed=0):
     """Hand-crafted realization from explicit 0/1 matrices."""
-    intrinsic = np.asarray(intrinsic, dtype=np.uint8)
-    obs = None if observations is None else np.asarray(observations, dtype=np.uint8)
-    num_slots = 1 if obs is None else obs.shape[0]
-    return ClickRealization(
-        seed=seed, num_slots=num_slots, intrinsic_clicks=intrinsic, observations=obs
-    )
+    return ClickRealization.from_matrices(seed, intrinsic, observations)
 
 
 def log_rows(log):

@@ -1,15 +1,22 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltaucb.core import AuctionConfig, validate_config
+from deltaucb import environment
+from deltaucb.core import AuctionConfig, exploration_budget, validate_config
 from deltaucb.environment import (
     draw_realization,
     dump_realization,
     load_realization,
     realized_click,
 )
+from deltaucb.mechanism import run_single_slot
+from deltaucb.mechanism_multi import run_multi_slot
+from deltaucb.strategy_lab import BaselineKind, run_baseline
 
 from conftest import make_profiles, make_realization
 
@@ -26,12 +33,15 @@ GOLDEN_REALIZATIONS = (
 )
 
 
-def _config(num_agents, horizon, num_slots=1, prominences=None, seed=0):
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def _config(num_agents, horizon, num_slots=1, prominences=None, seed=0, delta=0.5):
     return validate_config(
         AuctionConfig(
             num_agents=num_agents,
             horizon=horizon,
-            delta=0.5,
+            delta=delta,
             num_slots=num_slots,
             prominences=prominences,
             seed=seed,
@@ -134,9 +144,158 @@ def test_out_of_range_indices_error():
         realized_click(realization, 1, 1, 3)
 
 
+@pytest.mark.parametrize("chunk", [environment._CHUNK, 5])
 @pytest.mark.parametrize("name, config_args, ctrs", GOLDEN_REALIZATIONS)
-def test_dump_matches_golden(tmp_path, name, config_args, ctrs):
+def test_dump_matches_golden(tmp_path, monkeypatch, chunk, name, config_args, ctrs):
+    monkeypatch.setattr(environment, "_CHUNK", chunk)
     realization = draw_realization(_config(**config_args), make_profiles(ctrs))
     path = tmp_path / name
     dump_realization(realization, path)
     assert path.read_bytes() == (DATA / name).read_bytes()
+
+
+def _dense_row(seed, layer, row, rate, horizon):
+    """A row drawn whole, as realizations were drawn before rows were read by window."""
+    return (environment._row_rng(seed, layer, row).random(horizon) < rate).astype(np.uint8)
+
+
+@st.composite
+def drawn_instances(draw, max_horizon=3000):
+    num_agents = draw(st.integers(1, 6))
+    num_slots = draw(st.integers(1, num_agents))
+    lower = draw(st.lists(st.floats(0.05, 1.0), min_size=num_slots - 1, max_size=num_slots - 1))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    ctrs = draw(st.lists(rate, min_size=num_agents, max_size=num_agents))
+    config = _config(
+        num_agents,
+        draw(st.integers(1, max_horizon)),
+        num_slots=num_slots,
+        prominences=(1.0, *sorted(lower, reverse=True)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        delta=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+    )
+    valuations = draw(st.lists(st.floats(0.0, 1.0), min_size=num_agents, max_size=num_agents))
+    return config, make_profiles(ctrs, valuations)
+
+
+@PROPERTY
+@given(instance=drawn_instances(), pieces=st.integers(1, 40))
+def test_streamed_windows_match_dense_draw(instance, pieces):
+    # the chunk is set so that a whole row spans `pieces` chunks, the last one partial
+    config, profiles = instance
+    horizon, seed = config.horizon, config.seed
+    explore_until = min(exploration_budget(config), horizon)
+    bounds = sorted({0, explore_until, horizon - 1, horizon})
+    windows = [(a, b) for a in bounds for b in bounds if a <= b]
+    intrinsic = [_dense_row(seed, 0, p.id, p.ctr, horizon) for p in profiles]
+    observations = [
+        _dense_row(seed, 1, m, g, horizon) for m, g in enumerate(config.prominences, start=1)
+    ]
+    with mock.patch.object(environment, "_CHUNK", -(-horizon // pieces)):
+        realization = draw_realization(config, profiles)
+        matrix_built = draw_realization(config, profiles)
+        assert matrix_built.intrinsic_clicks.tobytes() == np.array(intrinsic).tobytes()
+        for agent in range(1, config.num_agents + 1):
+            for slot in range(1, config.num_slots + 1):
+                for a, b in windows:
+                    expected = intrinsic[agent - 1][a:b]
+                    if config.num_slots > 1:
+                        expected = expected & observations[slot - 1][a:b]
+                    count = int(expected.sum())
+                    assert realization.click_count(agent, slot, a, b) == count
+                    assert realization.clicks(agent, slot, a, b).tobytes() == expected.tobytes()
+                    # one layer already a matrix, the other still drawn by window
+                    assert matrix_built.click_count(agent, slot, a, b) == count
+        assert realization.intrinsic_clicks.tobytes() == np.array(intrinsic).tobytes()
+        if config.num_slots > 1:
+            assert realization.observations.tobytes() == np.array(observations).tobytes()
+        else:
+            assert realization.observations is None
+
+
+def _log_bytes(log):
+    if log is None:
+        return None
+    return [column.tobytes() for column in (log.t, log.slot, log.agent, log.click, log.payment)]
+
+
+@PROPERTY
+@given(
+    instance=drawn_instances(max_horizon=600),
+    short_by=st.sampled_from([None, 0, 1, -3]),
+    pieces=st.integers(1, 8),
+)
+def test_runs_match_on_streamed_and_loaded_realizations(
+    tmp_path_factory, instance, short_by, pieces
+):
+    # the budget is T - short_by (at least K); 0 and -3 give exploration-only runs
+    config, profiles = instance
+    budget = None if short_by is None else max(config.num_agents, config.horizon - short_by)
+    options = dict(rounds_log="all", budget_override=budget)
+    runs = [lambda r: run_multi_slot(config, profiles, realization=r, **options)]
+    if config.num_slots == 1:
+        runs += [
+            lambda r: run_single_slot(config, profiles, realization=r, **options),
+            lambda r: run_baseline(
+                BaselineKind.ORACLE_ALLOCATION, config, profiles, realization=r, rounds_log="all"
+            ),
+        ]
+    path = tmp_path_factory.mktemp("realization") / "realization.txt"
+    with mock.patch.object(environment, "_CHUNK", -(-config.horizon // pieces)):
+        dump_realization(draw_realization(config, profiles), path)
+        for run in runs:
+            streamed = run(draw_realization(config, profiles))
+            loaded = run(load_realization(path))
+            assert streamed.summary == loaded.summary
+            assert _log_bytes(streamed.log) == _log_bytes(loaded.log)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_horizon():
+    profiles = make_profiles([0.9, 0.6, 0.5, 0.3, 0.1])
+
+    def run(horizon):
+        return lambda: run_single_slot(_config(5, horizon, seed=7, delta=0.2), profiles)
+
+    run(10**5)()  # warm caches outside the measurement
+    small, large = _traced_peak(run(10**5)), _traced_peak(run(2 * 10**6))
+    assert large - small < 2**20, (small, large)
+
+
+def test_reading_a_window_twice_draws_its_rows_once(monkeypatch):
+    calls = []
+    row_rng = environment._row_rng
+
+    def counting_row_rng(seed, layer, row):
+        calls.append((layer, row))
+        return row_rng(seed, layer, row)
+
+    monkeypatch.setattr(environment, "_row_rng", counting_row_rng)
+    config = _config(3, 5000, num_slots=2, prominences=(1.0, 0.5), seed=8)
+    realization = draw_realization(config, make_profiles([0.2, 0.5, 0.8]))
+    first = realization.clicks(2, 2, 100, 4000)
+    assert sorted(calls) == [(0, 2), (1, 2)]
+    second = realization.clicks(2, 2, 100, 4000)
+    assert len(calls) == 2
+    assert first.tobytes() == second.tobytes()
+    # another slot reuses the agent's row window and draws only its own observation row
+    realization.clicks(2, 1, 100, 4000)
+    assert sorted(calls) == [(0, 2), (1, 1), (1, 2)]
+
+
+def test_window_reads_check_their_bounds():
+    realization = draw_realization(_config(2, 10, seed=1), make_profiles([0.5, 0.5]))
+    for args in [(3, 1, 0, 1), (1, 2, 0, 1), (1, 1, -1, 2), (1, 1, 5, 4), (1, 1, 0, 11)]:
+        with pytest.raises(IndexError):
+            realization.clicks(*args)
+        with pytest.raises(IndexError):
+            realization.click_count(*args)

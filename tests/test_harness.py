@@ -382,6 +382,35 @@ def test_config_values_that_used_to_crash_exit_2(tmp_path, capsys, command, line
     assert f"config error: {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "mechanism = oracle\nnum_slots = 2\nprominences = 1.0, 0.5",
+        "mechanism = plain-ucb\nnum_slots = 2\nprominences = 1.0, 0.5",
+        "mechanism = explore-t23\nnum_slots = 2\nprominences = 1.0, 0.5",
+        "mechanism = delta-ucb-single\nnum_slots = 2\nprominences = 1.0, 0.5",
+        "mechanism = oracle\nsweep_num_slots = 1, 2",
+    ],
+)
+def test_single_slot_mechanisms_with_several_slots_exit_2(tmp_path, capsys, command, lines):
+    cfg = _write(tmp_path, "slots.cfg", BASIC + lines + "\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "config error: mechanism, num_slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_sweep_seeds_below_one_exit_2(tmp_path, capsys, command, seeds):
+    cfg = _write(tmp_path, "seeds.cfg", BASIC + f"sweep_seeds = {seeds}\n")
+    args = [command, "--config", cfg]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "config error: sweep_seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _FUZZ_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS)
 _FUZZ_VALUES = (
     "", "abc", "1,,2", ",", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e-300",
