@@ -1,5 +1,3 @@
-import numpy as np
-
 from deltaucb import metrics
 from deltaucb.core import AgentProfile, validate_config
 from deltaucb.environment import ClickRealization
