@@ -287,6 +287,24 @@ def test_golden_sweep_summary_is_stable(tmp_path):
     assert (out / "summary.csv").read_bytes() == (DATA / "golden_sweep_summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config_name, command, code",
+    [
+        ("dsic_multi", "dsic-check", 1),
+        ("ir_multi", "ir-check", 1),
+        ("one_agent", "dsic-check", 0),
+        ("one_agent", "ir-check", 0),
+        ("explore_only", "dsic-check", 0),
+        ("explore_only", "ir-check", 0),
+    ],
+)
+def test_golden_check_outputs_are_stable(capsys, config_name, command, code):
+    cfg = DATA / f"golden_check_{config_name}.cfg"
+    assert main([command, "--config", str(cfg), "--instances", "6"]) == code
+    expected = DATA / f"golden_check_{config_name}_{command.removesuffix('-check')}.txt"
+    assert capsys.readouterr().out == expected.read_text()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("line", ["v_max = inf", "delta = inf"])
 def test_infinite_delta_or_v_max_is_a_config_error(tmp_path, capsys, command, line):
