@@ -56,7 +56,6 @@ class ClickRealization:
         self._rows = {layer: len(rows) for layer, rows in (rates or self._matrices).items()}
         self.num_agents = self._rows[_INTRINSIC_LAYER]
         self._windows = {}
-        self._counts = {}
 
     @classmethod
     def from_matrices(cls, seed: int, intrinsic_clicks, observations=None) -> "ClickRealization":
@@ -121,17 +120,17 @@ class ClickRealization:
         return window
 
     def click_count(self, agent: int, slot: int, start: int, stop: int) -> int:
-        """Number of clicks in ``clicks(agent, slot, start, stop)``, counted a chunk at a time."""
+        """Number of clicks in ``clicks(agent, slot, start, stop)``.
+
+        Counted a chunk at a time and neither materialized nor kept, so
+        counting a long window holds one chunk and a repeated count redraws.
+        """
         self._check(agent, slot, start, stop)
-        key = (agent, slot, start, stop)
-        count = self._counts.get(key)
-        if count is None:
-            pieces = self._chunks(_INTRINSIC_LAYER, agent, start, stop)
-            if _OBSERVATION_LAYER in self._rows:
-                observed = self._chunks(_OBSERVATION_LAYER, slot, start, stop)
-                pieces = (a & b for a, b in zip(pieces, observed))
-            count = self._counts[key] = sum(int(np.count_nonzero(p)) for p in pieces)
-        return count
+        pieces = self._chunks(_INTRINSIC_LAYER, agent, start, stop)
+        if _OBSERVATION_LAYER in self._rows:
+            observed = self._chunks(_OBSERVATION_LAYER, slot, start, stop)
+            pieces = (a & b for a, b in zip(pieces, observed))
+        return sum(int(np.count_nonzero(p)) for p in pieces)
 
     def _matrix(self, layer: int) -> np.ndarray:
         matrix = self._matrices.get(layer)
@@ -181,16 +180,18 @@ def realized_click(realization: ClickRealization, agent: int, slot: int, round: 
 
 def dump_realization(realization: ClickRealization, path) -> None:
     """Write a realization as text: header "K T M seed", then rows of 0/1 characters."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"{realization.num_agents} {realization.horizon} "
-            f"{realization.num_slots} {realization.seed}\n"
-        )
-        for row in realization.intrinsic_clicks:
-            fh.write("".join("1" if c else "0" for c in row) + "\n")
+    header = (
+        f"{realization.num_agents} {realization.horizon} "
+        f"{realization.num_slots} {realization.seed}\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        layers = [realization.intrinsic_clicks]
         if realization.observations is not None:
-            for row in realization.observations:
-                fh.write("".join("1" if c else "0" for c in row) + "\n")
+            layers.append(realization.observations)
+        for matrix in layers:
+            for row in matrix:
+                fh.write(((row != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
 
 
 def load_realization(path) -> ClickRealization:
@@ -208,6 +209,8 @@ def load_realization(path) -> ClickRealization:
                 if len(line) != horizon:
                     raise ValueError(f"row {r + 1} has length {len(line)}, expected {horizon}")
                 rows[r] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+                if np.any(rows[r] > 1):
+                    raise ValueError(f"row {r + 1} holds a character other than 0 and 1")
             return rows
 
         intrinsic = read_rows(num_agents)

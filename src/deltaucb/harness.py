@@ -34,28 +34,6 @@ _INSTANCE_LAYER = 3
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", "oracle", "plain-ucb", "explore-t23")
 SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", "oracle", "plain-ucb", "explore-t23")
 
-SUMMARY_COLUMNS = (
-    "mechanism",
-    "seed",
-    "num_agents",
-    "num_slots",
-    "horizon",
-    "delta",
-    "v_max",
-    "exploration_budget",
-    "exploration_rounds_used",
-    "total_delta_regret",
-    "exploration_delta_regret",
-    "exploitation_delta_regret",
-    "total_standard_regret",
-    "total_revenue",
-    "total_welfare",
-    "delta_regret_over_logT",
-    "winners",
-    "per_agent_utility",
-    "flags",
-)
-
 _INT_KEYS = {"num_agents", "num_slots", "horizon", "seed", "sweep_seeds", "jobs"}
 _FLOAT_KEYS = {"delta", "v_max"}
 _FLOAT_LIST_KEYS = {
@@ -123,6 +101,12 @@ def _parse_value(key: str, value: str):
     return value
 
 
+def _at_least_one(key: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{key}: must be at least 1")
+    return value
+
+
 def spec_from_values(raw: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from already-split key/value strings."""
     values = {key: _parse_value(key, value) for key, value in raw.items()}
@@ -153,8 +137,8 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
     slot_counts = {config.num_slots, *sweep.get("num_slots", ())}
     if mechanism in SINGLE_SLOT_MECHANISMS and slot_counts != {1}:
         raise ConfigError(f"mechanism, num_slots: {mechanism} runs on one slot only")
-    if values.get("sweep_seeds", 1) < 1:
-        raise ConfigError("sweep_seeds: must be at least 1")
+    for key in ("sweep_seeds", "jobs"):
+        _at_least_one(key, values.get(key, 1))
     spec = ExperimentSpec(
         config=config,
         mechanism=mechanism,
@@ -307,9 +291,9 @@ def summary_row(summary) -> dict:
 
 
 def emit_summary(summaries, path, fmt) -> None:
-    """Write one summary record per run/cell as CSV or JSONL."""
+    """Write one summary record per run/cell as CSV or JSONL; ``summary_row`` sets the columns."""
     rows = [summary_row(s) for s in summaries]
-    write_table({col: [row[col] for row in rows] for col in SUMMARY_COLUMNS}, path, fmt)
+    write_table({col: [row[col] for row in rows] for col in rows[0]}, path, fmt)
 
 
 def derive_subseed(master_seed: int, cell: dict) -> int:
@@ -381,56 +365,49 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     return config, validate_profiles(profiles, config)
 
 
-def dsic_check(spec: ExperimentSpec, instances: int, out=None):
-    """Sweep deviators and bid grids over random instances; returns the list of violations."""
+def _dsic_reports(config, profiles, realization):
+    for deviator in range(1, config.num_agents + 1):
+        yield verify_dsic(config, profiles, build_scenario(config, profiles, realization, deviator))
+
+
+def _ir_reports(config, profiles, realization):
+    yield verify_ir(config, profiles, realization)
+
+
+# per check: one instance's reports, a finding's fields, and the summary's middle part
+_CHECKS = {
+    "dsic-check": (
+        _dsic_reports,
+        lambda r: f"deviator={r.deviator} bid={r.witness_bid:.6g} round={r.witness_round} "
+        f"gain={r.worst_violation:.6g}",
+        lambda reports: f"{len(reports)} scenarios, worst per-round gain "
+        f"{max(r.worst_violation for r in reports):.3e}",
+    ),
+    "ir-check": (
+        _ir_reports,
+        lambda r: f"agent={r.witness_agent} round={r.witness_round} "
+        f"utility={r.worst_utility:.6g}",
+        lambda reports: f"worst per-round utility {min(r.worst_utility for r in reports):.3e}",
+    ),
+}
+
+
+def property_check(command: str, spec: ExperimentSpec, instances: int, out=None) -> list:
+    """Run one of ``_CHECKS`` over random instances; returns the (instance, report) violations."""
+    _at_least_one("instances", instances)
     out = out if out is not None else sys.stdout
-    findings = []
-    worst = -math.inf
-    scenarios = 0
+    reports_of, finding, summary = _CHECKS[command]
+    reports, findings = [], []
     for index in range(instances):
         config, profiles = _draw_instance(spec, index)
         realization = draw_realization(config, profiles)
-        for deviator in range(1, config.num_agents + 1):
-            scenario = build_scenario(config, profiles, realization, deviator)
-            report = verify_dsic(config, profiles, scenario)
-            scenarios += 1
-            worst = max(worst, report.worst_violation)
+        for report in reports_of(config, profiles, realization):
+            reports.append(report)
             if not report.holds:
                 findings.append((index, report))
-                print(
-                    f"finding: instance={index} deviator={report.deviator} "
-                    f"bid={report.witness_bid:.6g} round={report.witness_round} "
-                    f"gain={report.worst_violation:.6g}",
-                    file=out,
-                )
+                print(f"finding: instance={index} {finding(report)}", file=out)
     print(
-        f"dsic-check: {instances} instances, {scenarios} scenarios, "
-        f"worst per-round gain {worst:.3e}, violations {len(findings)}",
-        file=out,
-    )
-    return findings
-
-
-def ir_check(spec: ExperimentSpec, instances: int, out=None):
-    """Check nonnegative truthful utilities over random instances; returns violations."""
-    out = out if out is not None else sys.stdout
-    findings = []
-    worst = math.inf
-    for index in range(instances):
-        config, profiles = _draw_instance(spec, index)
-        realization = draw_realization(config, profiles)
-        report = verify_ir(config, profiles, realization)
-        worst = min(worst, report.worst_utility)
-        if not report.holds:
-            findings.append((index, report))
-            print(
-                f"finding: instance={index} agent={report.witness_agent} "
-                f"round={report.witness_round} utility={report.worst_utility:.6g}",
-                file=out,
-            )
-    print(
-        f"ir-check: {instances} instances, worst per-round utility {worst:.3e}, "
-        f"violations {len(findings)}",
+        f"{command}: {instances} instances, {summary(reports)}, violations {len(findings)}",
         file=out,
     )
     return findings
@@ -478,9 +455,11 @@ def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     cells = sweep_cells(spec)
     print(f"sweep grid: {len(cells)} cells", file=sys.stderr)
-    jobs = args.jobs or spec.jobs
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    jobs = _at_least_one("jobs", spec.jobs if args.jobs is None else args.jobs)
+    # the pool forks every worker at the first submit, so fork no more than there are cells
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_cell_star, [(spec, cell) for cell in cells]))
     else:
         summaries = [run_cell(spec, cell) for cell in cells]
@@ -491,15 +470,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_dsic_check(args) -> int:
-    spec = _load_spec(args)
-    findings = dsic_check(spec, args.instances)
-    return 1 if findings else 0
-
-
-def _cmd_ir_check(args) -> int:
-    spec = _load_spec(args)
-    findings = ir_check(spec, args.instances)
+def _cmd_check(args) -> int:
+    findings = property_check(args.command, _load_spec(args), args.instances)
     return 1 if findings else 0
 
 
@@ -529,15 +501,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_dsic = sub.add_parser("dsic-check", help="counterfactual truthfulness check")
-    common(p_dsic)
-    p_dsic.add_argument("--instances", type=int, default=10)
-    p_dsic.set_defaults(func=_cmd_dsic_check)
-
-    p_ir = sub.add_parser("ir-check", help="nonnegative truthful utility check")
-    common(p_ir)
-    p_ir.add_argument("--instances", type=int, default=10)
-    p_ir.set_defaults(func=_cmd_ir_check)
+    for name, help_text in (
+        ("dsic-check", "counterfactual truthfulness check"),
+        ("ir-check", "nonnegative truthful utility check"),
+    ):
+        p_check = sub.add_parser(name, help=help_text)
+        common(p_check)
+        p_check.add_argument("--instances", type=int, default=10)
+        p_check.set_defaults(func=_cmd_check)
 
     p_val = sub.add_parser("validate", help="config lint")
     common(p_val, seed=False)

@@ -14,10 +14,13 @@ each slot's per-click price. Indices never change after the budget.
 The single-slot mechanism uses ``normalized_runner_up`` (here); the
 multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
 
-``run_mechanism`` computes aggregates and the round log directly from the
-realization, reading every agent's clicks over the exploration window and
-only the winners' after it; ``iter_rounds`` is the literal round-by-round
-reference that tests check both against.
+A run is two steps: ``learn`` folds the free rounds into a learner (bids
+never enter), and ``declare`` ranks and prices on it. ``run_mechanism``
+takes both steps and computes aggregates and the round log directly from
+the realization, reading every agent's clicks over the exploration window
+and only the winners' after it; the property checks in ``strategy_lab``
+take the same two steps. ``iter_rounds`` is the literal round-by-round
+reference that tests check all of them against.
 """
 
 from __future__ import annotations
@@ -201,6 +204,32 @@ def _fresh_learner(config: AuctionConfig) -> LearnerState:
     )
 
 
+def learn(realization: ClickRealization, config: AuctionConfig, explore_until: int) -> LearnerState:
+    """The learner after the free rounds 1..explore_until; bids never enter.
+
+    Each agent's entry folds in its prominence-corrected samples in round
+    order (a sequential sum, so it matches ``record_pull`` to the byte).
+    """
+    state = _fresh_learner(config)
+    for i in range(config.num_agents):
+        rounds, samples = [], []
+        for m, shown, observed in exploration_clicks(realization, config, i + 1, explore_until):
+            rounds.append(shown)
+            samples.append(observed / config.prominences[m - 1])
+        order = np.argsort(np.concatenate(rounds), kind="stable")
+        count = len(order)
+        if count:
+            total = float(np.cumsum(np.concatenate(samples)[order])[-1])
+            state.pull_count[i] = count
+            state.sample_sum[i] = total
+            state.empirical_ctr[i] = total / count
+            state.ucb[i], state.lcb[i] = ucb_pair(
+                total / count, count, config.horizon, state.eps_scale
+            )
+    state.round = explore_until
+    return state
+
+
 def iter_rounds(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
@@ -262,9 +291,7 @@ def run_mechanism(
 ) -> RunResult:
     """Run the mechanism and aggregate regret, revenue, welfare, and utilities.
 
-    Each agent's learner entry folds in its exploration samples in round
-    order (a sequential sum, so it matches ``record_pull`` to the byte);
-    regret and welfare accrue as pull count times the per-(agent, slot)
+    Regret and welfare accrue as pull count times the per-(agent, slot)
     table entry, agent by agent.
     """
     config, profiles, bids_arr, realization, budget = _prepare(
@@ -274,27 +301,15 @@ def run_mechanism(
     explore_until = min(budget, horizon)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
-    state = _fresh_learner(config)
-    per_agent_utility = {p.id: 0.0 for p in profiles}
+    state = learn(realization, config, explore_until)
+    per_agent_utility = {}
     pulls = []
     for p in profiles:
-        i = p.id - 1
-        rounds, samples, clicks = [], [], 0
+        clicks = 0
         for m, shown, observed in exploration_clicks(realization, config, p.id, explore_until):
             pulls.append((len(shown), p.id, m))
-            rounds.append(shown)
-            samples.append(observed / config.prominences[m - 1])
             clicks += int(observed.sum())
-        order = np.argsort(np.concatenate(rounds), kind="stable")
-        count = len(order)
-        if count:
-            total = float(np.cumsum(np.concatenate(samples)[order])[-1])
-            state.pull_count[i] = count
-            state.sample_sum[i] = total
-            state.empirical_ctr[i] = total / count
-            state.ucb[i], state.lcb[i] = ucb_pair(total / count, count, horizon, state.eps_scale)
-            per_agent_utility[p.id] += p.valuation * clicks
-    state.round = explore_until
+        per_agent_utility[p.id] = p.valuation * clicks
     exploration = tables.accrue(pulls)
 
     outcome = None

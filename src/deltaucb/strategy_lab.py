@@ -33,12 +33,13 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization, draw_realization
-from .mechanism import bid_vector, declare, exploration_clicks, run_mechanism, run_single_slot
+from .mechanism import bid_vector, declare, exploration_clicks, learn, run_single_slot
 from .mechanism_multi import price_rule_for
 from . import metrics
 from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
 
 DSIC_TOLERANCE = 1e-12
+GRID_POINTS = 21
 PIVOT_PROBE = 1e-6
 TIE_NUDGE = 1e-9
 
@@ -111,7 +112,6 @@ def build_scenario(
     profiles: Sequence[AgentProfile],
     realization: ClickRealization,
     deviator: int,
-    grid_points: int = 21,
 ) -> DeviationScenario:
     """Bid grid over [0, v_max] plus probes just above and below the rank-flipping bids.
 
@@ -123,12 +123,11 @@ def build_scenario(
     profiles = validate_profiles(profiles, config)
     others = bid_vector(profiles, None, config)
 
-    result = _run_mechanism(config, profiles, others, realization)
+    _, learner = _learned(config, realization)
     probes = []
-    if result.outcome is not None:
-        ucb = result.outcome.learner.ucb
-        own = float(ucb[deviator - 1])
-        other_scores = np.delete(ucb * others, deviator - 1)
+    if learner is not None:
+        own = float(learner.ucb[deviator - 1])
+        other_scores = np.delete(learner.ucb * others, deviator - 1)
         pivots = np.sort(other_scores)[::-1]
         # no competitor, no pivot: the uniform grid alone
         targets = list(pivots[:1])
@@ -140,15 +139,14 @@ def build_scenario(
             for probe in (pivot_bid - PIVOT_PROBE, pivot_bid + PIVOT_PROBE):
                 probes.append(min(max(probe, 0.0), config.v_max))
 
-    uniform = np.linspace(0.0, config.v_max, max(2, grid_points - len(probes)))
+    uniform = np.linspace(0.0, config.v_max, max(2, GRID_POINTS - len(probes)))
     grid = list(uniform) + probes
 
-    if result.outcome is not None:
-        own = float(result.outcome.learner.ucb[deviator - 1])
-        other_scores = set(np.delete(result.outcome.learner.ucb * others, deviator - 1).tolist())
+    if learner is not None:
+        ties = set(other_scores.tolist())
         for k, x in enumerate(grid):
             nudge = TIE_NUDGE
-            while own * x in other_scores:
+            while own * x in ties:
                 x = x + nudge if x + nudge <= config.v_max else x - nudge
                 nudge *= 2
             grid[k] = x
@@ -161,9 +159,19 @@ def build_scenario(
     )
 
 
-def _run_mechanism(config, profiles, bids, realization) -> RunResult:
-    rule = price_rule_for(config.num_slots)
-    return run_mechanism(config, profiles, rule, bids=bids, realization=realization)
+def _learned(config, realization):
+    """Free rounds and the learner after them, or None when they fill the horizon."""
+    explore_until = min(exploration_budget(config), config.horizon)
+    if explore_until >= config.horizon:
+        return explore_until, None
+    return explore_until, learn(realization, config, explore_until)
+
+
+def _declare(config, learner, bids):
+    """The check's outcome for a bid vector: the engine's ranking and prices on the learner."""
+    if learner is None:
+        return None
+    return declare(learner.copy(), bids, config.prominences, price_rule_for(config.num_slots))
 
 
 def verify_dsic(
@@ -173,9 +181,10 @@ def verify_dsic(
 ) -> DsicReport:
     """Check that no grid bid ever beats the truthful bid in any round.
 
-    Runs the mechanism once with the deviator truthful and once per grid
-    bid, all against the scenario's shared realization and fixed
-    competitor bids, and compares utilities round by round.
+    Learns once from the scenario's shared realization, then declares the
+    ranking and prices with the deviator truthful and once per grid bid,
+    against the fixed competitor bids, and compares utilities round by
+    round.
     """
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
@@ -185,23 +194,21 @@ def verify_dsic(
 
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = truthful_value
-    rule = price_rule_for(config.num_slots)
-    base = run_mechanism(config, profiles, rule, bids=truthful_bids, realization=realization)
-    explore_until = base.summary.exploration_rounds_used
-    truth_util = per_round_utilities(
-        config, profiles, realization, base.outcome, deviator, explore_until
-    )
+    truthful_bids = bid_vector(profiles, truthful_bids, config)
+    explore_until, learner = _learned(config, realization)
+    base = _declare(config, learner, truthful_bids)
+    truth_util = per_round_utilities(config, profiles, realization, base, deviator, explore_until)
 
     worst = -math.inf
     witness_round = None
     witness_bid = None
     for bid in scenario.bid_grid:
-        if base.outcome is None:
+        if learner is None:
             dev_util = truth_util  # exploration-only: bids never enter
         else:
             bids = truthful_bids.copy()
             bids[deviator - 1] = bid
-            outcome = declare(base.outcome.learner.copy(), bids, config.prominences, rule)
+            outcome = _declare(config, learner, bids)
             dev_util = per_round_utilities(
                 config, profiles, realization, outcome, deviator, explore_until
             )
@@ -230,16 +237,14 @@ def verify_ir(
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
-    base = _run_mechanism(config, profiles, truthful, realization)
-    explore_until = base.summary.exploration_rounds_used
+    explore_until, learner = _learned(config, realization)
+    outcome = _declare(config, learner, truthful)
 
     worst = math.inf
     agent_hit = None
     round_hit = None
     for p in profiles:
-        util = per_round_utilities(
-            config, profiles, realization, base.outcome, p.id, explore_until
-        )
+        util = per_round_utilities(config, profiles, realization, outcome, p.id, explore_until)
         idx = int(np.argmin(util))
         if util[idx] < worst:
             worst = float(util[idx])

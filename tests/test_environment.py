@@ -134,6 +134,14 @@ def test_dump_load_roundtrip_single_slot(tmp_path):
     assert np.array_equal(loaded.intrinsic_clicks, realization.intrinsic_clicks)
 
 
+@pytest.mark.parametrize("row", ["01x1", "0121", "01 1", "01-1"])
+def test_load_rejects_rows_other_than_0_and_1(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 4 1 0\n0110\n{row}\n")
+    with pytest.raises(ValueError, match="row 2"):
+        load_realization(path)
+
+
 def test_out_of_range_indices_error():
     realization = make_realization([[1, 0]])
     with pytest.raises(IndexError):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltaucb import harness
 from deltaucb.core import ConfigError
 from deltaucb.harness import (
     _FLOAT_KEYS,
@@ -376,6 +377,117 @@ def test_dsic_check_reports_on_one_agent_instances(tmp_path, capsys, line, scena
     report = capsys.readouterr().out.splitlines()[-1]
     assert report.startswith(f"dsic-check: 6 instances, {scenarios},")
     assert report.endswith("violations 0")
+
+
+def test_checks_learn_and_declare_without_running_the_mechanism(monkeypatch, capsys):
+    # the checks share one learner per instance: no whole run, no exploitation click count
+    from deltaucb import environment, mechanism
+
+    calls = defaultdict(int)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    run = mechanism.run_mechanism
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "deltaucb":
+            for key, value in list(vars(module).items()):
+                if value is run:
+                    monkeypatch.setattr(module, key, counted("run_mechanism", run))
+    count = environment.ClickRealization.click_count
+    monkeypatch.setattr(environment.ClickRealization, "click_count", counted("click_count", count))
+    for config_name in ("dsic_multi", "ir_multi", "one_agent"):
+        cfg = str(DATA / f"golden_check_{config_name}.cfg")
+        for command in ("dsic-check", "ir-check"):
+            assert main([command, "--config", cfg, "--instances", "3"]) in (0, 1)
+    assert dict(calls) == {}
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
+def test_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, workers):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    cfg = _write(tmp_path, "two.cfg", BASIC + "sweep_horizon = 100, 200\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+    assert _RecordingPool.workers == workers
+    assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "config_line, flag",
+    [("jobs = 0", None), ("jobs = -3", None), ("", "0"), ("", "-1"), ("jobs = 2", "0")],
+)
+def test_sweep_jobs_below_one_exit_2(tmp_path, capsys, config_line, flag):
+    cfg = _write(tmp_path, "jobs.cfg", BASIC + config_line + "\n")
+    args = ["sweep", "--config", cfg, "--out", str(tmp_path / "out")]
+    if flag is not None:
+        args += ["--jobs", flag]
+    assert main(args) == 2
+    assert "config error: jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["dsic-check", "ir-check"])
+@pytest.mark.parametrize("instances", ["0", "-2"])
+def test_check_instances_below_one_exit_2(tmp_path, capsys, command, instances):
+    cfg = _write(tmp_path, "check.cfg", BASIC)
+    assert main([command, "--config", cfg, "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert "config error: instances" in captured.err
+    assert captured.out == ""
+
+
+def _run_tracer(tmp_path, cli_args):
+    """Run the benchmark's tracer on one CLI command; returns the process and its spans."""
+    root = Path(__file__).resolve().parent.parent
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), "smoke", *cli_args],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    return done, json.loads(spans.read_text()) if spans.exists() else None
+
+
+@pytest.mark.parametrize(
+    "cli_args, code",
+    [
+        (["run", "--config", str(DATA / "golden.cfg"), "--rounds-log", "all"], 0),
+        (["dsic-check", "--config", str(DATA / "golden_check_dsic_multi.cfg"),
+          "--instances", "2"], 1),
+    ],
+)
+def test_benchmark_tracer_runs_the_cli(tmp_path, cli_args, code):
+    if cli_args[0] == "run":
+        cli_args = [*cli_args, "--out", str(tmp_path / "out")]
+    done, trace = _run_tracer(tmp_path, cli_args)
+    assert done.returncode == code, done.stderr
+    assert trace is not None, done.stderr
+    roots = [span for span in trace["spans"] if span["parent"] is None and span["kind"] == "call"]
+    assert roots and roots[0]["name"] == "harness.main"
+    assert all(span["parent"] is not None for span in trace["spans"][1:] if span["kind"] == "call")
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
