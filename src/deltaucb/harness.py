@@ -139,6 +139,8 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
         raise ConfigError(f"mechanism, num_slots: {mechanism} runs on one slot only")
     for key in ("sweep_seeds", "jobs"):
         _at_least_one(key, values.get(key, 1))
+    if any(k < config.num_slots for k in values.get("agents_choices", ())):
+        raise ConfigError("agents_choices must all be at least num_slots")
     spec = ExperimentSpec(
         config=config,
         mechanism=mechanism,
@@ -348,8 +350,6 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     num_agents = base.num_agents
     if spec.agents_choices:
         num_agents = int(rng.choice(np.array(spec.agents_choices)))
-        if num_agents < base.num_slots:
-            raise ConfigError("agents_choices must all be at least num_slots")
     config = validate_config(
         replace(base, num_agents=num_agents, seed=derive_subseed(base.seed, {"instance": index}))
     )

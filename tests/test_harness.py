@@ -460,6 +460,21 @@ def test_check_instances_below_one_exit_2(tmp_path, capsys, command, instances):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "dsic-check", "ir-check"])
+@pytest.mark.parametrize(
+    "lines",
+    ["agents_choices = 0, 3", "num_slots = 2\nprominences = 1.0, 0.5\nagents_choices = 3, 1"],
+)
+def test_agents_choices_below_num_slots_exit_2_up_front(tmp_path, capsys, command, lines):
+    # a size no instance draws is still an error, and no finding is printed first
+    cfg = _write(tmp_path, "choices.cfg", BASIC + lines + "\n")
+    args = [command, "--config", cfg] + ([] if command == "validate" else ["--instances", "6"])
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "config error: agents_choices" in captured.err
+    assert captured.out == ""
+
+
 def _run_tracer(tmp_path, cli_args):
     """Run the benchmark's tracer on one CLI command; returns the process and its spans."""
     root = Path(__file__).resolve().parent.parent
