@@ -203,15 +203,12 @@ def verify_dsic(
     witness_round = None
     witness_bid = None
     for bid in scenario.bid_grid:
-        if learner is None:
-            dev_util = truth_util  # exploration-only: bids never enter
-        else:
-            bids = truthful_bids.copy()
-            bids[deviator - 1] = bid
-            outcome = _declare(config, learner, bids)
-            dev_util = per_round_utilities(
-                config, profiles, realization, outcome, deviator, explore_until
-            )
+        bids = truthful_bids.copy()
+        bids[deviator - 1] = bid
+        outcome = _declare(config, learner, bids)
+        dev_util = per_round_utilities(
+            config, profiles, realization, outcome, deviator, explore_until
+        )
         gain = dev_util - truth_util
         idx = int(np.argmax(gain))
         if gain[idx] > worst:
