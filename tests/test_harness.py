@@ -475,17 +475,6 @@ def test_agents_choices_below_num_slots_exit_2_up_front(tmp_path, capsys, comman
     assert captured.out == ""
 
 
-def _run_tracer(tmp_path, cli_args):
-    """Run the benchmark's tracer on one CLI command; returns the process and its spans."""
-    root = Path(__file__).resolve().parent.parent
-    spans = tmp_path / "spans.json"
-    done = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), "smoke", *cli_args],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
-    )
-    return done, json.loads(spans.read_text()) if spans.exists() else None
-
-
 @pytest.mark.parametrize(
     "cli_args, code",
     [
@@ -495,14 +484,18 @@ def _run_tracer(tmp_path, cli_args):
     ],
 )
 def test_benchmark_tracer_runs_the_cli(tmp_path, cli_args, code):
+    # the benchmark's traced run must keep working: its probes read the CLI's own calls
     if cli_args[0] == "run":
         cli_args = [*cli_args, "--out", str(tmp_path / "out")]
-    done, trace = _run_tracer(tmp_path, cli_args)
+    traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(traced), str(spans), "smoke", *cli_args],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
     assert done.returncode == code, done.stderr
-    assert trace is not None, done.stderr
-    roots = [span for span in trace["spans"] if span["parent"] is None and span["kind"] == "call"]
-    assert roots and roots[0]["name"] == "harness.main"
-    assert all(span["parent"] is not None for span in trace["spans"][1:] if span["kind"] == "call")
+    calls = [span for span in json.loads(spans.read_text())["spans"] if span["kind"] == "call"]
+    assert [span["name"] for span in calls if span["parent"] is None] == ["harness.main"]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
