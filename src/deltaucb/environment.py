@@ -15,7 +15,8 @@ when read, a round window at a time: the substream is advanced to the
 window's first round and drawn in fixed chunks, which gives the same bytes
 as drawing the whole row up front. A run then draws what the mechanism
 reads (every row over the exploration window, the winners' rows after it),
-and counting clicks over a window never holds more than one chunk.
+and counting a window's clicks or dumping a row holds one chunk at a time.
+``clicks`` and ``click_count`` are the only reads and AND the two layers.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ClickRealization:
 
     def __init__(self, seed: int, num_slots: int, horizon: int, rates=None, matrices=None):
         # rates[layer][row - 1] is a substream row's click rate; matrices[layer]
-        # is that layer's rows as a 0/1 matrix, given or built on first use
+        # is that layer's rows as a given 0/1 matrix
         self.seed = int(seed)
         self.num_slots = num_slots
         self.horizon = horizon
@@ -83,18 +84,14 @@ class ClickRealization:
             else:
                 yield matrix[row - 1, lo:hi]
 
-    def _fill(self, out: np.ndarray, layer: int, row: int, start: int) -> np.ndarray:
-        lo = 0
-        for chunk in self._chunks(layer, row, start, start + len(out)):
-            out[lo : lo + len(chunk)] = chunk
-            lo += len(chunk)
-        return out
-
     def _window(self, layer: int, row: int, start: int, stop: int) -> np.ndarray:
         key = (layer, row, start, stop)
         window = self._windows.get(key)
         if window is None:
-            window = self._fill(np.empty(stop - start, dtype=np.uint8), layer, row, start)
+            window = np.empty(stop - start, dtype=np.uint8)
+            pieces = zip(range(0, stop - start, _CHUNK), self._chunks(layer, row, start, stop))
+            for lo, chunk in pieces:
+                window[lo : lo + len(chunk)] = chunk
             window.flags.writeable = False
             self._windows[key] = window
         return window
@@ -132,27 +129,6 @@ class ClickRealization:
             pieces = (a & b for a, b in zip(pieces, observed))
         return sum(int(np.count_nonzero(p)) for p in pieces)
 
-    def _matrix(self, layer: int) -> np.ndarray:
-        matrix = self._matrices.get(layer)
-        if matrix is None:
-            matrix = np.empty((self._rows[layer], self.horizon), dtype=np.uint8)
-            for row in range(1, len(matrix) + 1):
-                self._fill(matrix[row - 1], layer, row, 0)
-            self._matrices[layer] = matrix
-        return matrix
-
-    @property
-    def intrinsic_clicks(self) -> np.ndarray:
-        """The K×T intrinsic outcome matrix (drawn in full on first use)."""
-        return self._matrix(_INTRINSIC_LAYER)
-
-    @property
-    def observations(self) -> Optional[np.ndarray]:
-        """The M×T observation outcome matrix of a multi-slot run, else None."""
-        if _OBSERVATION_LAYER not in self._rows:
-            return None
-        return self._matrix(_OBSERVATION_LAYER)
-
 
 def draw_realization(
     config: AuctionConfig,
@@ -172,10 +148,7 @@ def draw_realization(
 def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
     """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
     realization._check(agent, slot, round - 1, round)
-    click = realization.intrinsic_clicks[agent - 1, round - 1]
-    if realization.observations is not None:
-        click &= realization.observations[slot - 1, round - 1]
-    return int(click)
+    return int(realization.clicks(agent, slot, 0, realization.horizon)[round - 1])
 
 
 def dump_realization(realization: ClickRealization, path) -> None:
@@ -186,12 +159,11 @@ def dump_realization(realization: ClickRealization, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        layers = [realization.intrinsic_clicks]
-        if realization.observations is not None:
-            layers.append(realization.observations)
-        for matrix in layers:
-            for row in matrix:
-                fh.write(((row != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
+        for layer, count in sorted(realization._rows.items()):
+            for row in range(1, count + 1):
+                for chunk in realization._chunks(layer, row, 0, realization.horizon):
+                    fh.write(((chunk != 0).view(np.uint8) + ord("0")).tobytes())
+                fh.write(b"\n")
 
 
 def load_realization(path) -> ClickRealization:
@@ -201,6 +173,11 @@ def load_realization(path) -> ClickRealization:
         if len(header) != 4:
             raise ValueError("realization header must be 'K T M seed'")
         num_agents, horizon, num_slots, seed = (int(x) for x in header)
+        for name, value in (("K", num_agents), ("T", horizon), ("M", num_slots)):
+            if value < 1:
+                raise ValueError(f"realization header: {name} must be at least 1, got {value}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"realization header: seed must lie in 0..2**64-1, got {seed}")
 
         def read_rows(count):
             rows = np.empty((count, horizon), dtype=np.uint8)
@@ -215,5 +192,7 @@ def load_realization(path) -> ClickRealization:
 
         intrinsic = read_rows(num_agents)
         observations = read_rows(num_slots) if num_slots > 1 else None
+        if any(line.strip() for line in fh):
+            raise ValueError("realization rows: more than the header's K and M declare")
 
     return ClickRealization.from_matrices(seed, intrinsic, observations)

@@ -395,6 +395,10 @@ _CHECKS = {
 def property_check(command: str, spec: ExperimentSpec, instances: int, out=None) -> list:
     """Run one of ``_CHECKS`` over random instances; returns the (instance, report) violations."""
     _at_least_one("instances", instances)
+    # the checks replay Δ-UCB with the slot count's price rule and the log-sized budget
+    replayed = "delta-ucb-single" if spec.config.num_slots == 1 else "delta-ucb-multi"
+    if spec.mechanism != replayed:
+        raise ConfigError(f"mechanism: {command} replays {replayed}, not {spec.mechanism}")
     out = out if out is not None else sys.stdout
     reports_of, finding, summary = _CHECKS[command]
     reports, findings = [], []
@@ -423,6 +427,8 @@ def _load_spec(args) -> ExperimentSpec:
 def _cmd_validate(args) -> int:
     spec = _load_spec(args)
     build_profiles(spec, spec.config)
+    for cell in sweep_cells(spec):
+        build_profiles(spec, _cell_config(spec, cell))
     print("config ok")
     return 0
 

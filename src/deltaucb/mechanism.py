@@ -259,20 +259,16 @@ def iter_rounds(
 
 def _round_grids(realization, config, explore_until, outcome):
     """Agents, clicks and payments per (round, slot): the rotation, then the frozen ranking."""
-    horizon, num_slots, num_agents = config.horizon, config.num_slots, config.num_agents
-    explored = np.arange(1, explore_until + 1)
+    horizon, num_slots = config.horizon, config.num_slots
     agents = np.empty((horizon, num_slots), dtype=np.int64)
     prices = np.zeros((horizon, num_slots))
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
-    for m in range(1, num_slots + 1):
-        shown = multi_exploration_allocation(explored, m, num_agents)
-        window = np.stack(
-            [realization.clicks(a, m, 0, explore_until) for a in range(1, num_agents + 1)]
-        )
-        agents[:explore_until, m - 1] = shown
-        clicks[:explore_until, m - 1] = window[shown - 1, explored - 1]
-        if outcome is not None:
-            agent = outcome.ranking[m - 1]
+    for agent in range(1, config.num_agents + 1):
+        for m, shown, observed in exploration_clicks(realization, config, agent, explore_until):
+            agents[shown - 1, m - 1] = agent
+            clicks[shown - 1, m - 1] = observed
+    if outcome is not None:
+        for m, agent in enumerate(outcome.ranking[:num_slots], start=1):
             agents[explore_until:, m - 1] = agent
             prices[explore_until:, m - 1] = outcome.payments_per_click[m - 1]
             clicks[explore_until:, m - 1] = realization.clicks(agent, m, explore_until, horizon)

@@ -392,14 +392,14 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
     per_agent_utility = {p.id: 0.0 for p in profiles}
     shown = np.empty((horizon, 1), dtype=np.int64)
     clicks = np.empty((horizon, 1), dtype=np.uint8)
-    # the agent shown depends on every earlier click, so read the whole matrix
-    intrinsic = realization.intrinsic_clicks
+    # the agent shown depends on every earlier click, so read every agent's whole row
+    rows = [realization.clicks(agent, 1, 0, horizon) for agent in range(1, num_agents + 1)]
     for t in range(1, horizon + 1):
         if t <= num_agents:
             agent = t
         else:
             agent = int(np.argmax(state.ucb * bids_arr)) + 1
-        click = int(intrinsic[agent - 1, t - 1])
+        click = int(rows[agent - 1][t - 1])
         state.record_pull(agent, float(click))
         state.round = t
         per_agent_utility[agent] += profiles[agent - 1].valuation * click

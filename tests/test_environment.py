@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from deltaucb import environment
 from deltaucb.core import AuctionConfig, exploration_budget, validate_config
 from deltaucb.environment import (
+    ClickRealization,
     draw_realization,
     dump_realization,
     load_realization,
@@ -52,22 +53,21 @@ def _config(num_agents, horizon, num_slots=1, prominences=None, seed=0, delta=0.
 def test_degenerate_click_rates():
     config = _config(2, 500)
     realization = draw_realization(config, make_profiles([0.0, 1.0]))
-    assert not realization.intrinsic_clicks[0].any()
-    assert realization.intrinsic_clicks[1].all()
+    assert not realization.clicks(1, 1, 0, 500).any()
+    assert realization.clicks(2, 1, 0, 500).all()
 
 
 def test_row_mean_matches_rate():
     # law of large numbers at 3 sigma = 3 * 0.5 / sqrt(T), well inside 0.01
     config = _config(1, 10**5, seed=7)
     realization = draw_realization(config, make_profiles([0.5]))
-    assert abs(realization.intrinsic_clicks[0].mean() - 0.5) < 0.01
+    assert abs(realization.clicks(1, 1, 0, 10**5).mean() - 0.5) < 0.01
 
 
 def test_layered_click_rate_is_product():
     config = _config(2, 10**5, num_slots=2, prominences=(1.0, 0.5), seed=11)
     realization = draw_realization(config, make_profiles([0.4, 0.4]))
-    clicks = realization.intrinsic_clicks[0] & realization.observations[1]
-    assert abs(clicks.mean() - 0.2) < 0.01
+    assert abs(realization.clicks(1, 2, 0, 10**5).mean() - 0.2) < 0.01
 
 
 def test_realized_click_single_slot_passthrough():
@@ -83,16 +83,17 @@ def test_realized_click_requires_observation():
 
 
 def test_observation_layer_is_shared_across_agents():
-    # whoever occupies a slot sees the same observation outcome (counterfactual consistency)
-    config = _config(3, 200, num_slots=2, prominences=(1.0, 0.6), seed=3)
-    realization = draw_realization(config, make_profiles([0.3, 0.6, 0.9]))
+    # whoever occupies a slot sees the same observation outcome (counterfactual consistency);
+    # slot 1 always observes (prominence 1.0), so it shows an agent's intrinsic row, and an
+    # agent that always clicks (agent 4, ctr 1.0) shows a slot's observation row
+    config = _config(4, 200, num_slots=2, prominences=(1.0, 0.6), seed=3)
+    realization = draw_realization(config, make_profiles([0.3, 0.6, 0.9, 1.0]))
     for agent in (1, 2, 3):
+        intrinsic = realization.clicks(agent, 1, 0, 200)
         for slot in (1, 2):
+            observation = realization.clicks(4, slot, 0, 200)
             for t in (1, 50, 200):
-                expected = int(
-                    realization.intrinsic_clicks[agent - 1, t - 1]
-                    & realization.observations[slot - 1, t - 1]
-                )
+                expected = int(intrinsic[t - 1] & observation[t - 1])
                 assert realized_click(realization, agent, slot, t) == expected
 
 
@@ -101,45 +102,82 @@ def test_same_seed_gives_identical_matrices():
     profiles = make_profiles([0.2, 0.5, 0.8])
     first = draw_realization(config, profiles)
     second = draw_realization(config, profiles)
-    assert first.intrinsic_clicks.tobytes() == second.intrinsic_clicks.tobytes()
+    for agent in (1, 2, 3):
+        assert first.clicks(agent, 1, 0, 400).tobytes() == second.clicks(agent, 1, 0, 400).tobytes()
 
 
 def test_adding_agent_preserves_existing_rows():
     # per-row substreams: a bigger population never perturbs earlier rows
     small = draw_realization(_config(2, 300, seed=17), make_profiles([0.3, 0.6]))
     big = draw_realization(_config(3, 300, seed=17), make_profiles([0.3, 0.6, 0.9]))
-    assert np.array_equal(small.intrinsic_clicks, big.intrinsic_clicks[:2])
+    for agent in (1, 2):
+        assert np.array_equal(small.clicks(agent, 1, 0, 300), big.clicks(agent, 1, 0, 300))
+
+
+def _assert_same_clicks(first, second):
+    for agent in range(1, first.num_agents + 1):
+        for slot in range(1, first.num_slots + 1):
+            window = (agent, slot, 0, first.horizon)
+            assert first.clicks(*window).tobytes() == second.clicks(*window).tobytes()
 
 
 def test_dump_load_roundtrip(tmp_path):
     config = _config(3, 50, num_slots=2, prominences=(1.0, 0.7), seed=23)
     realization = draw_realization(config, make_profiles([0.1, 0.5, 0.9]))
-    path = tmp_path / "realization.txt"
+    path, again = tmp_path / "realization.txt", tmp_path / "again.txt"
     dump_realization(realization, path)
     loaded = load_realization(path)
     assert loaded.seed == realization.seed
     assert loaded.num_slots == realization.num_slots
-    assert np.array_equal(loaded.intrinsic_clicks, realization.intrinsic_clicks)
-    assert np.array_equal(loaded.observations, realization.observations)
+    _assert_same_clicks(loaded, realization)
+    # both layers, every row: the loaded realization dumps the same text
+    dump_realization(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
     header = path.read_text().splitlines()[0]
     assert header == "3 50 2 23"
 
 
 def test_dump_load_roundtrip_single_slot(tmp_path):
     realization = draw_realization(_config(2, 30, seed=4), make_profiles([0.2, 0.8]))
-    path = tmp_path / "single.txt"
+    path, again = tmp_path / "single.txt", tmp_path / "again.txt"
     dump_realization(realization, path)
     loaded = load_realization(path)
-    assert loaded.observations is None
-    assert np.array_equal(loaded.intrinsic_clicks, realization.intrinsic_clicks)
+    # the header and two intrinsic rows, no observation layer
+    assert len(path.read_text().splitlines()) == 3
+    _assert_same_clicks(loaded, realization)
+    dump_realization(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("row", ["01x1", "0121", "01 1", "01-1"])
-def test_load_rejects_rows_other_than_0_and_1(tmp_path, row):
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        *(
+            pytest.param(f"2 4 1 0\n0110\n{row}\n", "row 2", id=row)
+            for row in ["01x1", "0121", "01 1", "01-1"]
+        ),
+        pytest.param("2 4 0 0\n0110\n0101\n", "M must", id="M=0"),
+        pytest.param("0 4 1 0\n", "K must", id="K=0"),
+        pytest.param("2 -1 1 0\n\n\n", "T must", id="T=-1"),
+        pytest.param("2 4 1 -5\n0110\n0101\n", "seed must", id="seed=-5"),
+        pytest.param(f"2 4 1 {2**64}\n0110\n0101\n", "seed must", id="seed=2**64"),
+        pytest.param("2 4 1 0\n0110\n0101\n0011\n", "more than the header", id="extra-row"),
+        pytest.param(
+            "2 4 2 0\n0110\n0101\n1111\n1010\n0011\n", "more than the header", id="extra-row-M=2"
+        ),
+    ],
+)
+def test_load_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.txt"
-    path.write_text(f"2 4 1 0\n0110\n{row}\n")
-    with pytest.raises(ValueError, match="row 2"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         load_realization(path)
+
+
+def test_load_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "trailing.txt"
+    path.write_text("2 4 1 0\n0110\n0101\n\n")
+    assert load_realization(path).clicks(2, 1, 0, 4).tolist() == [0, 1, 0, 1]
 
 
 def test_out_of_range_indices_error():
@@ -188,7 +226,7 @@ def drawn_instances(draw, max_horizon=3000):
 
 @PROPERTY
 @given(instance=drawn_instances(), pieces=st.integers(1, 40))
-def test_streamed_windows_match_dense_draw(instance, pieces):
+def test_streamed_windows_match_dense_draw(tmp_path_factory, instance, pieces):
     # the chunk is set so that a whole row spans `pieces` chunks, the last one partial
     config, profiles = instance
     horizon, seed = config.horizon, config.seed
@@ -199,10 +237,13 @@ def test_streamed_windows_match_dense_draw(instance, pieces):
     observations = [
         _dense_row(seed, 1, m, g, horizon) for m, g in enumerate(config.prominences, start=1)
     ]
+    layers = intrinsic + (observations if config.num_slots > 1 else [])
+    path = tmp_path_factory.mktemp("dump") / "realization.txt"
     with mock.patch.object(environment, "_CHUNK", -(-horizon // pieces)):
         realization = draw_realization(config, profiles)
-        matrix_built = draw_realization(config, profiles)
-        assert matrix_built.intrinsic_clicks.tobytes() == np.array(intrinsic).tobytes()
+        matrix_built = ClickRealization.from_matrices(
+            seed, intrinsic, observations if config.num_slots > 1 else None
+        )
         for agent in range(1, config.num_agents + 1):
             for slot in range(1, config.num_slots + 1):
                 for a, b in windows:
@@ -212,13 +253,13 @@ def test_streamed_windows_match_dense_draw(instance, pieces):
                     count = int(expected.sum())
                     assert realization.click_count(agent, slot, a, b) == count
                     assert realization.clicks(agent, slot, a, b).tobytes() == expected.tobytes()
-                    # one layer already a matrix, the other still drawn by window
+                    # the same rows as given matrices, read in the same pieces
                     assert matrix_built.click_count(agent, slot, a, b) == count
-        assert realization.intrinsic_clicks.tobytes() == np.array(intrinsic).tobytes()
-        if config.num_slots > 1:
-            assert realization.observations.tobytes() == np.array(observations).tobytes()
-        else:
-            assert realization.observations is None
+        # every row of both layers, whole, written a chunk at a time
+        dump_realization(realization, path)
+    header = f"{config.num_agents} {horizon} {config.num_slots} {seed}\n".encode("ascii")
+    rows = b"".join((row + ord("0")).tobytes() + b"\n" for row in layers)
+    assert path.read_bytes() == header + rows
 
 
 def _log_bytes(log):
@@ -276,6 +317,19 @@ def test_run_memory_does_not_grow_with_horizon():
 
     run(10**5)()  # warm caches outside the measurement
     small, large = _traced_peak(run(10**5)), _traced_peak(run(2 * 10**6))
+    assert large - small < 2**20, (small, large)
+
+
+@pytest.mark.parametrize("num_slots, prominences", [(1, None), (3, (1.0, 0.7, 0.4))])
+def test_dump_memory_does_not_grow_with_horizon(tmp_path, num_slots, prominences):
+    profiles = make_profiles([0.9, 0.6, 0.5, 0.3, 0.1])
+
+    def dump(horizon):
+        config = _config(5, horizon, num_slots=num_slots, prominences=prominences, seed=7)
+        return lambda: dump_realization(draw_realization(config, profiles), tmp_path / "r.txt")
+
+    dump(10**5)()  # warm caches outside the measurement
+    small, large = _traced_peak(dump(10**5)), _traced_peak(dump(2 * 10**6))
     assert large - small < 2**20, (small, large)
 
 

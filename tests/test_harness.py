@@ -460,6 +460,35 @@ def test_check_instances_below_one_exit_2(tmp_path, capsys, command, instances):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["dsic-check", "ir-check"])
+@pytest.mark.parametrize(
+    "mechanism", ["delta-ucb-multi", "oracle", "plain-ucb", "explore-t23"]
+)
+def test_checks_reject_a_mechanism_they_do_not_replay(tmp_path, capsys, command, mechanism):
+    # the checks replay delta-ucb-single on one slot; a pass would certify another mechanism
+    text = f"num_agents = 3\nhorizon = 3000\ndelta = 1.0\nseed = 5\nmechanism = {mechanism}\n"
+    cfg = _write(tmp_path, "mechanism.cfg", text)
+    assert main([command, "--config", cfg, "--instances", "20"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: mechanism" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["dsic-check", "ir-check"])
+@pytest.mark.parametrize(
+    "base, mechanism", [(BASIC, "delta-ucb-single"), (MULTI, "delta-ucb-multi")]
+)
+def test_checks_accept_the_mechanism_they_replay(tmp_path, capsys, command, base, mechanism):
+    implicit = _write(tmp_path, "implicit.cfg", base)
+    explicit = _write(tmp_path, "explicit.cfg", base + f"mechanism = {mechanism}\n")
+    runs = []
+    for cfg in (implicit, explicit):
+        code = main([command, "--config", cfg, "--instances", "3"])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0][0] != 2
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("command", ["validate", "dsic-check", "ir-check"])
 @pytest.mark.parametrize(
     "lines",
@@ -547,6 +576,29 @@ def test_sweep_seeds_below_one_exit_2(tmp_path, capsys, command, seeds):
     assert main(args) == 2
     assert "config error: sweep_seeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize(
+    "lines, field",
+    [
+        ("ctrs = 0.8, 0.5, 0.2\nsweep_num_agents = 2, 3", "explicit ctrs"),
+        ("sweep_num_agents = 0, 3", "num_agents"),
+        ("num_slots = 2\nprominences = 1.0, 0.5\nsweep_num_slots = 2, 3", "prominences"),
+    ],
+    ids=["ctrs-with-agents-sweep", "zero-agents-cell", "prominences-too-short"],
+)
+def test_sweep_cells_that_fail_exit_2(tmp_path, capsys, command, lines, field):
+    # validate builds every cell's config and profiles, as sweep does
+    text = "num_agents = 3\nhorizon = 200\ndelta = 1.2\nseed = 11\n" + lines + "\n"
+    cfg = _write(tmp_path, "cells.cfg", text)
+    args = [command, "--config", cfg]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}" in captured.err
+    assert "config ok" not in captured.out
 
 
 _FUZZ_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS)
