@@ -37,6 +37,16 @@ def _row_rng(seed: int, layer: int, row: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), layer, row]))
 
 
+def _matrix(name: str, rows) -> np.ndarray:
+    try:
+        matrix = np.asarray(rows, dtype=np.uint8)
+    except ValueError as err:  # ragged rows, or entries that are not numbers
+        raise ValueError(f"{name}: not a matrix of equal-length rows: {err}") from err
+    if matrix.ndim != 2:
+        raise ValueError(f"{name}: must be a 2-D matrix, got {matrix.ndim}-D")
+    return matrix
+
+
 class ClickRealization:
     """The click outcomes of one seeded run, read by (agent, slot, round window).
 
@@ -60,14 +70,23 @@ class ClickRealization:
 
     @classmethod
     def from_matrices(cls, seed: int, intrinsic_clicks, observations=None) -> "ClickRealization":
-        """A realization of explicit K×T intrinsic and (multi-slot) M×T observation matrices."""
-        intrinsic = np.asarray(intrinsic_clicks, dtype=np.uint8)
+        """A realization of explicit K×T intrinsic and (multi-slot) M×T observation matrices.
+
+        Only what ``dump_realization`` writes and ``load_realization`` reads
+        back is accepted: 2-D matrices, and an observation layer of at least
+        two rows of the intrinsic rows' length (one slot has none).
+        """
+        intrinsic = _matrix("intrinsic_clicks", intrinsic_clicks)
         matrices = {_INTRINSIC_LAYER: intrinsic}
-        num_slots = 1
+        num_slots, horizon = 1, intrinsic.shape[1]
         if observations is not None:
-            matrices[_OBSERVATION_LAYER] = np.asarray(observations, dtype=np.uint8)
-            num_slots = matrices[_OBSERVATION_LAYER].shape[0]
-        return cls(seed, num_slots, intrinsic.shape[1], matrices=matrices)
+            matrices[_OBSERVATION_LAYER] = _matrix("observations", observations)
+            num_slots, length = matrices[_OBSERVATION_LAYER].shape
+            if num_slots < 2:
+                raise ValueError(f"observations: need at least 2 rows (slots), got {num_slots}")
+            if length != horizon:
+                raise ValueError(f"observations: rows have length {length}, expected T = {horizon}")
+        return cls(seed, num_slots, horizon, matrices=matrices)
 
     def _chunks(self, layer: int, row: int, start: int, stop: int):
         """A row's outcomes over [start, stop), as consecutive uint8 pieces."""

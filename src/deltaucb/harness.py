@@ -30,6 +30,8 @@ from .strategy_lab import BaselineKind, build_scenario, run_baseline, verify_dsi
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
+# rows per block when writing a table: bounds its text held in memory
+_ROW_BLOCK = 65_536
 
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", "oracle", "plain-ucb", "explore-t23")
 SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", "oracle", "plain-ucb", "explore-t23")
@@ -218,8 +220,9 @@ def fmt_num(x: float) -> str:
 def round_log_rows(log, profiles, config) -> dict:
     """The round log as table columns, one row per shown (round, slot), with running totals.
 
-    The running columns are ``np.cumsum`` of per-row amounts; numpy
-    accumulates them in row order, so each entry is the left-to-right sum.
+    The columns are numpy arrays. The running columns are ``np.cumsum`` of
+    per-row amounts; numpy accumulates them in row order, so each entry is
+    the left-to-right sum.
     """
     config = validate_config(config)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
@@ -235,7 +238,7 @@ def round_log_rows(log, profiles, config) -> dict:
         "regret_cum": np.cumsum(np.array(tables.gap)[cell]),
         "revenue_cum": np.cumsum(log.payment),
     }
-    return {name: column.tolist() for name, column in columns.items()}
+    return columns
 
 
 def emit_round_log(log, path, fmt, profiles, config) -> None:
@@ -244,22 +247,53 @@ def emit_round_log(log, path, fmt, profiles, config) -> None:
 
 
 def write_table(columns: dict, path, fmt) -> None:
-    """Write equal-length columns as CSV or JSONL.
+    """Write equal-length columns as CSV or JSONL, ``_ROW_BLOCK`` rows at a time.
 
     CSV has a header row and renders floats with ``fmt_num`` and anything
-    else with ``str``; JSONL has one object per row, keys sorted.
+    else with ``str``; JSONL has one object per row, keys sorted. Columns
+    may be lists or 1-D numpy arrays; a row holds what ``tolist`` gives.
     """
-    rows = zip(*columns.values())
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [
-            ",".join(fmt_num(v) if isinstance(v, float) else str(v) for v in row) for row in rows
-        ]
-    elif fmt == "jsonl":
-        lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    names = list(columns)
+    rows = min((len(column) for column in columns.values()), default=0)
+    # the same encoder json.dumps(..., sort_keys=True) builds on every call
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with Path(path).open("w") as fh:
+        if fmt == "csv":
+            fh.write(",".join(names) + "\n")
+        elif rows == 0:
+            fh.write("\n")
+        for lo in range(0, rows, _ROW_BLOCK):
+            block = [column[lo : lo + _ROW_BLOCK] for column in columns.values()]
+            if fmt == "csv":
+                lines = map(",".join, zip(*map(_csv_cells, block)))
+            else:
+                values = [_plain(column) for column in block]
+                lines = (encode(dict(zip(names, row))) for row in zip(*values))
+            fh.write("\n".join(lines) + "\n")
+
+
+def _plain(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _csv_cells(column) -> list:
+    """A column's CSV texts: one render per distinct value of a numeric or text array."""
+    if isinstance(column, np.ndarray) and column.ndim == 1:
+        kind = column.dtype.kind
+        if kind == "f" and column.dtype.itemsize <= 8:
+            render = fmt_num
+        elif kind in "biuU":
+            render = str
+        else:
+            render = None
+        if render is not None:
+            # fmt_num prints -0.0 as 0.0 and every nan as nan, the values unique merges
+            distinct, inverse = np.unique(column, return_inverse=True)
+            texts = np.array([render(v) for v in distinct.tolist()], dtype=object)
+            return texts[inverse].tolist()
+    return [fmt_num(v) if isinstance(v, float) else str(v) for v in _plain(column)]
 
 
 def summary_row(summary) -> dict:

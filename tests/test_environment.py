@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaucb import environment
+from deltaucb import environment, harness
 from deltaucb.core import AuctionConfig, exploration_budget, validate_config
 from deltaucb.environment import (
     ClickRealization,
@@ -180,6 +180,24 @@ def test_load_accepts_trailing_blank_lines(tmp_path):
     assert load_realization(path).clicks(2, 1, 0, 4).tolist() == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "intrinsic, observations, match",
+    [
+        pytest.param([[1, 1]], [[0, 1]], "observations: need at least 2 rows", id="M=1"),
+        pytest.param([[1, 1]], np.zeros((0, 2)), "observations: need at least 2 rows", id="M=0"),
+        pytest.param([[1, 1]], [[0, 1, 1], [1, 1, 0]], "observations: rows have length 3", id="T"),
+        pytest.param([[1, 1]], [[0, 1], [1, 1, 0]], "observations: not a matrix", id="ragged"),
+        pytest.param([[1, 1], [1]], None, "intrinsic_clicks: not a matrix", id="ragged-K"),
+        pytest.param([1, 1], None, "intrinsic_clicks: must be a 2-D", id="1-D"),
+        pytest.param([[1, 1]], [0, 1], "observations: must be a 2-D", id="1-D-M"),
+        pytest.param([[[1, 1]]], None, "intrinsic_clicks: must be a 2-D", id="3-D"),
+    ],
+)
+def test_from_matrices_rejects_what_a_dump_cannot_round_trip(intrinsic, observations, match):
+    with pytest.raises(ValueError, match=match):
+        ClickRealization.from_matrices(0, intrinsic, observations)
+
+
 def test_out_of_range_indices_error():
     realization = make_realization([[1, 0]])
     with pytest.raises(IndexError):
@@ -331,6 +349,28 @@ def test_dump_memory_does_not_grow_with_horizon(tmp_path, num_slots, prominences
     dump(10**5)()  # warm caches outside the measurement
     small, large = _traced_peak(dump(10**5)), _traced_peak(dump(2 * 10**6))
     assert large - small < 2**20, (small, large)
+
+
+def test_table_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # a round log's columns, built before the measurement; 8x the rows must not raise the peak
+    monkeypatch.setattr(harness, "_ROW_BLOCK", 4096)
+    rows = 4 * harness._ROW_BLOCK
+    rng = np.random.default_rng(5)
+
+    def table(n):
+        payment = np.round(rng.uniform(0.0, 1.0, n), 3) * (rng.random(n) < 0.3)
+        columns = {
+            "t": np.arange(1, n + 1),
+            "phase": np.where(np.arange(n) < 100, "exploration", "exploitation"),
+            "agent": rng.integers(1, 6, n),
+            "payment": payment,
+            "revenue_cum": np.cumsum(payment),
+        }
+        return lambda: harness.write_table(columns, tmp_path / "t.csv", "csv")
+
+    table(rows)()  # warm caches outside the measurement
+    small, large = _traced_peak(table(rows)), _traced_peak(table(8 * rows))
+    assert large - small < 2 * 2**20, (small, large)
 
 
 def test_reading_a_window_twice_draws_its_rows_once(monkeypatch):

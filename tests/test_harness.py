@@ -4,12 +4,15 @@ import csv
 import io
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,6 +243,83 @@ def test_fmt_num_renderings():
     assert fmt_num(0.0) == "0.000000000000"
     assert fmt_num(0.5) == "0.50000000000"
     assert len(fmt_num(14.7483688681).replace(".", "").lstrip("0")) <= 12
+    # the digit count follows the last bits, and the golden files hold both forms
+    assert fmt_num(0.275) == "0.275000000000"
+    assert fmt_num(0.27499999999999997) == "0.27500000000"
+
+
+def _reference_write_table(columns, path, fmt):
+    """The per-row writer that write_table replaced, fed plain values as round_log_rows was."""
+    columns = {
+        name: column.tolist() if isinstance(column, np.ndarray) else column
+        for name, column in columns.items()
+    }
+    rows = zip(*columns.values())
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [
+            ",".join(fmt_num(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+        ]
+    elif fmt == "jsonl":
+        lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# values whose rendering carries into another digit count, and the subnormal edges
+_CARRIES = [0.275, 0.27499999999999997, 9.9999999999995, 0.5, 1e-12, 1e15]
+_SUBNORMALS = [5e-324, 2.2250738585072009e-308]
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, *_CARRIES, *_SUBNORMALS]),
+    st.floats(1e-12, 1e15).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+# a column kind: its values, and the array dtype it is stored as (None: a Python list)
+_COLUMN_KINDS = [
+    (_FLOATS, np.float64),
+    (_FLOATS, None),
+    (st.floats(width=32, allow_nan=True), np.float32),
+    (st.integers(-(2**63), 2**63 - 1), np.int64),
+    (st.integers(-(2**70), 2**70), None),
+    (st.integers(0, 255), np.uint8),
+    (st.booleans(), np.bool_),
+    (_TEXT, np.str_),
+    (_TEXT, None),
+    (st.one_of(st.integers(-5, 5), _FLOATS), None),  # mixed, like a summary column
+]
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 24))
+    names = draw(st.lists(st.text("abcz_", min_size=1, max_size=4), max_size=5, unique=True))
+    columns = {}
+    for name in names:
+        values, dtype = draw(st.sampled_from(_COLUMN_KINDS))
+        # a few distinct values, repeated, beside fresh ones
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        cells = st.one_of(st.sampled_from(pool), values)
+        column = draw(st.lists(cells, min_size=rows, max_size=rows))
+        columns[name] = column if dtype is None else np.array(column, dtype=dtype)
+    return columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(columns=_tables(), block=st.sampled_from([1, 2, 7, harness._ROW_BLOCK]))
+def test_write_table_matches_the_per_row_writer(tmp_path_factory, columns, block):
+    out = tmp_path_factory.mktemp("table")
+    for fmt in ("csv", "jsonl"):
+        _reference_write_table(columns, out / f"reference.{fmt}", fmt)
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            harness.write_table(columns, out / f"table.{fmt}", fmt)
+        assert (out / f"table.{fmt}").read_bytes() == (out / f"reference.{fmt}").read_bytes(), fmt
+
+
+def test_write_table_with_no_rows(tmp_path):
+    columns = {"t": np.array([], dtype=np.int64), "payment": []}
+    for fmt, expected in (("csv", b"t,payment\n"), ("jsonl", b"\n")):
+        harness.write_table(columns, tmp_path / f"empty.{fmt}", fmt)
+        assert (tmp_path / f"empty.{fmt}").read_bytes() == expected
 
 
 def test_golden_files_are_stable(tmp_path):
