@@ -362,6 +362,15 @@ def test_golden_files_cover_exploit_only_and_baselines(tmp_path, mechanism, roun
     assert (out / "summary.csv").read_bytes() == summary.read_bytes()
 
 
+def test_golden_files_cover_drawn_profiles(tmp_path):
+    """Profiles drawn from explicit generator ranges at v_max = 2, both phases present."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(DATA / "golden_drawn.cfg"), "--out", str(out),
+                 "--rounds-log", "all"]) == 0
+    assert (out / "rounds.csv").read_bytes() == (DATA / "golden_drawn_rounds.csv").read_bytes()
+    assert (out / "summary.csv").read_bytes() == (DATA / "golden_drawn_summary.csv").read_bytes()
+
+
 def test_golden_sweep_summary_is_stable(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(DATA / "golden_sweep.cfg"), "--out", str(out)]) == 0
@@ -377,6 +386,8 @@ def test_golden_sweep_summary_is_stable(tmp_path):
         ("one_agent", "ir-check", 0),
         ("explore_only", "dsic-check", 0),
         ("explore_only", "ir-check", 0),
+        ("drawn", "dsic-check", 1),
+        ("drawn", "ir-check", 1),
     ],
 )
 def test_golden_check_outputs_are_stable(capsys, config_name, command, code):
