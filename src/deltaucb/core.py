@@ -199,7 +199,6 @@ class LearnerState:
     lcb: np.ndarray
     round: int = 0
     phase: Phase = Phase.EXPLORATION
-    frozen_order: Optional[tuple] = None
 
     @classmethod
     def fresh(cls, num_agents: int, horizon: int, eps_scale: float = 1.0) -> "LearnerState":
@@ -229,10 +228,9 @@ class LearnerState:
         self.ucb[i] = self.empirical_ctr[i] + radius
         self.lcb[i] = self.empirical_ctr[i] - radius
 
-    def freeze(self, order) -> None:
-        """Stop learning and remember the score ordering fixed at exploration end."""
+    def freeze(self) -> None:
+        """Stop learning: the indices stay as exploration left them."""
         self.phase = Phase.EXPLOITATION
-        self.frozen_order = tuple(int(a) for a in order)
 
     def copy(self) -> "LearnerState":
         return LearnerState(
@@ -245,15 +243,13 @@ class LearnerState:
             lcb=self.lcb.copy(),
             round=self.round,
             phase=self.phase,
-            frozen_order=self.frozen_order,
         )
 
     def learning_bytes(self) -> bytes:
         """Serialization of the learned content only.
 
-        Excludes the round counter, phase, and frozen order: those change
-        with time or depend on bids, while the learned statistics must be a
-        function of the realization alone.
+        Excludes the round counter and phase: those change with time, while
+        the learned statistics must be a function of the realization alone.
         """
         head = struct.pack("<qd", int(self.horizon), float(self.eps_scale))
         return (
@@ -267,13 +263,7 @@ class LearnerState:
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization, used for exact state comparisons."""
-        head = struct.pack(
-            "<qB",
-            int(self.round),
-            1 if self.phase is Phase.EXPLOITATION else 0,
-        )
-        order = self.frozen_order or ()
-        head += struct.pack(f"<q{len(order)}q", len(order), *order)
+        head = struct.pack("<qB", int(self.round), 1 if self.phase is Phase.EXPLOITATION else 0)
         return head + self.learning_bytes()
 
 

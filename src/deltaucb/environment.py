@@ -73,10 +73,13 @@ class ClickRealization:
         """A realization of explicit K×T intrinsic and (multi-slot) M×T observation matrices.
 
         Only what ``dump_realization`` writes and ``load_realization`` reads
-        back is accepted: 2-D matrices, and an observation layer of at least
-        two rows of the intrinsic rows' length (one slot has none).
+        back is accepted: 2-D matrices of at least one agent and one round,
+        and an observation layer of at least two rows of the intrinsic rows'
+        length (one slot has none).
         """
         intrinsic = _matrix("intrinsic_clicks", intrinsic_clicks)
+        if 0 in intrinsic.shape:
+            raise ValueError(f"intrinsic_clicks: need K, T >= 1, got K×T = {intrinsic.shape}")
         matrices = {_INTRINSIC_LAYER: intrinsic}
         num_slots, horizon = 1, intrinsic.shape[1]
         if observations is not None:

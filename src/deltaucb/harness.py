@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,8 +33,9 @@ _INSTANCE_LAYER = 3
 # rows per block when writing a table: bounds its text held in memory
 _ROW_BLOCK = 65_536
 
-MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", "oracle", "plain-ucb", "explore-t23")
-SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", "oracle", "plain-ucb", "explore-t23")
+_BASELINES = tuple(kind.value for kind in BaselineKind)
+MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", *_BASELINES)
+SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", *_BASELINES)
 
 _INT_KEYS = {"num_agents", "num_slots", "horizon", "seed", "sweep_seeds", "jobs"}
 _FLOAT_KEYS = {"delta", "v_max"}
@@ -109,89 +110,79 @@ def _at_least_one(key: str, value: int) -> int:
     return value
 
 
+def _delta_ucb_for(num_slots: int) -> str:
+    """The Δ-UCB a slot count runs: single-slot on one slot, multi-slot on several."""
+    return "delta-ucb-single" if num_slots == 1 else "delta-ucb-multi"
+
+
+def _given(cls, values: dict) -> dict:
+    """The values named by the dataclass's fields; absent ones keep the field defaults."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
 def spec_from_values(raw: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from already-split key/value strings."""
     values = {key: _parse_value(key, value) for key, value in raw.items()}
     for required in ("num_agents", "horizon", "delta"):
         if required not in values:
             raise ConfigError(f"missing required config key: {required}")
-    config = AuctionConfig(
-        num_agents=values["num_agents"],
-        horizon=values["horizon"],
-        delta=values["delta"],
-        num_slots=values.get("num_slots", 1),
-        v_max=values.get("v_max", 1.0),
-        prominences=values.get("prominences"),
-        lambdas=values.get("lambdas"),
-        seed=values.get("seed", 0),
-    )
-    config = validate_config(config)
-    mechanism = values.get(
-        "mechanism", "delta-ucb-single" if config.num_slots == 1 else "delta-ucb-multi"
-    )
-    if mechanism not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism: {mechanism}")
-    sweep = {}
-    for axis in ("horizon", "delta", "num_agents", "num_slots"):
-        key = f"sweep_{axis}"
-        if key in values:
-            sweep[axis] = tuple(values[key])
+    config = validate_config(AuctionConfig(**_given(AuctionConfig, values)))
+    values.setdefault("mechanism", _delta_ucb_for(config.num_slots))
+    sweep = {
+        axis: values[f"sweep_{axis}"]
+        for axis in ("horizon", "delta", "num_agents", "num_slots")
+        if f"sweep_{axis}" in values
+    }
+    spec = ExperimentSpec(config=config, sweep=sweep, **_given(ExperimentSpec, values))
+    if spec.mechanism not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism: {spec.mechanism}")
     slot_counts = {config.num_slots, *sweep.get("num_slots", ())}
-    if mechanism in SINGLE_SLOT_MECHANISMS and slot_counts != {1}:
-        raise ConfigError(f"mechanism, num_slots: {mechanism} runs on one slot only")
-    for key in ("sweep_seeds", "jobs"):
-        _at_least_one(key, values.get(key, 1))
-    if any(k < config.num_slots for k in values.get("agents_choices", ())):
+    if spec.mechanism in SINGLE_SLOT_MECHANISMS and slot_counts != {1}:
+        raise ConfigError(f"mechanism, num_slots: {spec.mechanism} runs on one slot only")
+    _at_least_one("sweep_seeds", spec.sweep_seeds)
+    _at_least_one("jobs", spec.jobs)
+    if any(k < config.num_slots for k in spec.agents_choices or ()):
         raise ConfigError("agents_choices must all be at least num_slots")
-    spec = ExperimentSpec(
-        config=config,
-        mechanism=mechanism,
-        ctrs=values.get("ctrs"),
-        valuations=values.get("valuations"),
-        bids=values.get("bids"),
-        ctr_range=values.get("ctr_range", (0.05, 0.95)),
-        valuation_range=values.get("valuation_range"),
-        sweep=sweep,
-        sweep_seeds=values.get("sweep_seeds", 1),
-        agents_choices=values.get("agents_choices"),
-        jobs=values.get("jobs", 1),
-    )
     for key in ("ctrs", "valuations", "bids"):
         if key in values and len(values[key]) != config.num_agents:
             raise ConfigError(f"{key} length must equal num_agents")
+    for key in ("valuations", "bids"):
+        if key in values and spec.ctrs is None:
+            raise ConfigError(f"{key} needs ctrs: drawn profiles bid their drawn valuations")
     for key in ("ctr_range", "valuation_range"):
-        bounds = values.get(key)
-        if bounds is None:
-            continue
-        if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:
+        bounds = getattr(spec, key)
+        if bounds is not None and (
+            len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf
+        ):
             raise ConfigError(f"{key} must be two finite numbers lo, hi with lo <= hi")
     return spec
 
 
-def build_profiles(spec: ExperimentSpec, config: AuctionConfig) -> list:
-    """Agent profiles for one cell: explicit lists, or draws from the generator ranges."""
-    if spec.ctrs is not None:
-        if len(spec.ctrs) != config.num_agents:
-            raise ConfigError("explicit ctrs cannot be combined with a num_agents sweep")
-        valuations = spec.valuations or tuple(config.v_max for _ in spec.ctrs)
-        bids = spec.bids or valuations
-        profiles = [
-            AgentProfile(id=i + 1, ctr=spec.ctrs[i], valuation=valuations[i], bid=bids[i])
-            for i in range(config.num_agents)
-        ]
-    else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(config.seed), _PROFILE_LAYER])
-        )
-        lo, hi = spec.ctr_range
-        vlo, vhi = spec.valuation_range or (0.1 * config.v_max, config.v_max)
-        ctrs = rng.uniform(lo, hi, config.num_agents)
-        valuations = rng.uniform(vlo, vhi, config.num_agents)
-        profiles = [
-            AgentProfile(id=i + 1, ctr=float(ctrs[i]), valuation=float(valuations[i]))
-            for i in range(config.num_agents)
-        ]
+def _draw_rates_and_values(spec: ExperimentSpec, config: AuctionConfig, rng) -> tuple:
+    """Click rates, then valuations, for config's agents from the spec's generator ranges."""
+    vlo, vhi = spec.valuation_range or (0.1 * config.v_max, config.v_max)
+    ctrs = rng.uniform(*spec.ctr_range, config.num_agents)
+    return ctrs, rng.uniform(vlo, vhi, config.num_agents)
+
+
+def _profiles(config: AuctionConfig, ctrs, valuations, bids) -> list:
+    profiles = [
+        AgentProfile(id=i, ctr=c, valuation=v, bid=b)
+        for i, (c, v, b) in enumerate(zip(ctrs, valuations, bids), start=1)
+    ]
     return validate_profiles(profiles, config)
+
+
+def build_profiles(spec: ExperimentSpec, config: AuctionConfig) -> list:
+    """Agent profiles for one cell: explicit lists, or truthful draws from the generator ranges."""
+    if spec.ctrs is None:
+        rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), _PROFILE_LAYER]))
+        ctrs, valuations = (a.tolist() for a in _draw_rates_and_values(spec, config, rng))
+        return _profiles(config, ctrs, valuations, valuations)
+    if len(spec.ctrs) != config.num_agents:
+        raise ConfigError("explicit ctrs cannot be combined with a num_agents sweep")
+    valuations = spec.valuations or tuple(config.v_max for _ in spec.ctrs)
+    return _profiles(config, spec.ctrs, valuations, spec.bids or valuations)
 
 
 def dispatch_run(mechanism: str, config, profiles, realization=None, rounds_log="none"):
@@ -200,7 +191,7 @@ def dispatch_run(mechanism: str, config, profiles, realization=None, rounds_log=
         return run_single_slot(config, profiles, realization=realization, rounds_log=rounds_log)
     if mechanism == "delta-ucb-multi":
         return run_multi_slot(config, profiles, realization=realization, rounds_log=rounds_log)
-    if mechanism in tuple(kind.value for kind in BaselineKind):
+    if mechanism in _BASELINES:
         return run_baseline(
             BaselineKind(mechanism), config, profiles, realization=realization, rounds_log=rounds_log
         )
@@ -297,7 +288,6 @@ def _csv_cells(column) -> list:
 
 
 def summary_row(summary) -> dict:
-    log_horizon = math.log(summary.horizon) if summary.horizon > 1 else float("nan")
     utilities = ";".join(
         fmt_num(summary.per_agent_utility[agent]) for agent in sorted(summary.per_agent_utility)
     )
@@ -317,8 +307,8 @@ def summary_row(summary) -> dict:
         "total_standard_regret": summary.total_standard_regret,
         "total_revenue": summary.total_revenue,
         "total_welfare": summary.total_welfare,
-        "delta_regret_over_logT": summary.total_delta_regret / log_horizon
-        if log_horizon == log_horizon and log_horizon > 0
+        "delta_regret_over_logT": summary.total_delta_regret / math.log(summary.horizon)
+        if summary.horizon > 1
         else float("nan"),
         "winners": ";".join(str(w) for w in summary.winners),
         "per_agent_utility": utilities,
@@ -387,16 +377,9 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     config = validate_config(
         replace(base, num_agents=num_agents, seed=derive_subseed(base.seed, {"instance": index}))
     )
-    lo, hi = spec.ctr_range
-    vlo, vhi = spec.valuation_range or (0.1 * config.v_max, config.v_max)
-    ctrs = rng.uniform(lo, hi, num_agents)
-    valuations = rng.uniform(vlo, vhi, num_agents)
+    ctrs, valuations = _draw_rates_and_values(spec, config, rng)
     bids = rng.uniform(0.0, config.v_max, num_agents)
-    profiles = [
-        AgentProfile(id=i + 1, ctr=float(ctrs[i]), valuation=float(valuations[i]), bid=float(bids[i]))
-        for i in range(num_agents)
-    ]
-    return config, validate_profiles(profiles, config)
+    return config, _profiles(config, ctrs.tolist(), valuations.tolist(), bids.tolist())
 
 
 def _dsic_reports(config, profiles, realization):
@@ -430,7 +413,7 @@ def property_check(command: str, spec: ExperimentSpec, instances: int, out=None)
     """Run one of ``_CHECKS`` over random instances; returns the (instance, report) violations."""
     _at_least_one("instances", instances)
     # the checks replay Δ-UCB with the slot count's price rule and the log-sized budget
-    replayed = "delta-ucb-single" if spec.config.num_slots == 1 else "delta-ucb-multi"
+    replayed = _delta_ucb_for(spec.config.num_slots)
     if spec.mechanism != replayed:
         raise ConfigError(f"mechanism: {command} replays {replayed}, not {spec.mechanism}")
     out = out if out is not None else sys.stdout

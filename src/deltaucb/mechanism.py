@@ -83,11 +83,6 @@ def multi_exploration_allocation(t, slot: int, num_agents: int):
     return (((t - 1) % num_agents) + slot - 1) % num_agents + 1
 
 
-def exploration_agent(t: int, num_agents: int) -> int:
-    """Single-slot round-robin allocation for free rounds: ((t-1) mod K) + 1."""
-    return multi_exploration_allocation(t, 1, num_agents)
-
-
 def exploration_clicks(
     realization: ClickRealization, config: AuctionConfig, agent: int, until: int
 ):
@@ -139,7 +134,7 @@ def declare(state: LearnerState, bids, prominences, price_rule) -> Outcome:
     scores = state.ucb * bids
     ranking = tuple(int(i) + 1 for i in np.argsort(-scores, kind="stable"))
     prices = tuple(price_rule(ranking, scores, state.ucb, prominences))
-    state.freeze(ranking)
+    state.freeze()
     return Outcome(ranking=ranking, payments_per_click=prices, learner=state)
 
 

@@ -401,7 +401,6 @@ def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult
             agent = int(np.argmax(state.ucb * bids_arr)) + 1
         click = int(rows[agent - 1][t - 1])
         state.record_pull(agent, float(click))
-        state.round = t
         per_agent_utility[agent] += profiles[agent - 1].valuation * click
         shown[t - 1], clicks[t - 1] = agent, click
     summary = summarize(

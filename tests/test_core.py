@@ -137,7 +137,7 @@ def test_learner_state_frozen_rejects_pulls():
     state = LearnerState.fresh(2, horizon=100)
     state.record_pull(1, 1.0)
     state.record_pull(2, 0.0)
-    state.freeze((1, 2))
+    state.freeze()
     assert state.phase is Phase.EXPLOITATION
     with pytest.raises(RuntimeError, match="frozen"):
         state.record_pull(1, 1.0)

@@ -191,6 +191,8 @@ def test_load_accepts_trailing_blank_lines(tmp_path):
         pytest.param([1, 1], None, "intrinsic_clicks: must be a 2-D", id="1-D"),
         pytest.param([[1, 1]], [0, 1], "observations: must be a 2-D", id="1-D-M"),
         pytest.param([[[1, 1]]], None, "intrinsic_clicks: must be a 2-D", id="3-D"),
+        pytest.param([[]], None, "intrinsic_clicks: need K, T >= 1", id="T=0"),
+        pytest.param(np.zeros((0, 5)), None, "intrinsic_clicks: need K, T >= 1", id="K=0"),
     ],
 )
 def test_from_matrices_rejects_what_a_dump_cannot_round_trip(intrinsic, observations, match):

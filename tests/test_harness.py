@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaucb import harness
-from deltaucb.core import ConfigError
+from deltaucb.core import AuctionConfig, ConfigError, validate_config
 from deltaucb.harness import (
     _FLOAT_KEYS,
     _FLOAT_LIST_KEYS,
     _INT_KEYS,
     _INT_LIST_KEYS,
     _STR_KEYS,
+    ExperimentSpec,
     derive_subseed,
     fmt_num,
     main,
@@ -72,6 +73,17 @@ def test_parse_rejects_missing_required(tmp_path):
     path = _write(tmp_path, "bad.cfg", "num_agents = 3\nhorizon = 10\n")
     with pytest.raises(ConfigError, match="missing required config key: delta"):
         parse_config_file(path)
+
+
+def test_parse_leaves_absent_keys_to_the_dataclass_defaults(tmp_path):
+    minimal = "num_agents = 3\nhorizon = 200\ndelta = 1.2\n"
+    spec = parse_config_file(_write(tmp_path, "minimal.cfg", minimal))
+    config = validate_config(AuctionConfig(num_agents=3, horizon=200, delta=1.2))
+    assert spec == ExperimentSpec(config=config, mechanism="delta-ucb-single")
+    two_slots = minimal + "num_slots = 2\nprominences = 1.0, 0.5\n"
+    spec = parse_config_file(_write(tmp_path, "two_slots.cfg", two_slots))
+    config = AuctionConfig(num_agents=3, horizon=200, delta=1.2, num_slots=2, prominences=(1.0, 0.5))
+    assert spec == ExperimentSpec(config=validate_config(config), mechanism="delta-ucb-multi")
 
 
 def test_parse_rejects_duplicate_key(tmp_path):
@@ -690,6 +702,22 @@ def test_sweep_cells_that_fail_exit_2(tmp_path, capsys, command, lines, field):
     captured = capsys.readouterr()
     assert f"config error: {field}" in captured.err
     assert "config ok" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "dsic-check", "ir-check"])
+@pytest.mark.parametrize(
+    "line, key", [("valuations = 0.1, 0.2, 0.3", "valuations"), ("bids = 0, 0, 0", "bids")]
+)
+def test_valuations_or_bids_without_ctrs_exit_2(tmp_path, capsys, command, line, key):
+    # drawn profiles draw their valuations and bid them, so either list would be ignored
+    text = "num_agents = 3\nhorizon = 200\ndelta = 1.2\nseed = 11\n" + line + "\n"
+    args = [command, "--config", _write(tmp_path, "drawn.cfg", text)]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {key} needs ctrs" in captured.err
+    assert captured.out == ""
 
 
 _FUZZ_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS)

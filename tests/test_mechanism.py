@@ -7,8 +7,8 @@ from deltaucb.core import AuctionConfig, LearnerState, Phase, validate_config
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import (
     declare_winner,
-    exploration_agent,
     iter_rounds,
+    multi_exploration_allocation,
     normalized_runner_up,
     run_single_slot,
     ucb_pair,
@@ -55,7 +55,7 @@ def test_ucb_pair_rejects_zero_pulls():
 
 
 def test_round_robin_schedule():
-    assert [exploration_agent(t, 3) for t in range(1, 7)] == [1, 2, 3, 1, 2, 3]
+    assert [multi_exploration_allocation(t, 1, 3) for t in range(1, 7)] == [1, 2, 3, 1, 2, 3]
 
 
 def test_exploration_updates_only_allocated_agent():
