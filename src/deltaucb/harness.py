@@ -158,7 +158,7 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
     return spec
 
 
-def _draw_rates_and_values(spec: ExperimentSpec, config: AuctionConfig, rng) -> tuple:
+def _draw_ctrs_and_valuations(spec: ExperimentSpec, config: AuctionConfig, rng) -> tuple:
     """Click rates, then valuations, for config's agents from the spec's generator ranges."""
     vlo, vhi = spec.valuation_range or (0.1 * config.v_max, config.v_max)
     ctrs = rng.uniform(*spec.ctr_range, config.num_agents)
@@ -177,7 +177,7 @@ def build_profiles(spec: ExperimentSpec, config: AuctionConfig) -> list:
     """Agent profiles for one cell: explicit lists, or truthful draws from the generator ranges."""
     if spec.ctrs is None:
         rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), _PROFILE_LAYER]))
-        ctrs, valuations = (a.tolist() for a in _draw_rates_and_values(spec, config, rng))
+        ctrs, valuations = (a.tolist() for a in _draw_ctrs_and_valuations(spec, config, rng))
         return _profiles(config, ctrs, valuations, valuations)
     if len(spec.ctrs) != config.num_agents:
         raise ConfigError("explicit ctrs cannot be combined with a num_agents sweep")
@@ -377,7 +377,7 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     config = validate_config(
         replace(base, num_agents=num_agents, seed=derive_subseed(base.seed, {"instance": index}))
     )
-    ctrs, valuations = _draw_rates_and_values(spec, config, rng)
+    ctrs, valuations = _draw_ctrs_and_valuations(spec, config, rng)
     bids = rng.uniform(0.0, config.v_max, num_agents)
     return config, _profiles(config, ctrs.tolist(), valuations.tolist(), bids.tolist())
 

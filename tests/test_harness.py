@@ -82,7 +82,7 @@ def test_parse_leaves_absent_keys_to_the_dataclass_defaults(tmp_path):
     assert spec == ExperimentSpec(config=config, mechanism="delta-ucb-single")
     two_slots = minimal + "num_slots = 2\nprominences = 1.0, 0.5\n"
     spec = parse_config_file(_write(tmp_path, "two_slots.cfg", two_slots))
-    config = AuctionConfig(num_agents=3, horizon=200, delta=1.2, num_slots=2, prominences=(1.0, 0.5))
+    config = AuctionConfig(3, 200, 1.2, num_slots=2, prominences=(1.0, 0.5))
     assert spec == ExperimentSpec(config=validate_config(config), mechanism="delta-ucb-multi")
 
 
