@@ -394,6 +394,7 @@ def test_golden_sweep_summary_is_stable(tmp_path):
     [
         ("dsic_multi", "dsic-check", 1),
         ("ir_multi", "ir-check", 1),
+        ("ir_multi", "dsic-check", 1),
         ("one_agent", "dsic-check", 0),
         ("one_agent", "ir-check", 0),
         ("explore_only", "dsic-check", 0),
