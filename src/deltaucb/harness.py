@@ -26,7 +26,14 @@ from .environment import draw_realization
 from .mechanism import run_single_slot
 from .mechanism_multi import run_multi_slot
 from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
-from .strategy_lab import BaselineKind, build_scenario, run_baseline, verify_dsic, verify_ir
+from .strategy_lab import (
+    BaselineKind,
+    build_scenario,
+    run_baseline,
+    shared_learner,
+    verify_dsic,
+    verify_ir,
+)
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
@@ -155,6 +162,11 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
             len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf
         ):
             raise ConfigError(f"{key} must be two finite numbers lo, hi with lo <= hi")
+    # v_max is not sweepable, so these bounds hold in every cell and every instance
+    for key, top, name in (("ctr_range", 1.0, "1"), ("valuation_range", config.v_max, "v_max")):
+        bounds = getattr(spec, key)
+        if bounds is not None and not 0.0 <= bounds[0] <= bounds[1] <= top:
+            raise ConfigError(f"{key} must lie in [0, {name}]")
     return spec
 
 
@@ -383,8 +395,11 @@ def _draw_instance(spec: ExperimentSpec, index: int):
 
 
 def _dsic_reports(config, profiles, realization):
+    # learning ignores bids, so every deviator's scenario shares one learner
+    learned = shared_learner(config, realization)
     for deviator in range(1, config.num_agents + 1):
-        yield verify_dsic(config, profiles, build_scenario(config, profiles, realization, deviator))
+        scenario = build_scenario(config, profiles, realization, deviator, learned)
+        yield verify_dsic(config, profiles, scenario)
 
 
 def _ir_reports(config, profiles, realization):

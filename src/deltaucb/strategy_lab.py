@@ -7,6 +7,13 @@ expectation. Because learning rounds ignore bids, the learner state at the
 end of exploration is shared across all counterfactuals, which is what
 makes this replay exact.
 
+The per-round checks are closed forms over click patterns. A committed
+round's utility depends only on the agent's placement (slot and per-click
+price, or not shown) and its click there, so each pattern of the clicks
+involved is scored once, at the first round it occurs, instead of filling
+a length-T utility vector per bid. ``per_round_utilities`` is that vector,
+kept as the reference the checks agree with.
+
 Also provides reference mechanisms for regret comparisons: a clairvoyant
 allocator, a plain bid-weighted UCB learner with no payments, and a
 variant of the main mechanism whose free-round budget grows like T^(2/3)
@@ -16,9 +23,9 @@ instead of log T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +51,13 @@ PIVOT_PROBE = 1e-6
 TIE_NUDGE = 1e-9
 
 
+class Learned(NamedTuple):
+    """The free rounds 1..explore_until and the learner after them (None if they fill T)."""
+
+    explore_until: int
+    learner: Optional[LearnerState]
+
+
 @dataclass(frozen=True)
 class DeviationScenario:
     """One agent's counterfactual bid sweep against fixed competitors and randomness."""
@@ -52,6 +66,7 @@ class DeviationScenario:
     bid_grid: tuple
     fixed_others: tuple
     realization: ClickRealization
+    learned: Learned = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,18 +127,22 @@ def build_scenario(
     profiles: Sequence[AgentProfile],
     realization: ClickRealization,
     deviator: int,
+    learned: Optional[Learned] = None,
 ) -> DeviationScenario:
     """Bid grid over [0, v_max] plus probes just above and below the rank-flipping bids.
 
     The probe bids are where the deviator's score would tie the strongest
     competitor scores; exact ties are nudged away so the deterministic
-    tie-break never decides a comparison.
+    tie-break never decides a comparison. ``learned`` is the realization's
+    ``shared_learner``, learned here when not given; the scenario keeps it.
     """
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     others = bid_vector(profiles, None, config)
 
-    _, learner = _learned(config, realization)
+    if learned is None:
+        learned = shared_learner(config, realization)
+    learner = learned.learner
     probes = []
     if learner is not None:
         own = float(learner.ucb[deviator - 1])
@@ -156,15 +175,16 @@ def build_scenario(
         bid_grid=tuple(float(x) for x in grid),
         fixed_others=tuple(float(b) for b in others),
         realization=realization,
+        learned=learned,
     )
 
 
-def _learned(config, realization):
-    """Free rounds and the learner after them, or None when they fill the horizon."""
+def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Learned:
+    """The free rounds and the learner after them, shared by every check on the realization."""
     explore_until = min(exploration_budget(config), config.horizon)
     if explore_until >= config.horizon:
-        return explore_until, None
-    return explore_until, learn(realization, config, explore_until)
+        return Learned(explore_until, None)
+    return Learned(explore_until, learn(realization, config, explore_until))
 
 
 def _declare(config, learner, bids):
@@ -174,6 +194,64 @@ def _declare(config, learner, bids):
     return declare(learner.copy(), bids, config.prominences, price_rule_for(config.num_slots))
 
 
+def _placement(config, outcome, agent):
+    """The agent's (slot, per-click price) under an outcome, or None when it is not shown."""
+    if outcome is None:
+        return None
+    rank = outcome.ranking.index(agent)
+    if rank >= config.num_slots:
+        return None
+    return rank + 1, outcome.payments_per_click[rank]
+
+
+def _committed_utility(valuation, placement, clicks):
+    """One committed round's utility: (valuation - price) * click at the slot, else 0.0.
+
+    ``clicks`` maps slots to the round's click there. This is the
+    expression the utility vectors evaluate, so the floats agree bit for
+    bit, including the -0.0 of a price above the valuation.
+    """
+    if placement is None:
+        return 0.0
+    slot, price = placement
+    return (valuation - price) * clicks[slot]
+
+
+def _first_rounds(realization, agent, slots, start, stop) -> list:
+    """Each pattern of the agent's clicks at ``slots`` over rounds start+1..stop, with its first round.
+
+    Returns ({slot: click}, round) pairs for the patterns that occur. The
+    rows' bits are packed into one small code per round, and each code's
+    first round is one ``==`` pass and an ``argmax``.
+    """
+    if not slots:
+        return [({}, start + 1)]
+    rows = [realization.clicks(agent, m, start, stop) for m in slots]
+    code = rows[0]
+    for j, row in enumerate(rows[1:], start=1):
+        code = code | (row << j)
+    first = []
+    for k in range(1 << len(slots)):
+        hits = code == k
+        idx = int(np.argmax(hits))
+        if hits[idx]:
+            first.append(({m: (k >> j) & 1 for j, m in enumerate(slots)}, start + idx + 1))
+    return first
+
+
+def _earliest(candidates, pick):
+    """``pick`` (max or min) over (value, round) pairs; ties go to the earliest round."""
+    return pick(sorted(candidates, key=lambda c: c[1]), key=lambda c: c[0])
+
+
+def _exploration_utilities(config, realization, agent, valuation, explore_until):
+    """Utility in each free round 1..explore_until: valuation times the click when shown."""
+    util = np.zeros(explore_until)
+    for _, rounds, clicks in exploration_clicks(realization, config, agent, explore_until):
+        util[rounds - 1] += valuation * clicks
+    return util
+
+
 def verify_dsic(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
@@ -181,10 +259,14 @@ def verify_dsic(
 ) -> DsicReport:
     """Check that no grid bid ever beats the truthful bid in any round.
 
-    Learns once from the scenario's shared realization, then declares the
-    ranking and prices with the deviator truthful and once per grid bid,
-    against the fixed competitor bids, and compares utilities round by
-    round.
+    Declares the ranking and prices on the scenario's shared learner with
+    the deviator truthful and once per grid bid, against the fixed
+    competitor bids. Free rounds ignore bids, so their gain is 0.0. A
+    committed round's gain depends only on the deviator's clicks at its
+    deviated and its truthful slot; each pattern of those clicks is scored
+    at its first round, once per deviated slot. The worst gain is the
+    first-round maximum, and across the grid the first bid strictly worse
+    for truthfulness wins.
     """
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
@@ -195,25 +277,36 @@ def verify_dsic(
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = truthful_value
     truthful_bids = bid_vector(profiles, truthful_bids, config)
-    explore_until, learner = _learned(config, realization)
-    base = _declare(config, learner, truthful_bids)
-    truth_util = per_round_utilities(config, profiles, realization, base, deviator, explore_until)
+    explore_until, learner = scenario.learned
+    truth = _placement(config, _declare(config, learner, truthful_bids), deviator)
 
+    patterns = {}  # per set of slots involved: the first round of each click pattern
     worst = -math.inf
     witness_round = None
     witness_bid = None
     for bid in scenario.bid_grid:
         bids = truthful_bids.copy()
         bids[deviator - 1] = bid
-        outcome = _declare(config, learner, bids)
-        dev_util = per_round_utilities(
-            config, profiles, realization, outcome, deviator, explore_until
-        )
-        gain = dev_util - truth_util
-        idx = int(np.argmax(gain))
-        if gain[idx] > worst:
-            worst = float(gain[idx])
-            witness_round = idx + 1
+        placement = _placement(config, _declare(config, learner, bids), deviator)
+        candidates = [(0.0, 1)] if explore_until >= 1 else []
+        if learner is not None:
+            slots = tuple(sorted({p[0] for p in (placement, truth) if p is not None}))
+            if slots not in patterns:
+                patterns[slots] = _first_rounds(
+                    realization, deviator, slots, explore_until, config.horizon
+                )
+            candidates += [
+                (
+                    _committed_utility(truthful_value, placement, clicks)
+                    - _committed_utility(truthful_value, truth, clicks),
+                    t,
+                )
+                for clicks, t in patterns[slots]
+            ]
+        gain, t = _earliest(candidates, max)
+        if gain > worst:
+            worst = float(gain)
+            witness_round = t
             witness_bid = float(bid)
     return DsicReport(
         deviator=deviator,
@@ -230,23 +323,42 @@ def verify_ir(
     profiles: Sequence[AgentProfile],
     realization: ClickRealization,
 ) -> IrReport:
-    """Check every truthful agent's per-round utility is nonnegative, exactly."""
+    """Check every truthful agent's per-round utility is nonnegative, exactly.
+
+    Free-round utilities are a vector of explore_until entries. A committed
+    agent's utility takes one value with a click and one without, scored at
+    the first round of each; an unshown agent's is 0.0. Each agent's worst
+    is its first-round minimum, and the first agent strictly worse wins.
+    """
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
-    explore_until, learner = _learned(config, realization)
+    explore_until, learner = shared_learner(config, realization)
     outcome = _declare(config, learner, truthful)
 
     worst = math.inf
     agent_hit = None
     round_hit = None
     for p in profiles:
-        util = per_round_utilities(config, profiles, realization, outcome, p.id, explore_until)
-        idx = int(np.argmin(util))
-        if util[idx] < worst:
-            worst = float(util[idx])
+        candidates = []
+        if explore_until >= 1:
+            util = _exploration_utilities(config, realization, p.id, p.valuation, explore_until)
+            idx = int(np.argmin(util))
+            candidates.append((float(util[idx]), idx + 1))
+        if outcome is not None:
+            placement = _placement(config, outcome, p.id)
+            slots = () if placement is None else (placement[0],)
+            candidates += [
+                (_committed_utility(p.valuation, placement, clicks), t)
+                for clicks, t in _first_rounds(
+                    realization, p.id, slots, explore_until, config.horizon
+                )
+            ]
+        utility, t = _earliest(candidates, min)
+        if utility < worst:
+            worst = float(utility)
             agent_hit = p.id
-            round_hit = idx + 1
+            round_hit = t
     return IrReport(
         holds=worst >= 0.0, worst_utility=worst, witness_agent=agent_hit, witness_round=round_hit
     )

@@ -496,18 +496,20 @@ def test_checks_learn_and_declare_without_running_the_mechanism(monkeypatch, cap
 
         return wrapper
 
-    run = mechanism.run_mechanism
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "deltaucb":
-            for key, value in list(vars(module).items()):
-                if value is run:
-                    monkeypatch.setattr(module, key, counted("run_mechanism", run))
+    for fn in (mechanism.run_mechanism, mechanism.learn):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "deltaucb":
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted(fn.__name__, fn))
     count = environment.ClickRealization.click_count
     monkeypatch.setattr(environment.ClickRealization, "click_count", counted("click_count", count))
     for config_name in ("dsic_multi", "ir_multi", "one_agent"):
         cfg = str(DATA / f"golden_check_{config_name}.cfg")
         for command in ("dsic-check", "ir-check"):
             assert main([command, "--config", cfg, "--instances", "3"]) in (0, 1)
+            # none of these budgets fills the horizon, so each instance learns exactly once
+            assert calls.pop("learn") == 3, (config_name, command)
     assert dict(calls) == {}
 
 
@@ -639,6 +641,8 @@ def test_benchmark_tracer_runs_the_cli(tmp_path, cli_args, code):
         ("valuation_range = 0.5", "valuation_range"),
         ("ctr_range = 0.9, 0.1", "ctr_range"),
         ("valuation_range = 0, inf", "valuation_range"),
+        ("valuation_range = 0.5, 1.05", "valuation_range"),
+        ("ctr_range = 0.5, 1.5", "ctr_range"),
         ("delta = 1e-300", "delta, v_max"),
         ("delta = 1e-160", "delta, v_max"),
         ("v_max = 1e200", "delta, v_max"),
