@@ -218,7 +218,7 @@ def _committed_utility(valuation, placement, clicks):
 
 
 def _first_rounds(realization, agent, slots, start, stop) -> list:
-    """Each pattern of the agent's clicks at ``slots`` over rounds start+1..stop, with its first round.
+    """Each pattern of the agent's clicks at ``slots`` in rounds start+1..stop, and its first round.
 
     Returns ({slot: click}, round) pairs for the patterns that occur. The
     rows' bits are packed into one small code per round, and each code's
@@ -288,7 +288,8 @@ def verify_dsic(
         bids = truthful_bids.copy()
         bids[deviator - 1] = bid
         placement = _placement(config, _declare(config, learner, bids), deviator)
-        candidates = [(0.0, 1)] if explore_until >= 1 else []
+        # the budget is at least one round, and a free round's gain is 0.0
+        candidates = [(0.0, 1)]
         if learner is not None:
             slots = tuple(sorted({p[0] for p in (placement, truth) if p is not None}))
             if slots not in patterns:
@@ -340,11 +341,9 @@ def verify_ir(
     agent_hit = None
     round_hit = None
     for p in profiles:
-        candidates = []
-        if explore_until >= 1:
-            util = _exploration_utilities(config, realization, p.id, p.valuation, explore_until)
-            idx = int(np.argmin(util))
-            candidates.append((float(util[idx]), idx + 1))
+        util = _exploration_utilities(config, realization, p.id, p.valuation, explore_until)
+        idx = int(np.argmin(util))
+        candidates = [(float(util[idx]), idx + 1)]
         if outcome is not None:
             placement = _placement(config, outcome, p.id)
             slots = () if placement is None else (placement[0],)

@@ -128,10 +128,11 @@ def check_instances(draw):
             seed=draw(st.integers(0, 2**32)),
         )
     )
-    ctrs = draw(st.lists(_unit, min_size=num_agents, max_size=num_agents))
+    units = st.lists(_unit, min_size=num_agents, max_size=num_agents)
+    ctrs = draw(units)
     # valuations and competitor bids are independent, so prices often exceed valuations
-    valuations = [v_max * u for u in draw(st.lists(_unit, min_size=num_agents, max_size=num_agents))]
-    bids = [v_max * u for u in draw(st.lists(_unit, min_size=num_agents, max_size=num_agents))]
+    valuations = [v_max * u for u in draw(units)]
+    bids = [v_max * u for u in draw(units)]
     return config, make_profiles(ctrs, valuations, bids)
 
 
@@ -148,11 +149,13 @@ def test_closed_form_checks_match_the_utility_vectors(instance):
         report = verify_dsic(config, profiles, scenario)
         expected = reference_dsic(config, profiles, scenario)
         assert _bits(report) == _bits(expected), (report, expected)
-        event(f"dsic gain {_signed(report.worst_violation) if report.worst_violation == 0 else 'nonzero'}")
+        if not report.holds:
+            event("dsic finding")
     report = verify_ir(config, profiles, realization)
     expected = reference_ir(config, profiles, realization)
     assert _bits(report) == _bits(expected), (report, expected)
-    event(f"ir utility {'negative' if report.worst_utility < 0 else _signed(report.worst_utility)}")
+    if not report.holds:
+        event("ir finding")
 
 
 def test_ir_keeps_the_negative_zero_of_a_price_above_the_valuation():
