@@ -1,5 +1,13 @@
 """Seeded simulator and property checks for tolerance-aware UCB auction mechanisms."""
 
+import os
+
+# Nothing here calls BLAS. Left alone, numpy's import starts an OpenBLAS
+# worker per core whose idle spin competes with the main thread, so a short
+# command's time would follow the load on the other cores. A value the
+# caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     AgentProfile,
     AuctionConfig,

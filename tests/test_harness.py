@@ -435,6 +435,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "summary.csv").read_bytes() == (DATA / "golden_summary.csv").read_bytes()
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_workers_unless_asked(preset):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, deltaucb; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    threads, value = done.stdout.split()
+    if preset is None:
+        assert threads == "1"
+    assert value == (preset or "1")
+
+
 def test_benchmark_tracer_layers_resolve():
     """Every function the benchmark's tracer wraps must still exist under its recorded name."""
     traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
