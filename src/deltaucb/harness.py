@@ -9,17 +9,18 @@ output. Exit codes: 0 success, 1 property violation, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy._core.multiarray import dragon4_positional
 
 from .core import AgentProfile, AuctionConfig, ConfigError, validate_config, validate_profiles
 from .environment import draw_realization
@@ -37,6 +38,10 @@ from .strategy_lab import (
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
+# the Dragon4 call np.format_float_positional makes for these arguments, without its checks
+_render12 = functools.partial(
+    dragon4_positional, precision=12, unique=False, fractional=False, trim="k"
+)
 # rows per block when writing a table: bounds its text held in memory
 _ROW_BLOCK = 65_536
 
@@ -150,6 +155,8 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
     _at_least_one("jobs", spec.jobs)
     if any(k < config.num_slots for k in spec.agents_choices or ()):
         raise ConfigError("agents_choices must all be at least num_slots")
+    if spec.agents_choices and spec.ctrs is not None:
+        raise ConfigError("agents_choices draws profiles, so it cannot be combined with ctrs")
     for key in ("ctrs", "valuations", "bids"):
         if key in values and len(values[key]) != config.num_agents:
             raise ConfigError(f"{key} length must equal num_agents")
@@ -217,7 +224,7 @@ def fmt_num(x: float) -> str:
         return repr(x)
     if x == 0.0:
         return "0.000000000000"
-    return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
+    return _render12(x)
 
 
 def round_log_rows(log, profiles, config) -> dict:
@@ -282,21 +289,26 @@ def _plain(column) -> list:
 
 
 def _csv_cells(column) -> list:
-    """A column's CSV texts: one render per distinct value of a numeric or text array."""
+    """A column's CSV texts: numbers rendered once per distinct value, text as it is."""
     if isinstance(column, np.ndarray) and column.ndim == 1:
         kind = column.dtype.kind
-        if kind == "f" and column.dtype.itemsize <= 8:
-            render = fmt_num
-        elif kind in "biuU":
-            render = str
-        else:
-            render = None
-        if render is not None:
+        if kind == "U":
+            return column.tolist()
+        if kind in "biu" or (kind == "f" and column.dtype.itemsize <= 8):
             # fmt_num prints -0.0 as 0.0 and every nan as nan, the values unique merges
             distinct, inverse = np.unique(column, return_inverse=True)
-            texts = np.array([render(v) for v in distinct.tolist()], dtype=object)
-            return texts[inverse].tolist()
+            texts = _float_texts(distinct) if kind == "f" else list(map(str, distinct.tolist()))
+            return np.array(texts, dtype=object)[inverse].tolist()
     return [fmt_num(v) if isinstance(v, float) else str(v) for v in _plain(column)]
+
+
+def _float_texts(values) -> list:
+    """``fmt_num`` of each value of a float array, one Dragon4 call per value."""
+    plain = values.tolist()
+    texts = list(map(_render12, plain))
+    for i in np.flatnonzero((values == 0) | ~np.isfinite(values)).tolist():
+        texts[i] = fmt_num(plain[i])
+    return texts
 
 
 def summary_row(summary) -> dict:
@@ -380,7 +392,7 @@ def _run_cell_star(args):
 
 
 def _draw_instance(spec: ExperimentSpec, index: int):
-    """Random instance for the property checks: sizes, rates, values, and competitor bids."""
+    """A property-check instance: explicit profiles, or drawn sizes, rates, values and bids."""
     base = spec.config
     rng = np.random.default_rng(np.random.SeedSequence([int(base.seed), _INSTANCE_LAYER, index]))
     num_agents = base.num_agents
@@ -389,6 +401,8 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     config = validate_config(
         replace(base, num_agents=num_agents, seed=derive_subseed(base.seed, {"instance": index}))
     )
+    if spec.ctrs is not None:
+        return config, build_profiles(spec, config)
     ctrs, valuations = _draw_ctrs_and_valuations(spec, config, rng)
     bids = rng.uniform(0.0, config.v_max, num_agents)
     return config, _profiles(config, ctrs.tolist(), valuations.tolist(), bids.tolist())
@@ -497,6 +511,9 @@ def _cmd_sweep(args) -> int:
     # the pool forks every worker at the first submit, so fork no more than there are cells
     workers = min(jobs, len(cells))
     if workers > 1:
+        # imported here: only a forking sweep needs multiprocessing and its imports
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_cell_star, [(spec, cell) for cell in cells]))
     else:

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltaucb import harness
 from deltaucb.core import AuctionConfig, ConfigError, validate_config
@@ -327,6 +328,27 @@ def test_write_table_matches_the_per_row_writer(tmp_path_factory, columns, block
         assert (out / f"table.{fmt}").read_bytes() == (out / f"reference.{fmt}").read_bytes(), fmt
 
 
+# float cells write_table must render as fmt_num does: the specials, extremes and a carry
+_FLOAT_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300, -0.5,
+    0.27499999999999997, 0.275, 65504.0, 6e-8,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(dtype=np.float64, values=_FLOAT_EDGES)
+@example(dtype=np.float32, values=_FLOAT_EDGES)
+@example(dtype=np.float16, values=_FLOAT_EDGES)
+@given(
+    dtype=st.sampled_from([np.float64, np.float32, np.float16]),
+    values=st.lists(st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()), max_size=40),
+)
+def test_float_cells_match_fmt_num(dtype, values):
+    with np.errstate(over="ignore"):
+        column = np.array(values).astype(dtype)
+    assert harness._csv_cells(column) == [fmt_num(v) for v in column]
+
+
 def test_write_table_with_no_rows(tmp_path):
     columns = {"t": np.array([], dtype=np.int64), "payment": []}
     for fmt, expected in (("csv", b"t,payment\n"), ("jsonl", b"\n")):
@@ -457,6 +479,29 @@ def test_import_starts_no_blas_workers_unless_asked(preset):
     assert value == (preset or "1")
 
 
+def test_commands_load_no_process_pool(tmp_path):
+    # only a forking sweep needs concurrent.futures.process and multiprocessing
+    cfg = _write(tmp_path, "basic.cfg", BASIC)
+    commands = [
+        ["validate", "--config", cfg],
+        ["run", "--config", cfg, "--out", str(tmp_path / "out"), "--rounds-log", "all"],
+        ["dsic-check", "--config", cfg, "--instances", "2"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from deltaucb.harness import main; "
+        f"codes = [main(args) for args in {commands!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith("
+        "('multiprocessing', 'concurrent.futures.process'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
 def test_benchmark_tracer_layers_resolve():
     """Every function the benchmark's tracer wraps must still exist under its recorded name."""
     traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -555,7 +600,8 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
 def test_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, workers):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    # the sweep imports the pool from concurrent.futures when it forks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     cfg = _write(tmp_path, "two.cfg", BASIC + "sweep_horizon = 100, 200\n")
     out = tmp_path / "out"
@@ -620,10 +666,15 @@ def test_checks_accept_the_mechanism_they_replay(tmp_path, capsys, command, base
 @pytest.mark.parametrize("command", ["validate", "dsic-check", "ir-check"])
 @pytest.mark.parametrize(
     "lines",
-    ["agents_choices = 0, 3", "num_slots = 2\nprominences = 1.0, 0.5\nagents_choices = 3, 1"],
+    [
+        "agents_choices = 0, 3",
+        "num_slots = 2\nprominences = 1.0, 0.5\nagents_choices = 3, 1",
+        "agents_choices = 2, 3",
+    ],
 )
 def test_agents_choices_below_num_slots_exit_2_up_front(tmp_path, capsys, command, lines):
-    # a size no instance draws is still an error, and no finding is printed first
+    # a size no instance draws is still an error, and no finding is printed first;
+    # so is any size beside BASIC's explicit ctrs, which the instances would use
     cfg = _write(tmp_path, "choices.cfg", BASIC + lines + "\n")
     args = [command, "--config", cfg] + ([] if command == "validate" else ["--instances", "6"])
     assert main(args) == 2
@@ -745,6 +796,25 @@ def test_valuations_or_bids_without_ctrs_exit_2(tmp_path, capsys, command, line,
     captured = capsys.readouterr()
     assert f"config error: {key} needs ctrs" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["dsic-check", "ir-check"])
+def test_checks_use_explicit_profiles(tmp_path, capsys, command):
+    # two slots, where the multi-slot prices give dsic-check findings to differ in
+    text = "num_agents = 3\nnum_slots = 2\nprominences = 1.0, 0.6\n"
+    text += "horizon = 400\ndelta = 1.5\nseed = 5\n"
+    explicit = text + "ctrs = 0.9, 0.1, 0.1\nvaluations = 1.0, 0.6, 0.3\nbids = 1.0, 0.5, 0.3\n"
+    outputs = []
+    for name, body in (("drawn.cfg", text), ("explicit.cfg", explicit)):
+        assert main([command, "--config", _write(tmp_path, name, body), "--instances", "3"]) != 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    spec = parse_config_file(tmp_path / "explicit.cfg")
+    for index in range(3):
+        _, profiles = harness._draw_instance(spec, index)
+        assert [(p.ctr, p.valuation, p.bid) for p in profiles] == [
+            (0.9, 1.0, 1.0), (0.1, 0.6, 0.5), (0.1, 0.3, 0.3)
+        ]
 
 
 _FUZZ_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS)
