@@ -423,6 +423,8 @@ def test_golden_sweep_summary_is_stable(tmp_path):
         ("explore_only", "ir-check", 0),
         ("drawn", "dsic-check", 1),
         ("drawn", "ir-check", 1),
+        ("late", "dsic-check", 1),
+        ("late", "ir-check", 1),
     ],
 )
 def test_golden_check_outputs_are_stable(capsys, config_name, command, code):
