@@ -16,7 +16,8 @@ window's first round and drawn in fixed chunks, which gives the same bytes
 as drawing the whole row up front. A run then draws what the mechanism
 reads (every row over the exploration window, the winners' rows after it),
 and counting a window's clicks or dumping a row holds one chunk at a time.
-``clicks`` and ``click_count`` are the only reads and AND the two layers.
+``clicks``, ``click_count`` and ``first_rounds`` are the reads that AND the
+two layers; ``realized_click`` ANDs one round of each row ``clicks`` keeps.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ _INTRINSIC_LAYER = 0
 _OBSERVATION_LAYER = 1
 # doubles per draw call: bounds the scratch memory of reading a window
 _CHUNK = 65_536
+# rounds in the first window of a first-occurrence scan; each later window doubles
+_SCAN = 1_024
 
 
 def _row_rng(seed: int, layer: int, row: int) -> np.random.Generator:
@@ -145,11 +148,58 @@ class ClickRealization:
         counting a long window holds one chunk and a repeated count redraws.
         """
         self._check(agent, slot, start, stop)
-        pieces = self._chunks(_INTRINSIC_LAYER, agent, start, stop)
-        if _OBSERVATION_LAYER in self._rows:
-            observed = self._chunks(_OBSERVATION_LAYER, slot, start, stop)
-            pieces = (a & b for a, b in zip(pieces, observed))
+        pieces = self._patterns(agent, (slot,), start, stop)
         return sum(int(np.count_nonzero(p)) for p in pieces)
+
+    def _patterns(self, agent: int, slots, start: int, stop: int):
+        """Per round in [start, stop), bit j set if the agent is clicked at slots[j], in pieces."""
+        pieces = [self._chunks(_INTRINSIC_LAYER, agent, start, stop)]
+        if _OBSERVATION_LAYER in self._rows:
+            pieces += [self._chunks(_OBSERVATION_LAYER, m, start, stop) for m in slots]
+        for own, *seen in zip(*pieces):
+            code = own & seen[0] if seen else own
+            for j, row in enumerate(seen[1:], start=1):
+                code |= (own & row) << j
+            yield code
+
+    def first_rounds(self, agent: int, slots, start: int, stop: int) -> list:
+        """The first round in start+1..stop of each pattern of the agent's clicks at ``slots``.
+
+        Returns ({slot: click}, round) pairs for the patterns that occur. A
+        matrix-backed realization scans the whole window. A seeded one scans
+        windows that double from ``_SCAN`` rounds, drawing each round once,
+        and stops when every pattern of positive probability has been seen:
+        (1 - r)·[no bit set] + r·∏ (γ_m if bit m is set, else 1 - γ_m), for
+        the agent's rate r and the slots' rates γ (1 with no observation
+        layer), is positive when each factor of a term is.
+        """
+        if not slots:
+            return [({}, start + 1)]
+        for m in slots:
+            self._check(agent, m, start, stop)
+        wanted = set(range(1 << len(slots)))  # a matrix has no rates: any pattern may occur
+        if self._rates:
+            rate = self._rates[_INTRINSIC_LAYER][agent - 1]
+            gammas = [self._rates.get(_OBSERVATION_LAYER, [1.0])[m - 1] for m in slots]
+            can = [(g < 1.0, g > 0.0) for g in gammas]  # may bit j be clear, set?
+            wanted = {
+                k
+                for k in wanted
+                if (k == 0 and rate < 1.0)
+                or (rate > 0.0 and all(can[j][k >> j & 1] for j in range(len(slots))))
+            }
+        first = {}
+        lo, width = start, _SCAN if self._rates else stop - start
+        while lo < stop and not wanted <= first.keys():
+            hi = min(lo + width, stop)
+            for offset, code in zip(range(lo, hi, _CHUNK), self._patterns(agent, slots, lo, hi)):
+                for k in wanted - first.keys():
+                    hits = code == k
+                    idx = int(np.argmax(hits))
+                    if hits[idx]:
+                        first[k] = offset + idx + 1
+            lo, width = hi, 2 * width
+        return [({m: (k >> j) & 1 for j, m in enumerate(slots)}, first[k]) for k in sorted(first)]
 
 
 def draw_realization(
@@ -170,7 +220,11 @@ def draw_realization(
 def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
     """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
     realization._check(agent, slot, round - 1, round)
-    return int(realization.clicks(agent, slot, 0, realization.horizon)[round - 1])
+    # index each kept row first: ANDing whole rows per call would cost O(T)
+    click = realization._window(_INTRINSIC_LAYER, agent, 0, realization.horizon)[round - 1]
+    if _OBSERVATION_LAYER in realization._rows:
+        click &= realization._window(_OBSERVATION_LAYER, slot, 0, realization.horizon)[round - 1]
+    return int(click)
 
 
 def dump_realization(realization: ClickRealization, path) -> None:

@@ -107,35 +107,41 @@ def bid_vector(profiles: Sequence[AgentProfile], bids, config: AuctionConfig) ->
     return arr
 
 
-def normalized_runner_up(ranking, scores, ucb, prominences) -> tuple:
+def normalized_runner_up(rankings, scores, ucb, prominences) -> np.ndarray:
     """Single-slot price: the runner-up's score divided by the winner's upper index.
 
     The division caps the price at the winner's own bid. With a single
     agent there is no competition and the price is zero.
     """
-    winner_ucb = float(ucb[ranking[0] - 1])
+    winner_ucb = ucb[rankings[:, 0] - 1]
     # after one pull the index is at least its radius, hence > 0
-    if not winner_ucb > 0.0:
-        raise ValueError(f"winner's upper confidence index must be positive, got {winner_ucb}")
-    if len(ranking) == 1:
-        return (0.0,)
-    return (float(scores[ranking[1] - 1]) / winner_ucb,)
+    if not np.all(winner_ucb > 0.0):
+        bad = float(winner_ucb[~(winner_ucb > 0.0)][0])
+        raise ValueError(f"winner's upper confidence index must be positive, got {bad}")
+    if rankings.shape[1] == 1:
+        return np.zeros((len(rankings), 1))
+    return np.take_along_axis(scores, rankings[:, 1:2] - 1, axis=1) / winner_ucb[:, None]
 
 
-def declare(state: LearnerState, bids, prominences, price_rule) -> Outcome:
+def declare(state: LearnerState, bids, prominences, price_rule):
     """Rank agents by ucb * bid (ties toward the lower id), price every slot, and freeze learning.
 
-    ``price_rule(ranking, scores, ucb, prominences)`` returns one per-click
-    price per slot.
+    ``bids`` is one bid vector, giving one ``Outcome``, or a matrix of bid
+    rows, giving one per row; a run is the one-row case. Every row is ranked
+    by one stable argsort, and ``price_rule(rankings, scores, ucb,
+    prominences)`` maps the 1-based rankings and the scores, one row each,
+    to one per-click price per slot and row.
     """
     bids = np.asarray(bids, dtype=float)
     if np.any(state.pull_count == 0):
         raise ValueError("every agent must be pulled at least once before declaring an outcome")
-    scores = state.ucb * bids
-    ranking = tuple(int(i) + 1 for i in np.argsort(-scores, kind="stable"))
-    prices = tuple(price_rule(ranking, scores, state.ucb, prominences))
+    scores = state.ucb * np.atleast_2d(bids)
+    rankings = np.argsort(-scores, axis=1, kind="stable") + 1
+    prices = price_rule(rankings, scores, state.ucb, prominences)
     state.freeze()
-    return Outcome(ranking=ranking, payments_per_click=prices, learner=state)
+    rows = zip(rankings.tolist(), prices.tolist())
+    outcomes = [Outcome(tuple(ranking), tuple(row), state) for ranking, row in rows]
+    return outcomes if bids.ndim == 2 else outcomes[0]
 
 
 def declare_winner(state: LearnerState, bids) -> Outcome:

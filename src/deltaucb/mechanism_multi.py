@@ -15,33 +15,35 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .core import AgentProfile, AuctionConfig
 from .mechanism import normalized_runner_up, run_mechanism
 from .mechanism import declare as declare_ranking  # noqa: F401  (the multi-slot name for declare)
 from .metrics import RunResult
 
 
-def multi_slot_payment(slot: int, ranking, prominences, scores) -> float:
+def multi_slot_payment(slot: int, ranking, prominences, scores):
     """Per-click price for a slot: telescoping prominence drops times the scores ranked below.
 
     Terms past the number of agents contribute nothing; the prominence
-    below the last slot is zero.
+    below the last slot is zero. ``ranking`` and ``scores`` may also be
+    matrices of rows, giving one price per row. The sum runs term by term
+    from 0.0, so a row's price does not depend on the rows beside it.
     """
     num_slots = len(prominences)
     gamma = list(prominences) + [0.0]
-    total = 0.0
-    for rank in range(slot + 1, num_slots + 2):
-        if rank > len(ranking):
-            break
-        total += (gamma[rank - 2] - gamma[rank - 1]) * scores[ranking[rank - 1] - 1]
-    return float(total)
+    ranked = np.take_along_axis(np.asarray(scores, float), np.asarray(ranking) - 1, axis=-1)
+    total = np.zeros(ranked.shape[:-1])
+    for rank in range(slot + 1, min(num_slots + 1, ranked.shape[-1]) + 1):
+        total = total + (gamma[rank - 2] - gamma[rank - 1]) * ranked[..., rank - 1]
+    return total if total.ndim else float(total)
 
 
-def telescoping(ranking, scores, ucb, prominences) -> tuple:
-    """Multi-slot price rule: ``multi_slot_payment`` for every slot."""
-    return tuple(
-        multi_slot_payment(m, ranking, prominences, scores) for m in range(1, len(prominences) + 1)
-    )
+def telescoping(rankings, scores, ucb, prominences) -> np.ndarray:
+    """Multi-slot price rule: ``multi_slot_payment`` for every slot of every row."""
+    slots = range(1, len(prominences) + 1)
+    return np.stack([multi_slot_payment(m, rankings, prominences, scores) for m in slots], axis=1)
 
 
 def price_rule_for(num_slots: int):

@@ -12,7 +12,12 @@ round's utility depends only on the agent's placement (slot and per-click
 price, or not shown) and its click there, so each pattern of the clicks
 involved is scored once, at the first round it occurs, instead of filling
 a length-T utility vector per bid. ``per_round_utilities`` is that vector,
-kept as the reference the checks agree with.
+kept as the reference the checks agree with. A scenario's bids are ranked
+and priced in one ``declare`` call. ``ClickRealization.first_rounds`` finds
+the first rounds and, on a seeded realization, stops once every pattern of
+positive probability has been seen: a check draws the free rounds (about
+ln T) and a few committed windows per row, whatever T is. A possible
+pattern that never occurs still scans to T, as does any matrix realization.
 
 Also provides reference mechanisms for regret comparisons: a clairvoyant
 allocator, a plain bid-weighted UCB learner with no payments, and a
@@ -187,13 +192,6 @@ def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Lear
     return Learned(explore_until, learn(realization, config, explore_until))
 
 
-def _declare(config, learner, bids):
-    """The check's outcome for a bid vector: the engine's ranking and prices on the learner."""
-    if learner is None:
-        return None
-    return declare(learner.copy(), bids, config.prominences, price_rule_for(config.num_slots))
-
-
 def _placement(config, outcome, agent):
     """The agent's (slot, per-click price) under an outcome, or None when it is not shown."""
     if outcome is None:
@@ -215,28 +213,6 @@ def _committed_utility(valuation, placement, clicks):
         return 0.0
     slot, price = placement
     return (valuation - price) * clicks[slot]
-
-
-def _first_rounds(realization, agent, slots, start, stop) -> list:
-    """Each pattern of the agent's clicks at ``slots`` in rounds start+1..stop, and its first round.
-
-    Returns ({slot: click}, round) pairs for the patterns that occur. The
-    rows' bits are packed into one small code per round, and each code's
-    first round is one ``==`` pass and an ``argmax``.
-    """
-    if not slots:
-        return [({}, start + 1)]
-    rows = [realization.clicks(agent, m, start, stop) for m in slots]
-    code = rows[0]
-    for j, row in enumerate(rows[1:], start=1):
-        code = code | (row << j)
-    first = []
-    for k in range(1 << len(slots)):
-        hits = code == k
-        idx = int(np.argmax(hits))
-        if hits[idx]:
-            first.append(({m: (k >> j) & 1 for j, m in enumerate(slots)}, start + idx + 1))
-    return first
 
 
 def _earliest(candidates, pick):
@@ -278,23 +254,27 @@ def verify_dsic(
     truthful_bids[deviator - 1] = truthful_value
     truthful_bids = bid_vector(profiles, truthful_bids, config)
     explore_until, learner = scenario.learned
-    truth = _placement(config, _declare(config, learner, truthful_bids), deviator)
+    outcomes = [None] * (1 + len(scenario.bid_grid))
+    if learner is not None:
+        # the truthful row, then one row per grid bid, ranked and priced in one call
+        rows = np.tile(truthful_bids, (len(outcomes), 1))
+        rows[1:, deviator - 1] = scenario.bid_grid
+        outcomes = declare(learner, rows, config.prominences, price_rule_for(config.num_slots))
+    truth = _placement(config, outcomes[0], deviator)
 
     patterns = {}  # per set of slots involved: the first round of each click pattern
     worst = -math.inf
     witness_round = None
     witness_bid = None
-    for bid in scenario.bid_grid:
-        bids = truthful_bids.copy()
-        bids[deviator - 1] = bid
-        placement = _placement(config, _declare(config, learner, bids), deviator)
+    for bid, outcome in zip(scenario.bid_grid, outcomes[1:]):
+        placement = _placement(config, outcome, deviator)
         # the budget is at least one round, and a free round's gain is 0.0
         candidates = [(0.0, 1)]
         if learner is not None:
             slots = tuple(sorted({p[0] for p in (placement, truth) if p is not None}))
             if slots not in patterns:
-                patterns[slots] = _first_rounds(
-                    realization, deviator, slots, explore_until, config.horizon
+                patterns[slots] = realization.first_rounds(
+                    deviator, slots, explore_until, config.horizon
                 )
             candidates += [
                 (
@@ -335,7 +315,8 @@ def verify_ir(
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
     explore_until, learner = shared_learner(config, realization)
-    outcome = _declare(config, learner, truthful)
+    rule = price_rule_for(config.num_slots)
+    outcome = None if learner is None else declare(learner, truthful, config.prominences, rule)
 
     worst = math.inf
     agent_hit = None
@@ -347,12 +328,8 @@ def verify_ir(
         if outcome is not None:
             placement = _placement(config, outcome, p.id)
             slots = () if placement is None else (placement[0],)
-            candidates += [
-                (_committed_utility(p.valuation, placement, clicks), t)
-                for clicks, t in _first_rounds(
-                    realization, p.id, slots, explore_until, config.horizon
-                )
-            ]
+            scan = realization.first_rounds(p.id, slots, explore_until, config.horizon)
+            candidates += [(_committed_utility(p.valuation, placement, c), t) for c, t in scan]
         utility, t = _earliest(candidates, min)
         if utility < worst:
             worst = float(utility)

@@ -403,3 +403,102 @@ def test_window_reads_check_their_bounds():
             realization.clicks(*args)
         with pytest.raises(IndexError):
             realization.click_count(*args)
+
+
+def test_realized_click_indexes_the_kept_rows_instead_of_anding_them():
+    # 2**20 rounds, so one AND of two whole rows alone would take 1 MiB
+    horizon = 2**20
+    config = _config(3, horizon, num_slots=2, prominences=(1.0, 0.5), seed=4)
+    realization = draw_realization(config, make_profiles([0.3, 0.6, 0.9]))
+    rounds = np.random.default_rng(0).integers(1, horizon + 1, 1000)
+    tracemalloc.start()
+    try:
+        realized_click(realization, 2, 2, 1)  # keeps agent 2's row and slot 2's row
+        cached = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        clicks = [realized_click(realization, 2, 2, int(t)) for t in rounds]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cached >= 2 * horizon
+    assert peak - cached < 2**20, (cached, peak)
+    assert clicks == realization.clicks(2, 2, 0, horizon)[rounds - 1].tolist()
+
+
+def _as_matrices(realization):
+    """The same outcomes as explicit 0/1 matrices, which carry no rates."""
+    horizon = realization.horizon
+    layers = [
+        [realization._window(layer, row, 0, horizon) for row in range(1, count + 1)]
+        for layer, count in sorted(realization._rows.items())
+    ]
+    return ClickRealization.from_matrices(realization.seed, *layers)
+
+
+_scan_rate = st.sampled_from([0.0, 1.0, 1e-3, 2e-4, 0.02]) | st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(
+    num_slots=st.integers(1, 3),
+    rates=st.lists(_scan_rate, min_size=4, max_size=4),
+    gammas=st.lists(_scan_rate, min_size=3, max_size=3),
+    horizon=st.integers(1, 200_000),
+    start=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_bounded_scan_finds_what_the_whole_window_holds(
+    num_slots, rates, gammas, horizon, start, seed, data
+):
+    # rates and slot rates of 0 and 1 make patterns impossible; tiny ones make them late or absent
+    layers = {0: rates} if num_slots == 1 else {0: rates, 1: gammas[:num_slots]}
+    realization = ClickRealization(seed, num_slots, horizon, rates=layers)
+    start = min(int(start * horizon), horizon - 1)
+    slots = data.draw(st.lists(st.integers(1, num_slots), max_size=2, unique=True).map(sorted))
+    agent = data.draw(st.integers(1, 4))
+    expected = _as_matrices(realization).first_rounds(agent, tuple(slots), start, horizon)
+    assert realization.first_rounds(agent, tuple(slots), start, horizon) == expected
+
+
+def test_a_pattern_that_never_occurs_scans_each_row_once_to_the_horizon(monkeypatch):
+    # rate 1e-7 over 1e6 rounds: a click at slot 2 (prominence 0.02) almost surely never occurs,
+    # so the scan reads every round once per row, in doubling windows, and keeps none of them
+    horizon, start = 10**6, 500
+    realization = ClickRealization(3, 2, horizon, rates={0: [1e-7], 1: [1.0, 0.02]})
+    reads = []
+    chunks = ClickRealization._chunks
+
+    def recorded(self, layer, row, lo, hi):
+        reads.append((layer, row, lo, hi))
+        return chunks(self, layer, row, lo, hi)
+
+    monkeypatch.setattr(ClickRealization, "_chunks", recorded)
+    found = realization.first_rounds(1, (1, 2), start, horizon)
+    assert realization._windows == {}
+    for key in [(0, 1), (1, 1), (1, 2)]:
+        windows = [(lo, hi) for layer, row, lo, hi in reads if (layer, row) == key]
+        # contiguous windows from start to the horizon, each at most twice the one before
+        assert windows[0][0] == start and windows[-1][1] == horizon
+        assert [hi for _, hi in windows[:-1]] == [lo for lo, _ in windows[1:]]
+        widths = [hi - lo for lo, hi in windows]
+        assert widths[0] == environment._SCAN and all(b <= 2 * a for a, b in zip(widths, widths[1:]))
+    assert ({1: 0, 2: 1}, start + 1) not in found
+    assert found == _as_matrices(realization).first_rounds(1, (1, 2), start, horizon)
+
+
+def test_a_seeded_scan_stops_once_every_possible_pattern_is_seen(monkeypatch):
+    # slot 1 is always observed, so "no click at slot 1, click at slot 2" cannot occur;
+    # the other three patterns occur in the first window, and the scan draws nothing more
+    realization = ClickRealization(5, 2, 10**7, rates={0: [0.5], 1: [1.0, 0.5]})
+    reads = []
+    chunks = ClickRealization._chunks
+
+    def recorded(self, layer, row, lo, hi):
+        reads.append(hi - lo)
+        return chunks(self, layer, row, lo, hi)
+
+    monkeypatch.setattr(ClickRealization, "_chunks", recorded)
+    found = realization.first_rounds(1, (1, 2), 100, 10**7)
+    assert sorted(clicks[1] + 2 * clicks[2] for clicks, _ in found) == [0, 1, 3]
+    assert reads == [environment._SCAN] * 3

@@ -582,6 +582,67 @@ def test_checks_learn_and_declare_without_running_the_mechanism(monkeypatch, cap
     assert dict(calls) == {}
 
 
+# the benchmark's dsic-multi instances (perfbench/run.py, default seed) at a given horizon
+DSIC_MULTI = """num_agents = 5
+num_slots = 2
+prominences = 1.0, 0.6
+horizon = {horizon}
+delta = 0.5
+v_max = 1.0
+seed = 3
+agents_choices = 2, 3, 5
+"""
+
+
+def _check_draws(monkeypatch, tmp_path, command, horizon):
+    """Outcomes drawn in the free and in the committed rounds, each committed read, and the peak."""
+    import tracemalloc
+
+    from deltaucb import environment
+
+    drawn = {"exploration": 0, "committed": 0}
+    committed_reads = []
+    chunks = environment.ClickRealization._chunks
+
+    def counted(self, layer, row, start, stop):
+        # every free-round read starts at round 0; every scan starts after the free rounds
+        if start:
+            committed_reads.append(stop - start)
+        for piece in chunks(self, layer, row, start, stop):
+            drawn["committed" if start else "exploration"] += len(piece)
+            yield piece
+
+    cfg = _write(tmp_path, f"dsic_{horizon}.cfg", DSIC_MULTI.format(horizon=horizon))
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(environment.ClickRealization, "_chunks", counted)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", cfg, "--instances", "20"]) in (0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return drawn, committed_reads, peak
+
+
+@pytest.mark.parametrize("command", ["dsic-check", "ir-check"])
+def test_check_draws_are_flat_in_the_horizon(monkeypatch, tmp_path, command):
+    from deltaucb import environment
+
+    small, small_reads, small_peak = _check_draws(monkeypatch, tmp_path, command, 10**5)
+    large, large_reads, large_peak = _check_draws(monkeypatch, tmp_path, command, 10**8)
+    # every scan finds its patterns in its first window at both horizons
+    assert set(small_reads) == set(large_reads) == {environment._SCAN}
+    if command == "ir-check":
+        assert small["committed"] == large["committed"]
+    else:
+        # the rankings differ with the horizon, and with them the slot pairs scanned:
+        # 132 scans at T = 1e5 against 131 at T = 1e8
+        assert abs(small["committed"] - large["committed"]) <= 3 * environment._SCAN
+    # the free rounds grow like ln T: per-agent pulls are ceil(8 v_max^2 ln T / delta^2)
+    assert large["exploration"] / small["exploration"] <= math.log(1e8) / math.log(1e5) + 0.01
+    assert abs(large_peak - small_peak) < 2 * 2**20, (small_peak, large_peak)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
 

@@ -1,11 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltaucb.core import AuctionConfig, LearnerState, Phase, validate_config
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import (
+    declare,
     declare_winner,
     iter_rounds,
     multi_exploration_allocation,
@@ -13,6 +16,7 @@ from deltaucb.mechanism import (
     run_single_slot,
     ucb_pair,
 )
+from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import max_tolerance_width, welfare_interval_violations
 
 from conftest import (
@@ -299,3 +303,67 @@ def test_declare_winner_rejects_non_positive_winner_index(winner_ucb):
     state = _state_with_indices([winner_ucb, -0.5])
     with pytest.raises(ValueError, match="must be positive"):
         declare_winner(state, np.ones(2))
+
+
+def _bits(prices):
+    return [struct.pack("<d", p) for p in prices]
+
+
+def _scalar_prices(ranking, scores, ucb, prominences):
+    """The price rules evaluated one float at a time, as a literal reading of their formulas."""
+    if len(prominences) == 1:
+        return [0.0 if len(ranking) == 1 else scores[ranking[1] - 1] / ucb[ranking[0] - 1]]
+    gamma = list(prominences) + [0.0]
+    prices = []
+    for slot in range(1, len(prominences) + 1):
+        total = 0.0
+        for rank in range(slot + 1, min(len(prominences) + 1, len(ranking)) + 1):
+            total += (gamma[rank - 2] - gamma[rank - 1]) * scores[ranking[rank - 1] - 1]
+        prices.append(float(total))
+    return prices
+
+
+# few distinct values, so scores often tie exactly; zero bids included
+_bid = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_index = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), num_agents=st.integers(1, 6), num_slots=st.integers(1, 3))
+def test_batched_declare_matches_one_row_at_a_time(data, num_agents, num_slots):
+    ucb = data.draw(st.lists(_index, min_size=num_agents, max_size=num_agents))
+    rows = data.draw(
+        st.lists(st.lists(_bid, min_size=num_agents, max_size=num_agents), min_size=1, max_size=8)
+    )
+    drops = data.draw(st.lists(st.floats(0.05, 1.0), min_size=num_slots - 1, max_size=num_slots - 1))
+    prominences = (1.0, *sorted(drops, reverse=True))
+    rule = price_rule_for(num_slots)
+    batched = declare(_state_with_indices(ucb), np.array(rows), prominences, rule)
+    assert len(batched) == len(rows)
+    for bids, outcome in zip(rows, batched):
+        single = declare(_state_with_indices(ucb), np.array(bids), prominences, rule)
+        assert outcome.ranking == single.ranking
+        assert _bits(outcome.payments_per_click) == _bits(single.payments_per_click)
+        scores = np.array(ucb) * np.array(bids)
+        # highest score first, exact ties to the lower id
+        by_score = sorted(range(1, num_agents + 1), key=lambda a: (-scores[a - 1], a))
+        assert list(outcome.ranking) == by_score
+        expected = _scalar_prices(outcome.ranking, scores, np.array(ucb), prominences)
+        assert _bits(outcome.payments_per_click) == _bits(expected)
+
+
+@pytest.mark.parametrize("num_slots", [1, 2])
+def test_batched_declare_requires_every_agent_pulled(num_slots):
+    state = _state_with_indices([0.5, 0.7, 0.9])
+    state.pull_count[1] = 0
+    prominences = (1.0, 0.5)[:num_slots]
+    with pytest.raises(ValueError, match="pulled at least once"):
+        declare(state, np.ones((3, 3)), prominences, price_rule_for(num_slots))
+
+
+def test_batched_declare_rejects_a_non_positive_winner_index_in_any_row():
+    # the first row ranks agent 2 first; in the second the scores -0.0 and 0.0 tie,
+    # so agent 1 wins with its negative index
+    state = _state_with_indices([-1.0, 0.5])
+    with pytest.raises(ValueError, match="must be positive, got -1.0"):
+        declare(state, np.array([[0.0, 1.0], [0.0, 0.0]]), (1.0,), price_rule_for(1))
