@@ -366,7 +366,11 @@ def test_golden_files_are_stable(tmp_path):
 
 @pytest.mark.parametrize(
     "config_name, fmt, stem",
-    [("golden_multi.cfg", "csv", "golden_multi"), ("golden.cfg", "jsonl", "golden")],
+    [
+        ("golden_multi.cfg", "csv", "golden_multi"),
+        ("golden.cfg", "jsonl", "golden"),
+        ("golden_multi.cfg", "jsonl", "golden_multi"),
+    ],
 )
 def test_golden_files_cover_multi_slot_and_jsonl(tmp_path, config_name, fmt, stem):
     out = tmp_path / "out"
