@@ -31,6 +31,14 @@ class Phase(Enum):
     EXPLOITATION = "exploitation"
 
 
+class BaselineKind(Enum):
+    """Reference mechanisms for regret comparisons (run by ``strategy_lab.run_baseline``)."""
+
+    ORACLE_ALLOCATION = "oracle"
+    PLAIN_UCB = "plain-ucb"
+    EXPLORATION_SEPARATED_T23 = "explore-t23"
+
+
 @dataclass(frozen=True)
 class AgentProfile:
     """One advertiser: hidden click rate, private valuation, declared bid.

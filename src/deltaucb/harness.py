@@ -12,7 +12,6 @@ import argparse
 import functools
 import hashlib
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -22,19 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy._core.multiarray import dragon4_positional
 
-from .core import AgentProfile, AuctionConfig, ConfigError, validate_config, validate_profiles
+from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError
+from .core import validate_config, validate_profiles
 from .environment import draw_realization
 from .mechanism import run_single_slot
-from .mechanism_multi import run_multi_slot
 from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
-from .strategy_lab import (
-    BaselineKind,
-    build_scenario,
-    run_baseline,
-    shared_learner,
-    verify_dsic,
-    verify_ir,
-)
+# json, mechanism_multi and strategy_lab are imported where used: a command loads what it runs
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
@@ -44,6 +36,7 @@ _render12 = functools.partial(
 )
 # rows per block when writing a table: bounds its text held in memory
 _ROW_BLOCK = 65_536
+_POW10 = np.array([float(10**i) for i in range(13)])  # 10**i, each exact in a double
 
 _BASELINES = tuple(kind.value for kind in BaselineKind)
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", *_BASELINES)
@@ -209,8 +202,10 @@ def dispatch_run(mechanism: str, config, profiles, realization=None, rounds_log=
     if mechanism == "delta-ucb-single":
         return run_single_slot(config, profiles, realization=realization, rounds_log=rounds_log)
     if mechanism == "delta-ucb-multi":
+        from .mechanism_multi import run_multi_slot
         return run_multi_slot(config, profiles, realization=realization, rounds_log=rounds_log)
     if mechanism in _BASELINES:
+        from .strategy_lab import run_baseline
         return run_baseline(
             BaselineKind(mechanism), config, profiles, realization=realization, rounds_log=rounds_log
         )
@@ -218,7 +213,13 @@ def dispatch_run(mechanism: str, config, profiles, realization=None, rounds_log=
 
 
 def fmt_num(x: float) -> str:
-    """Render a number with 12 significant digits; zero is all zeros."""
+    """Render a number with 12 significant digits; zero is all zeros.
+
+    Dragon4 stops early where the remaining digits are zero (an exact value, or
+    a carry), then pads to 12 digits counting the integer part, which below 1 is
+    the one "0". So from 1 up every value has 12 significant digits (1.5 is
+    1.50000000000), but 0.3 is 0.30000000000 and 0.0625 is 0.06250000000.
+    """
     x = float(x)
     if not math.isfinite(x):
         return repr(x)
@@ -237,7 +238,7 @@ def round_log_rows(log, profiles, config) -> dict:
     config = validate_config(config)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
     cell = (log.agent - 1, log.slot - 1)
-    columns = {
+    return {
         "t": log.t,
         "phase": log.phase,
         "slot": log.slot,
@@ -248,7 +249,6 @@ def round_log_rows(log, profiles, config) -> dict:
         "regret_cum": np.cumsum(np.array(tables.gap)[cell]),
         "revenue_cum": np.cumsum(log.payment),
     }
-    return columns
 
 
 def emit_round_log(log, path, fmt, profiles, config) -> None:
@@ -260,55 +260,115 @@ def write_table(columns: dict, path, fmt) -> None:
     """Write equal-length columns as CSV or JSONL, ``_ROW_BLOCK`` rows at a time.
 
     CSV has a header row and renders floats with ``fmt_num`` and anything
-    else with ``str``; JSONL has one object per row, keys sorted. Columns
-    may be lists or 1-D numpy arrays; a row holds what ``tolist`` gives.
+    else with ``str``; JSONL has one object per row, keys sorted, values as
+    ``json.dumps`` gives them. Columns may be lists or 1-D numpy arrays; a row
+    holds what ``tolist`` gives. Each distinct text of a block's column is made
+    once, with its separator (and JSONL key), and the rows gather them by index.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
-    names = list(columns)
     rows = min((len(column) for column in columns.values()), default=0)
-    # the same encoder json.dumps(..., sort_keys=True) builds on every call
-    encode = json.JSONEncoder(sort_keys=True).encode
+    if fmt == "csv":
+        names, cells, head = list(columns), _csv_cells, ",".join(columns) + "\n"
+        keys, opener, sep, closer = [""] * len(names), "", ",", "\n"
+    else:
+        names, cells, head = sorted(columns), _jsonl_cells, "" if rows else "\n"
+        keys, opener, sep, closer = [k + ": " for k in _jsonl_cells(names)[0]], "{", ", ", "}\n"
+    befores = [p + k for p, k in zip([opener, *[sep] * (len(names) - 1)], keys)]
+    afters = [*[""] * (len(names) - 1), closer]
     with Path(path).open("w") as fh:
-        if fmt == "csv":
-            fh.write(",".join(names) + "\n")
-        elif rows == 0:
-            fh.write("\n")
+        fh.write(head)
         for lo in range(0, rows, _ROW_BLOCK):
-            block = [column[lo : lo + _ROW_BLOCK] for column in columns.values()]
-            if fmt == "csv":
-                lines = map(",".join, zip(*map(_csv_cells, block)))
-            else:
-                values = [_plain(column) for column in block]
-                lines = (encode(dict(zip(names, row))) for row in zip(*values))
-            fh.write("\n".join(lines) + "\n")
+            parts = []
+            for name, before, after in zip(names, befores, afters):
+                column = columns[name][lo : min(lo + _ROW_BLOCK, rows)]
+                texts, inverse = cells(column, before, after)
+                parts.append(np.array(texts, dtype=object)[inverse])
+            fh.write("".join(np.column_stack(parts).ravel().tolist()))
 
 
 def _plain(column) -> list:
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _csv_cells(column) -> list:
-    """A column's CSV texts: numbers rendered once per distinct value, text as it is."""
-    if isinstance(column, np.ndarray) and column.ndim == 1:
-        kind = column.dtype.kind
-        if kind == "U":
-            return column.tolist()
-        if kind in "biu" or (kind == "f" and column.dtype.itemsize <= 8):
-            # fmt_num prints -0.0 as 0.0 and every nan as nan, the values unique merges
-            distinct, inverse = np.unique(column, return_inverse=True)
-            texts = _float_texts(distinct) if kind == "f" else list(map(str, distinct.tolist()))
-            return np.array(texts, dtype=object)[inverse].tolist()
-    return [fmt_num(v) if isinstance(v, float) else str(v) for v in _plain(column)]
+def _kind(column):
+    """The dtype kind of a 1-D text, bool, integer or float (to 64 bits) array column, else None."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) and column.ndim == 1 else "O"
+    return kind if kind in "Ubiu" or (kind == "f" and column.dtype.itemsize <= 8) else None
 
 
-def _float_texts(values) -> list:
-    """``fmt_num`` of each value of a float array, one Dragon4 call per value."""
-    plain = values.tolist()
-    texts = list(map(_render12, plain))
-    for i in np.flatnonzero((values == 0) | ~np.isfinite(values)).tolist():
-        texts[i] = fmt_num(plain[i])
-    return texts
+def _factorized(column) -> tuple:
+    """A text column's distinct values and each row's index into them, by runs, without a sort."""
+    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    heads = column[starts].tolist()
+    index = {value: i for i, value in enumerate(dict.fromkeys(heads))}
+    codes = np.fromiter(map(index.__getitem__, heads), np.intp, len(heads))
+    return list(index), np.repeat(codes, np.diff(np.r_[starts, len(column)]))
+
+
+def _csv_cells(column, before="", after="") -> tuple:
+    """A column's distinct CSV texts, each between before and after, and each row's index."""
+    kind = _kind(column)
+    if kind in (None, "U"):
+        distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
+        texts = [fmt_num(v) if isinstance(v, float) else str(v) for v in distinct]
+        return [before + t + after for t in texts], inverse
+    # fmt_num prints -0.0 as 0.0 and every nan as nan, the values unique merges
+    distinct, inverse = np.unique(column, return_inverse=True)
+    if kind == "f":
+        return _float_texts(distinct, before, after), inverse
+    return _batched(f"{before}%s{after}", distinct.tolist()), inverse  # str of each bool or int
+
+
+def _jsonl_cells(column, before="", after="") -> tuple:
+    """A column's distinct ``json.dumps`` texts, each between before and after, and row indices."""
+    import json
+    kind = _kind(column)
+    if kind in (None, "U"):
+        distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
+        texts = map(json.dumps, distinct)
+    else:
+        # keyed by the bits: -0.0 and 0.0 are equal but encode differently
+        bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
+        texts = json.dumps(bits.view(column.dtype).tolist())[1:-1].split(", ")
+    return [before + t + after for t in texts], inverse
+
+
+def _batched(form: str, values: list) -> list:
+    """``form % v`` for each value, in one formatting call; form holds no NUL."""
+    return (f"{form}\0" * len(values) % tuple(values)).split("\0")[:-1]
+
+
+def _float_texts(values, before="", after="") -> list:
+    """``fmt_num`` of each value of a float array, each between before and after (no '%').
+
+    A value v in [1, 1e11) with e + 1 integer digits takes one ``'%.{11-e}f'``
+    call per decade, which gives ``fmt_num``'s text exactly where it is used:
+    - e is ``log10``'s, corrected by exact compares with 10.0**e (exact to e = 22);
+    - y = v·10^(11-e) is rounded once and rounding is monotone, so y < 10^12 - 1/2
+      (a double) only where the exact product is too: v rounded to 11 - e places
+      then has 12 digits, with no carry into the next decade;
+    - Python's formatting and Dragon4 (``fmt_num``) both round v correctly, exact
+      ties to even, and from 1 up Dragon4 prints all 12 digits; its 11-digit
+      form occurs only below 1.
+    Every other value (below 1, from 1e11, zero, non-finite, or a carry into the
+    next decade) goes through ``fmt_num`` itself.
+    """
+    v = values.astype(np.float64)
+    texts = np.empty(len(v), dtype=object)
+    # only finite values >= 1 reach the arithmetic, so no value can raise a numpy warning
+    at = np.flatnonzero((v >= 1.0) & (v < 1e11))
+    x = v[at]
+    e = np.log10(x).astype(np.intp)
+    e = e - (x < _POW10[e]) + (x >= _POW10[e + 1])
+    fixed = x * _POW10[11 - e] < 999_999_999_999.5
+    at, e = at[fixed], e[fixed]
+    for decade in np.flatnonzero(np.bincount(e)).tolist():
+        group = at[e == decade]
+        texts[group] = _batched(f"{before}%.{11 - decade}f{after}", v[group].tolist())
+    rest = np.isin(np.arange(len(v)), at, invert=True)
+    texts[rest] = [before + fmt_num(x) + after for x in v[rest].tolist()]
+    return texts.tolist()
 
 
 def summary_row(summary) -> dict:
@@ -387,10 +447,6 @@ def run_cell(spec: ExperimentSpec, cell: dict):
     return result.summary
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
-
-
 def _draw_instance(spec: ExperimentSpec, index: int):
     """A property-check instance: explicit profiles, or drawn sizes, rates, values and bids."""
     base = spec.config
@@ -409,6 +465,7 @@ def _draw_instance(spec: ExperimentSpec, index: int):
 
 
 def _dsic_reports(config, profiles, realization):
+    from .strategy_lab import build_scenario, shared_learner, verify_dsic
     # learning ignores bids, so every deviator's scenario shares one learner
     learned = shared_learner(config, realization)
     for deviator in range(1, config.num_agents + 1):
@@ -417,6 +474,7 @@ def _dsic_reports(config, profiles, realization):
 
 
 def _ir_reports(config, profiles, realization):
+    from .strategy_lab import verify_ir
     yield verify_ir(config, profiles, realization)
 
 
@@ -515,7 +573,7 @@ def _cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_cell_star, [(spec, cell) for cell in cells]))
+            summaries = list(pool.map(run_cell, [spec] * len(cells), cells))
     else:
         summaries = [run_cell(spec, cell) for cell in cells]
     out_dir = Path(args.out)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,6 +36,7 @@ import numpy as np
 from .core import (
     AgentProfile,
     AuctionConfig,
+    BaselineKind,
     ConfigError,
     LearnerState,
     confidence_radius,
@@ -387,14 +387,6 @@ def welfare_interval_violations(
         spans[-1] = horizon - rounds[-1] + 1
         total += int((violated * spans).sum())
     return total
-
-
-class BaselineKind(Enum):
-    """Reference mechanisms for regret comparisons."""
-
-    ORACLE_ALLOCATION = "oracle"
-    PLAIN_UCB = "plain-ucb"
-    EXPLORATION_SEPARATED_T23 = "explore-t23"
 
 
 def t23_budget(num_agents: int, horizon: int) -> int:

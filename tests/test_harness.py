@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import io
 import importlib
 import json
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import defaultdict
 from pathlib import Path
 from unittest import mock
@@ -259,6 +261,12 @@ def test_fmt_num_renderings():
     # the digit count follows the last bits, and the golden files hold both forms
     assert fmt_num(0.275) == "0.275000000000"
     assert fmt_num(0.27499999999999997) == "0.27500000000"
+    # below 1 a value whose digits stop early pads to 11 places; from 1 up, 12 digits always
+    assert fmt_num(0.3) == "0.30000000000"
+    assert fmt_num(0.0625) == "0.06250000000"
+    assert fmt_num(1.5) == "1.50000000000"
+    assert fmt_num(12.5) == "12.5000000000"
+    assert fmt_num(9.9999999999995) == "10.0000000000"
 
 
 def _reference_write_table(columns, path, fmt):
@@ -292,6 +300,8 @@ _COLUMN_KINDS = [
     (_FLOATS, np.float64),
     (_FLOATS, None),
     (st.floats(width=32, allow_nan=True), np.float32),
+    (st.floats(width=16, allow_nan=True), np.float16),
+    (st.sampled_from([-0.0, 0.0]), np.float64),  # equal values that JSON encodes apart
     (st.integers(-(2**63), 2**63 - 1), np.int64),
     (st.integers(-(2**70), 2**70), None),
     (st.integers(0, 255), np.uint8),
@@ -346,7 +356,101 @@ _FLOAT_EDGES = [
 def test_float_cells_match_fmt_num(dtype, values):
     with np.errstate(over="ignore"):
         column = np.array(values).astype(dtype)
-    assert harness._csv_cells(column) == [fmt_num(v) for v in column]
+    texts, inverse = harness._csv_cells(column)
+    assert np.array(texts, dtype=object)[inverse].tolist() == [fmt_num(v) for v in column]
+
+
+def _either_side(values):
+    """Each value and the doubles one ulp below and above it."""
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@functools.cache
+def _adversarial_floats() -> dict:
+    """Classes of floats where a fixed-point shortcut could part from fmt_num, 10^4 or more each."""
+    rng = np.random.default_rng(20_261_018)
+    n = 10_000
+    decades = rng.integers(0, 11, n)
+    # a / 2^(12-e) with a odd is exactly halfway at the 13th significant digit
+    scale = 2.0 ** (12 - decades)
+    ties = (np.floor(rng.uniform(10.0**decades, 10.0 ** (decades + 1)) * scale / 2) * 2 + 1) / scale
+    # 13 digits ending in 5, and 13 digits whose rounding carries through trailing nines,
+    # scaled from 1e-12 to 1e12; Python's int / int is correctly rounded
+    fives = [int(m) * 10 + 5 for m in rng.integers(10**11, 10**12, n)]
+    nines = []
+    for k, d in zip(rng.integers(1, 13, n).tolist(), rng.integers(5, 10, n).tolist()):
+        prefix = int(rng.integers(10 ** (11 - k), 10 ** (12 - k))) if k < 12 else 0
+        nines.append(((prefix + 1) * 10**k - 1) * 10 + d)
+    shifts = rng.integers(1, 25, n).tolist()
+    powers = np.array([float(10**e) if e >= 0 else 10.0**e for e in range(-30, 31)])
+    steps = np.arange(-90, 91)
+    subnormal = rng.integers(1, 2**52, n).view(np.float64)
+    payloads = (rng.integers(1, 2**52, n) | np.int64(0x7FF0000000000000)).view(np.float64)
+    return {
+        "ties": _either_side(ties),
+        "fives": _either_side(np.array([m / 10**s for m, s in zip(fives, shifts)])),
+        "nines": _either_side(np.array([m / 10**s for m, s in zip(nines, shifts)])),
+        "powers": (powers.view(np.int64)[:, None] + steps).ravel().view(np.float64),
+        "1e11-1e12": np.concatenate([rng.uniform(1e11, 1e12, n), 10 ** rng.uniform(11, 12, n)]),
+        "negative": -np.concatenate([ties, 10 ** rng.uniform(-12, 15, n)]),
+        "special": np.concatenate(
+            [subnormal, -subnormal, payloads, -payloads, [np.inf, -np.inf, 0.0, -0.0]]
+        ),
+        "float32": np.concatenate(
+            [
+                rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
+                rng.uniform(0, 1e6, n).astype(np.float32),
+            ]
+        ),
+        "float16": np.arange(2**16, dtype=np.uint16).view(np.float16),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["ties", "fives", "nines", "powers", "1e11-1e12", "negative", "special", "float32", "float16"],
+)
+def test_float_texts_match_fmt_num_on_adversarial_values(kind):
+    values = _adversarial_floats()[kind]
+    assert values.size >= 10_000
+    distinct = np.unique(values)
+    assert harness._float_texts(distinct) == [fmt_num(v) for v in distinct]
+
+
+def test_write_table_raises_no_numpy_warnings(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -2.5, -0.0, 0.0, 0.5, 3.25, 6e4, -5e-324]
+    columns = {
+        "f64": np.array(floats),
+        "f32": np.array(floats, dtype=np.float32),
+        "f16": np.array(floats, dtype=np.float16),
+        "i64": np.arange(-5, 5),
+        "text": np.array(["a", "b"] * 5),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("csv", "jsonl"):
+            harness.write_table(columns, tmp_path / f"table.{fmt}", fmt)
+    assert (tmp_path / "table.csv").read_text().splitlines()[1].startswith("nan,nan,nan,-5,a")
+
+
+def test_run_loads_only_what_it_runs(tmp_path):
+    # a single-slot CSV run needs neither the checks, the multi-slot price rule nor json; and
+    # numpy.ma, which np.unique loads when asked for the values alone, costs ~30 ms
+    args = ["run", "--config", str(DATA / "golden.cfg"), "--out", str(tmp_path), "--format", "csv",
+            "--rounds-log", "all"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        f"import sys; from deltaucb.harness import main; code = main({args!r}); "
+        "print(code, [m for m in ('deltaucb.strategy_lab', 'deltaucb.mechanism_multi', 'json', "
+        "'numpy.ma') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "rounds.csv").read_bytes() == (DATA / "golden_rounds.csv").read_bytes()
 
 
 def test_write_table_with_no_rows(tmp_path):
@@ -472,7 +576,7 @@ def test_import_starts_no_blas_workers_unless_asked(preset):
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = (
-        "import os, deltaucb; "
+        "import os, deltaucb.harness; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
     done = subprocess.run(
@@ -661,8 +765,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
