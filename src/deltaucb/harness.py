@@ -307,7 +307,7 @@ def _factorized(column) -> tuple:
 
 
 def _csv_cells(column, before="", after="") -> tuple:
-    """A column's distinct CSV texts, each between before and after, and each row's index."""
+    """A column's distinct CSV texts, each between before and after (no '%'), and row indices."""
     kind = _kind(column)
     if kind in (None, "U"):
         distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
@@ -504,6 +504,8 @@ def property_check(command: str, spec: ExperimentSpec, instances: int, out=None)
     if spec.mechanism != replayed:
         raise ConfigError(f"mechanism: {command} replays {replayed}, not {spec.mechanism}")
     out = out if out is not None else sys.stdout
+    # loaded before the first draw: loaded between draws it left ~0.5 MiB more peak RSS
+    from . import strategy_lab  # noqa: F401
     reports_of, finding, summary = _CHECKS[command]
     reports, findings = [], []
     for index in range(instances):
