@@ -326,12 +326,12 @@ def _jsonl_cells(column, before="", after="") -> tuple:
     kind = _kind(column)
     if kind in (None, "U"):
         distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
-        texts = map(json.dumps, distinct)
-    else:
-        # keyed by the bits: -0.0 and 0.0 are equal but encode differently
-        bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
-        texts = json.dumps(bits.view(column.dtype).tolist())[1:-1].split(", ")
-    return [before + t + after for t in texts], inverse
+        return [before + json.dumps(v) + after for v in distinct], inverse
+    # keyed by the bits: -0.0 and 0.0 are equal but encode differently. One dumps call encodes
+    # the distinct numbers, whose texts hold no ", " or NUL, and the key texts hold no NUL
+    bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
+    listed = json.dumps(bits.view(column.dtype).tolist())[1:-1]
+    return (before + listed.replace(", ", f"{after}\0{before}") + after).split("\0"), inverse
 
 
 def _batched(form: str, values: list) -> list:
