@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import importlib
 import json
@@ -511,6 +512,35 @@ def test_golden_files_cover_drawn_profiles(tmp_path):
                  "--rounds-log", "all"]) == 0
     assert (out / "rounds.csv").read_bytes() == (DATA / "golden_drawn_rounds.csv").read_bytes()
     assert (out / "summary.csv").read_bytes() == (DATA / "golden_drawn_summary.csv").read_bytes()
+
+
+# the benchmark's rounds-log-1e5 run (perfbench/run.py, default seed): two 65,536-row blocks
+# whose payment and running-total columns change value in long runs and short ones
+ROUNDS_LOG_1E5 = """num_agents = 5
+horizon = 100000
+delta = 0.2
+v_max = 1.0
+seed = 7
+ctrs = 0.9, 0.6, 0.5, 0.3, 0.1
+valuations = 1.0, 1.0, 1.0, 1.0, 1.0
+"""
+ROUNDS_LOG_1E5_SHA256 = {
+    "rounds.csv": "d98023e19d0770351aacf8ccefe3935b872b54079d61740c17419146179f1dcc",
+    "summary.csv": "bd6008315c88607a850e09d3f83a4a1b8e9d028f62ffdd52781c582373da3a41",
+    "rounds.jsonl": "6b71a83d4066a565243f58b1a24069c533316a6b8797da419939f88edb0922c7",
+    "summary.jsonl": "4f0194abcda73ce9173efab68bc03e9d2266306c03f811f9da0ee8fd28da2f08",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_benchmark_round_log_digests_are_stable(tmp_path, fmt):
+    cfg = _write(tmp_path, "rounds_log_1e5.cfg", ROUNDS_LOG_1E5)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--rounds-log", "all",
+                 "--format", fmt]) == 0
+    for name in (f"rounds.{fmt}", f"summary.{fmt}"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == ROUNDS_LOG_1E5_SHA256[name], name
 
 
 def test_golden_sweep_summary_is_stable(tmp_path):
