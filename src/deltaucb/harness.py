@@ -36,7 +36,12 @@ _render12 = functools.partial(
 )
 # rows per block when writing a table: bounds its text held in memory
 _ROW_BLOCK = 65_536
-_POW10 = np.array([float(10**i) for i in range(13)])  # 10**i, each exact in a double
+# bytes of a block's padded matrix: a block of wider rows is written a part at a time
+_BLOCK_BYTES = 1 << 24
+_POWERS = 10 ** np.arange(14)
+_POW10 = _POWERS[:13].astype(np.float64)  # 10**i, each exact in a double
+# "00" to "99", each pair of ASCII digits as one 2-byte item
+_PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).view(np.uint16).ravel()
 
 _BASELINES = tuple(kind.value for kind in BaselineKind)
 MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", *_BASELINES)
@@ -257,34 +262,63 @@ def emit_round_log(log, path, fmt, profiles, config) -> None:
 
 
 def write_table(columns: dict, path, fmt) -> None:
-    """Write equal-length columns as CSV or JSONL, ``_ROW_BLOCK`` rows at a time.
+    """Write equal-length columns as UTF-8 CSV or JSONL, ``_ROW_BLOCK`` rows at a time.
 
     CSV has a header row and renders floats with ``fmt_num`` and anything
     else with ``str``; JSONL has one object per row, keys sorted, values as
     ``json.dumps`` gives them. Columns may be lists or 1-D numpy arrays; a row
-    holds what ``tolist`` gives. Each distinct text of a block's column is made
-    once, with its separator (and JSONL key), and the rows gather them by index.
+    holds what ``tolist`` gives. A block is one byte matrix: each column's
+    texts NUL-padded to its widest, between constant separator columns, and
+    written without its NULs. So a CSV text cell may not hold a NUL.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
     rows = min((len(column) for column in columns.values()), default=0)
     if fmt == "csv":
-        names, cells, head = list(columns), _csv_cells, ",".join(columns) + "\n"
-        keys, opener, sep, closer = [""] * len(names), "", ",", "\n"
+        names, head = list(columns), ",".join(columns) + "\n"
+        seps = ["", *[","] * (len(names) - 1), "\n"]
     else:
-        names, cells, head = sorted(columns), _jsonl_cells, "" if rows else "\n"
-        keys, opener, sep, closer = [k + ": " for k in _jsonl_cells(names)[0]], "{", ", ", "}\n"
-    befores = [p + k for p, k in zip([opener, *[sep] * (len(names) - 1)], keys)]
-    afters = [*[""] * (len(names) - 1), closer]
-    with Path(path).open("w") as fh:
-        fh.write(head)
+        import json
+        names, head = sorted(columns), "" if rows else "\n"
+        openers = ["{", *[", "] * (len(names) - 1)]
+        seps = [opener + json.dumps(name) + ": " for opener, name in zip(openers, names)]
+        seps.append("}\n")
+    seps = [(np.frombuffer(sep.encode(), np.uint8).reshape(1, -1), None) for sep in seps]
+    named = [(name, columns[name]) for name in names]
+    with Path(path).open("wb") as fh:
+        fh.write(head.encode())
         for lo in range(0, rows, _ROW_BLOCK):
-            parts = []
-            for name, before, after in zip(names, befores, afters):
-                column = columns[name][lo : min(lo + _ROW_BLOCK, rows)]
-                texts, inverse = cells(column, before, after)
-                parts.append(np.array(texts, dtype=object)[inverse])
-            fh.write("".join(np.column_stack(parts).ravel().tolist()))
+            _write_rows(fh, named, seps, fmt, lo, min(lo + _ROW_BLOCK, rows))
+
+
+def _write_rows(fh, named, seps, fmt, lo, hi) -> None:
+    """Write rows lo:hi as one matrix, or as two halves while it would pass ``_BLOCK_BYTES``.
+
+    So a wide cell widens only the few rows written with it; one row is written whole.
+    """
+    room = _BLOCK_BYTES // (hi - lo) - sum(sep.shape[1] for sep, _ in seps)
+    parts = [seps[0]]
+    for (name, column), sep in zip(named, seps[1:]):
+        cell = _cells(column[lo:hi], fmt, name, room if hi - lo > 1 else math.inf)
+        if cell is None:
+            mid = (lo + hi) // 2
+            _write_rows(fh, named, seps, fmt, lo, mid)
+            _write_rows(fh, named, seps, fmt, mid, hi)
+            return
+        room -= cell[0].shape[1]
+        parts += [cell, sep]
+    rows = hi - lo
+    matrix = np.concatenate(
+        [
+            np.broadcast_to(texts, (rows, texts.shape[1]))
+            if runs is None
+            else np.repeat(texts, runs, axis=0)
+            for texts, runs in parts
+        ],
+        axis=1,
+    )
+    flat = matrix.ravel()
+    fh.write(flat[flat != 0])
 
 
 def _plain(column) -> list:
@@ -297,78 +331,122 @@ def _kind(column):
     return kind if kind in "Ubiu" or (kind == "f" and column.dtype.itemsize <= 8) else None
 
 
-def _factorized(column) -> tuple:
-    """A text column's distinct values and each row's index into them, by runs, without a sort."""
-    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
-    heads = column[starts].tolist()
-    index = {value: i for i, value in enumerate(dict.fromkeys(heads))}
-    codes = np.fromiter(map(index.__getitem__, heads), np.intp, len(heads))
-    return list(index), np.repeat(codes, np.diff(np.r_[starts, len(column)]))
+def _cells(column, fmt, name, room) -> Optional[tuple]:
+    """A column's texts as NUL-padded UTF-8 rows and the table rows each fills.
 
-
-def _csv_cells(column, before="", after="") -> tuple:
-    """A column's distinct CSV texts, each between before and after (no '%'), and row indices."""
-    kind = _kind(column)
-    if kind in (None, "U"):
-        distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
-        texts = [fmt_num(v) if isinstance(v, float) else str(v) for v in distinct]
-        return [before + t + after for t in texts], inverse
-    # fmt_num prints -0.0 as 0.0 and every nan as nan, the values unique merges
-    distinct, inverse = np.unique(column, return_inverse=True)
-    if kind == "f":
-        return _float_texts(distinct, before, after), inverse
-    return _batched(f"{before}%s{after}", distinct.tolist()), inverse  # str of each bool or int
-
-
-def _jsonl_cells(column, before="", after="") -> tuple:
-    """A column's distinct ``json.dumps`` texts, each between before and after, and row indices."""
-    import json
-    kind = _kind(column)
-    if kind in (None, "U"):
-        distinct, inverse = _factorized(column) if kind else (_plain(column), slice(None))
-        return [before + json.dumps(v) + after for v in distinct], inverse
-    # keyed by the bits: -0.0 and 0.0 are equal but encode differently. One dumps call encodes
-    # the distinct numbers, whose texts hold no ", " or NUL, and the key texts hold no NUL
-    bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
-    listed = json.dumps(bits.view(column.dtype).tolist())[1:-1]
-    return (before + listed.replace(", ", f"{after}\0{before}") + after).split("\0"), inverse
-
-
-def _batched(form: str, values: list) -> list:
-    """``form % v`` for each value, in one formatting call; form holds no NUL."""
-    return (f"{form}\0" * len(values) % tuple(values)).split("\0")[:-1]
-
-
-def _float_texts(values, before="", after="") -> list:
-    """``fmt_num`` of each value of a float array, each between before and after (no '%').
-
-    A value v in [1, 1e11) with e + 1 integer digits takes one ``'%.{11-e}f'``
-    call per decade, which gives ``fmt_num``'s text exactly where it is used:
-    - e is ``log10``'s, corrected by exact compares with 10.0**e (exact to e = 22);
-    - y = v·10^(11-e) is rounded once and rounding is monotone, so y < 10^12 - 1/2
-      (a double) only where the exact product is too: v rounded to 11 - e places
-      then has 12 digits, with no carry into the next decade;
-    - Python's formatting and Dragon4 (``fmt_num``) both round v correctly, exact
-      ties to even, and from 1 up Dragon4 prints all 12 digits; its 11-digit
-      form occurs only below 1.
-    Every other value (below 1, from 1e11, zero, non-finite, or a carry into the
-    next decade) goes through ``fmt_num`` itself.
+    An array column has one text per run of equal bits (so -0.0 and 0.0 stay
+    apart) and the run lengths; any other column one text per row and None.
+    None instead when the texts are wider than room bytes.
     """
-    v = values.astype(np.float64)
-    texts = np.empty(len(v), dtype=object)
+    kind, runs = _kind(column), None
+    if kind is None:
+        heads = _plain(column)
+    else:
+        bits = column if kind == "U" else column.view(f"u{column.dtype.itemsize}")
+        starts = np.flatnonzero(np.r_[len(column) > 0, bits[1:] != bits[:-1]])
+        runs = np.diff(np.r_[starts, len(column)])
+        heads = column[starts]
+    if kind in ("i", "u"):
+        texts = _int_matrix(heads, room)  # str and json.dumps agree on integers
+    elif fmt == "jsonl":
+        texts = _json_matrix(heads, kind, room)
+    elif kind == "f":
+        texts = _float_matrix(heads, room)
+    else:
+        texts = [fmt_num(v) if isinstance(v, float) else str(v) for v in _plain(heads)]
+        if any("\0" in text for text in texts):
+            raise ValueError(f"column {name}: a CSV text cell cannot hold NUL, the pad byte")
+        texts = _padded([text.encode() for text in texts], room)
+    return None if texts is None or texts.shape[1] > room else (texts, runs)
+
+
+def _padded(encoded: list, room=math.inf):
+    """Byte strings as the rows of a uint8 matrix, NUL-padded to the widest; None past room."""
+    width = max(map(len, encoded), default=0) or 1
+    if width > room:
+        return None
+    return np.array(encoded, f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _merged(rows: int, at, texts, rest, others):
+    """One matrix holding texts in rows at and others in rows rest; None when others is."""
+    if others is None:
+        return None
+    if not len(rest):
+        return texts
+    merged = np.zeros((rows, max(texts.shape[1], others.shape[1])), np.uint8)
+    merged[at, : texts.shape[1]] = texts
+    merged[rest, : others.shape[1]] = others
+    return merged
+
+
+def _json_matrix(values, kind, room):
+    """``json.dumps`` of each value as NUL-padded rows; one call encodes a number array."""
+    import json
+    if kind in (None, "U"):
+        return _padded([json.dumps(v).encode() for v in _plain(values)], room)
+    # the texts of numbers hold no ", "
+    return _padded(json.dumps(values.tolist())[1:-1].encode().split(b", "), room)
+
+
+def _digits(values, places: int):
+    """Decimal digits of int64 values in [0, 10**places) as ASCII rows, leading zeros NUL.
+
+    The digits come by pairs from ``_PAIRS``; a value keeps its last digit, so 0 is
+    "0". The columns left of the widest value's first digit are dropped.
+    """
+    zeros = places - 1 - np.searchsorted(_POWERS[1:], values, side="right")
+    pairs = np.empty((len(values), (places + 1) // 2), np.uint16)
+    for k in reversed(range(pairs.shape[1])):
+        high = values // 100
+        pairs[:, k] = _PAIRS[values - 100 * high]
+        values = high
+    digits = pairs.view(np.uint8)[:, -places:]
+    digits *= np.arange(places, dtype=np.uint8) >= zeros.astype(np.uint8)[:, None]
+    return digits[:, zeros.min(initial=places - 1) :]
+
+
+def _int_matrix(values, room=math.inf):
+    """``str`` of each value of an integer array as NUL-padded rows, 0 to 10**12 by digit pairs."""
+    small = (values >= 0) & (values <= 10**12)
+    at, rest = np.flatnonzero(small), np.flatnonzero(~small)
+    digits = _digits(values[at].astype(np.int64), 13)
+    others = _padded([str(v).encode() for v in values[rest].tolist()], room)
+    return _merged(len(values), at, digits, rest, others)
+
+
+def _float_matrix(values, room=math.inf):
+    """``fmt_num`` of each value of a float array as NUL-padded rows.
+
+    A value x in [1, 1e11) with e + 1 integer digits is printed as rint(y) for
+    y = x·10^(11-e), with '.' after e + 1 digits, which is ``fmt_num``'s text
+    where it is used:
+    - e is ``log10``'s, corrected by exact compares with 10.0**e (exact to e = 22);
+    - 10^(11-e) is exact, so y is the product rounded once, within ulp(y)/2 of
+      it. Where y's fraction is more than 2·ulp(y) from 1/2, rint(y) is the
+      product rounded to an integer, that is x rounded correctly to 12
+      significant digits, as Dragon4 rounds it;
+    - y < 10^12 - 1/2 keeps those 12 digits from carrying into the next decade,
+      and from 1 up Dragon4 prints all 12 (its 11-digit form occurs only below 1).
+    Every other value (below 1, from 1e11, zero, non-finite, a carry or near a
+    tie) goes through ``fmt_num`` itself, once per distinct value.
+    """
+    x = values.astype(np.float64)
     # only finite values >= 1 reach the arithmetic, so no value can raise a numpy warning
-    at = np.flatnonzero((v >= 1.0) & (v < 1e11))
-    x = v[at]
-    e = np.log10(x).astype(np.intp)
-    e = e - (x < _POW10[e]) + (x >= _POW10[e + 1])
-    fixed = x * _POW10[11 - e] < 999_999_999_999.5
-    at, e = at[fixed], e[fixed]
-    for decade in np.flatnonzero(np.bincount(e)).tolist():
-        group = at[e == decade]
-        texts[group] = _batched(f"{before}%.{11 - decade}f{after}", v[group].tolist())
-    rest = np.isin(np.arange(len(v)), at, invert=True)
-    texts[rest] = [before + fmt_num(x) + after for x in v[rest].tolist()]
-    return texts.tolist()
+    at = np.flatnonzero((x >= 1.0) & (x < 1e11))
+    e = np.log10(x[at]).astype(np.intp)
+    e = e - (x[at] < _POW10[e]) + (x[at] >= _POW10[e + 1])
+    y = x[at] * _POW10[11 - e]
+    exact = (y < 999_999_999_999.5) & (np.abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y))
+    at, e, whole = at[exact], e[exact], np.rint(y[exact]).astype(np.int64)
+    # the e + 1 integer digits one place left, so a 0 digit sits where the '.' goes
+    scale = _POWERS[11 - e]
+    texts = _digits(whole + 9 * (whole // scale) * scale, 13)
+    texts[np.arange(len(at)), e + 1] = ord(".")
+    rest = np.flatnonzero(np.bincount(at, minlength=len(x)) == 0)
+    keys = x[rest].view(np.uint64).tolist()
+    memo = {key: fmt_num(v).encode() for key, v in dict(zip(keys, x[rest].tolist())).items()}
+    return _merged(len(x), at, texts, rest, _padded(list(map(memo.__getitem__, keys)), room))
 
 
 def summary_row(summary) -> dict:

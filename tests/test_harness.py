@@ -284,7 +284,7 @@ def _reference_write_table(columns, path, fmt):
         ]
     elif fmt == "jsonl":
         lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # values whose rendering carries into another digit count, and the subnormal edges
@@ -357,8 +357,47 @@ _FLOAT_EDGES = [
 def test_float_cells_match_fmt_num(dtype, values):
     with np.errstate(over="ignore"):
         column = np.array(values).astype(dtype)
-    texts, inverse = harness._csv_cells(column)
-    assert np.array(texts, dtype=object)[inverse].tolist() == [fmt_num(v) for v in column]
+    assert _column_texts(column) == [fmt_num(v) for v in column]
+
+
+def _texts(matrix) -> list:
+    """The texts of a NUL-padded byte matrix, one per row."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in matrix]
+
+
+def _column_texts(column) -> list:
+    """The CSV text of each cell of an array column, as write_table renders it."""
+    texts, runs = harness._cells(column, "csv", "column", math.inf)
+    return _texts(np.repeat(texts, runs, axis=0))
+
+
+_INT_EDGES = [-(2**63), 2**63 - 1, -(10**12), -1, 0, 1, 9, 10, 99, 100, 10**12 - 1, 10**12,
+              10**12 + 1, 10**13]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array(_INT_EDGES, dtype=np.int64),
+        np.array([0, 2**64 - 1, 10**12, 10**12 + 1], dtype=np.uint64),
+        np.arange(256, dtype=np.uint8),
+        np.arange(-128, 128, dtype=np.int8),
+        np.array([True, False, False, True]),
+        np.array([7, 7, 7, 12, 7], dtype=np.int32),
+    ],
+    ids=["int64", "uint64", "uint8", "int8", "bool", "runs"],
+)
+def test_integer_cells_match_str(column):
+    assert _column_texts(column) == [str(v) for v in column.tolist()]
+    if column.dtype.kind in "iu":
+        assert _texts(harness._int_matrix(column)) == [str(v) for v in column.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 10**12 + 1), max_size=40))
+def test_int_matrix_matches_str(values):
+    column = np.array(values, dtype=np.int64)
+    assert _texts(harness._int_matrix(column)) == [str(v) for v in values]
 
 
 def _either_side(values):
@@ -385,6 +424,16 @@ def _adversarial_floats() -> dict:
     shifts = rng.integers(1, 25, n).tolist()
     powers = np.array([float(10**e) if e >= 0 else 10.0**e for e in range(-30, 31)])
     steps = np.arange(-90, 91)
+    # within 2 ulp of a 13th-digit half, (2m + 1)/2 · 10^(e-11), in every decade e the fixed-point
+    # rendering takes and two on each side of them
+    exps = rng.integers(-2, 13, n).tolist()
+    halves = np.array(
+        [
+            (2 * int(m) + 1) * 10**e / (2 * 10**11) if e >= 0 else (2 * int(m) + 1) / (2 * 10 ** (11 - e))
+            for m, e in zip(rng.integers(10**11, 10**12, n), exps)
+        ]
+    )
+    near_halves = (halves.view(np.int64)[:, None] + np.arange(-2, 3)).ravel().view(np.float64)
     subnormal = rng.integers(1, 2**52, n).view(np.float64)
     payloads = (rng.integers(1, 2**52, n) | np.int64(0x7FF0000000000000)).view(np.float64)
     return {
@@ -404,18 +453,22 @@ def _adversarial_floats() -> dict:
             ]
         ),
         "float16": np.arange(2**16, dtype=np.uint16).view(np.float16),
+        "near-halves": near_halves,
     }
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["ties", "fives", "nines", "powers", "1e11-1e12", "negative", "special", "float32", "float16"],
+    [
+        "ties", "fives", "nines", "powers", "1e11-1e12", "negative", "special", "float32", "float16",
+        "near-halves",
+    ],
 )
 def test_float_texts_match_fmt_num_on_adversarial_values(kind):
     values = _adversarial_floats()[kind]
     assert values.size >= 10_000
     distinct = np.unique(values)
-    assert harness._float_texts(distinct) == [fmt_num(v) for v in distinct]
+    assert _texts(harness._float_matrix(distinct)) == [fmt_num(v) for v in distinct]
 
 
 def test_write_table_raises_no_numpy_warnings(tmp_path):
@@ -432,6 +485,47 @@ def test_write_table_raises_no_numpy_warnings(tmp_path):
         for fmt in ("csv", "jsonl"):
             harness.write_table(columns, tmp_path / f"table.{fmt}", fmt)
     assert (tmp_path / "table.csv").read_text().splitlines()[1].startswith("nan,nan,nan,-5,a")
+
+
+def test_one_wide_cell_widens_only_the_rows_written_with_it(tmp_path):
+    import tracemalloc
+
+    text = ["x"] * harness._ROW_BLOCK
+    text[40_000] = "w" * 2**20
+    columns = {"t": np.arange(len(text)), "text": text}
+    tracemalloc.start()
+    try:
+        harness.write_table(columns, tmp_path / "table.csv", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # padded to the wide cell, the block's matrix would take 64 GiB
+    assert peak < 4 * harness._BLOCK_BYTES, peak
+    _reference_write_table(columns, tmp_path / "reference.csv", "csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column", [np.array(["a", "b\0c"]), ["a", "b\0c"]], ids=["array", "list"])
+def test_csv_text_cells_holding_nul_are_refused(tmp_path, column):
+    columns = {"t": np.arange(2), "note": column}
+    with pytest.raises(ValueError, match="column note"):
+        harness.write_table(columns, tmp_path / "table.csv", "csv")
+    # JSON escapes the NUL, so JSONL writes it
+    harness.write_table(columns, tmp_path / "table.jsonl", "jsonl")
+    _reference_write_table(columns, tmp_path / "reference.jsonl", "jsonl")
+    assert (tmp_path / "table.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+def test_non_ascii_text_is_written_as_utf8(tmp_path):
+    texts = ["é", "日本語", "x", "🙂", "x"]
+    columns = {"t": np.arange(5), "array": np.array(texts), "list": texts}
+    for fmt in ("csv", "jsonl"):
+        harness.write_table(columns, tmp_path / f"table.{fmt}", fmt)
+        _reference_write_table(columns, tmp_path / f"reference.{fmt}", fmt)
+        assert (tmp_path / f"table.{fmt}").read_bytes() == (
+            tmp_path / f"reference.{fmt}"
+        ).read_bytes()
+    assert "🙂" in (tmp_path / "table.csv").read_text(encoding="utf-8")
 
 
 def test_run_loads_only_what_it_runs(tmp_path):
