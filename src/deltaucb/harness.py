@@ -346,12 +346,13 @@ def _cells(column, fmt, name, room) -> Optional[tuple]:
         starts = np.flatnonzero(np.r_[len(column) > 0, bits[1:] != bits[:-1]])
         runs = np.diff(np.r_[starts, len(column)])
         heads = column[starts]
+    # numbers' texts have a bounded width, so only the other texts are checked as they are made
     if kind in ("i", "u"):
-        texts = _int_matrix(heads, room)  # str and json.dumps agree on integers
+        texts = _int_matrix(heads)  # str and json.dumps agree on integers
     elif fmt == "jsonl":
         texts = _json_matrix(heads, kind, room)
     elif kind == "f":
-        texts = _float_matrix(heads, room)
+        texts = _float_matrix(heads)
     else:
         texts = [fmt_num(v) if isinstance(v, float) else str(v) for v in _plain(heads)]
         if any("\0" in text for text in texts):
@@ -369,9 +370,7 @@ def _padded(encoded: list, room=math.inf):
 
 
 def _merged(rows: int, at, texts, rest, others):
-    """One matrix holding texts in rows at and others in rows rest; None when others is."""
-    if others is None:
-        return None
+    """One matrix holding texts in rows at and others in rows rest."""
     if not len(rest):
         return texts
     merged = np.zeros((rows, max(texts.shape[1], others.shape[1])), np.uint8)
@@ -406,16 +405,16 @@ def _digits(values, places: int):
     return digits[:, zeros.min(initial=places - 1) :]
 
 
-def _int_matrix(values, room=math.inf):
+def _int_matrix(values):
     """``str`` of each value of an integer array as NUL-padded rows, 0 to 10**12 by digit pairs."""
     small = (values >= 0) & (values <= 10**12)
     at, rest = np.flatnonzero(small), np.flatnonzero(~small)
     digits = _digits(values[at].astype(np.int64), 13)
-    others = _padded([str(v).encode() for v in values[rest].tolist()], room)
+    others = _padded([str(v).encode() for v in values[rest].tolist()])
     return _merged(len(values), at, digits, rest, others)
 
 
-def _float_matrix(values, room=math.inf):
+def _float_matrix(values):
     """``fmt_num`` of each value of a float array as NUL-padded rows.
 
     A value x in [1, 1e11) with e + 1 integer digits is printed as rint(y) for
@@ -446,7 +445,7 @@ def _float_matrix(values, room=math.inf):
     rest = np.flatnonzero(np.bincount(at, minlength=len(x)) == 0)
     keys = x[rest].view(np.uint64).tolist()
     memo = {key: fmt_num(v).encode() for key, v in dict(zip(keys, x[rest].tolist())).items()}
-    return _merged(len(x), at, texts, rest, _padded(list(map(memo.__getitem__, keys)), room))
+    return _merged(len(x), at, texts, rest, _padded(list(map(memo.__getitem__, keys))))
 
 
 def summary_row(summary) -> dict:
