@@ -39,7 +39,7 @@ _ROW_BLOCK = 65_536
 # bytes of a block's padded matrix: a block of wider rows is written a part at a time
 _BLOCK_BYTES = 1 << 24
 _POWERS = 10 ** np.arange(14)
-_POW10 = _POWERS[:13].astype(np.float64)  # 10**i, each exact in a double
+_POW10 = np.array([float(10**i) for i in range(13)])  # 10**i, each exact in a double
 # "00" to "99", each pair of ASCII digits as one 2-byte item
 _PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).view(np.uint16).ravel()
 
