@@ -424,12 +424,12 @@ def _adversarial_floats() -> dict:
     shifts = rng.integers(1, 25, n).tolist()
     powers = np.array([float(10**e) if e >= 0 else 10.0**e for e in range(-30, 31)])
     steps = np.arange(-90, 91)
-    # within 2 ulp of a 13th-digit half, (2m + 1)/2 · 10^(e-11), in every decade e the fixed-point
-    # rendering takes and two on each side of them
+    # halves at the 13th significant digit, (2m + 1)/2 · 10^(e-11) for 12-digit m, in each
+    # decade e from -2 to 12, and the doubles within 2 ulp of them
     exps = rng.integers(-2, 13, n).tolist()
     halves = np.array(
         [
-            (2 * int(m) + 1) * 10**e / (2 * 10**11) if e >= 0 else (2 * int(m) + 1) / (2 * 10 ** (11 - e))
+            (2 * int(m) + 1) * 10 ** max(e, 0) / (2 * 10 ** (11 - min(e, 0)))
             for m, e in zip(rng.integers(10**11, 10**12, n), exps)
         ]
     )
