@@ -136,6 +136,10 @@ def validate_config(config: AuctionConfig) -> AuctionConfig:
     for left, right in zip(prominences, prominences[1:]):
         if not (0.0 < right <= left):
             raise ConfigError("prominences must be positive and non-increasing")
+    # bounds every index, price and total: each sample is at most 1 / gamma_M
+    bound = config.num_slots * config.v_max * (1.0 + math.sqrt(2.0 * math.log(config.horizon)))
+    if not math.isfinite(config.horizon * bound / prominences[-1]):
+        raise ConfigError("prominences: T M v_max (1 + sqrt(2 ln T)) / gamma_M is not finite")
     return replace(config, prominences=prominences)
 
 
@@ -193,9 +197,9 @@ class LearnerState:
     """Per-agent empirical click rates, pull counts, and confidence indices.
 
     Indices are unclipped (the upper one may exceed 1, the lower may go
-    negative). Once frozen, only ``round`` may change; any further pull is
-    an error. ``eps_scale`` widens the radius when samples are corrected by
-    a slot prominence and therefore range beyond [0, 1].
+    negative). Once frozen, any further pull is an error. ``eps_scale``
+    widens the radius when samples are corrected by a slot prominence and
+    therefore range beyond [0, 1].
     """
 
     horizon: int
@@ -205,7 +209,6 @@ class LearnerState:
     empirical_ctr: np.ndarray
     ucb: np.ndarray
     lcb: np.ndarray
-    round: int = 0
     phase: Phase = Phase.EXPLORATION
 
     @classmethod
@@ -219,10 +222,6 @@ class LearnerState:
             ucb=np.full(num_agents, np.nan),
             lcb=np.full(num_agents, np.nan),
         )
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.pull_count)
 
     def record_pull(self, agent: int, sample: float) -> None:
         """Fold one observed sample into the agent's statistics and refresh only its indices."""
@@ -249,30 +248,15 @@ class LearnerState:
             empirical_ctr=self.empirical_ctr.copy(),
             ucb=self.ucb.copy(),
             lcb=self.lcb.copy(),
-            round=self.round,
             phase=self.phase,
-        )
-
-    def learning_bytes(self) -> bytes:
-        """Serialization of the learned content only.
-
-        Excludes the round counter and phase: those change with time, while
-        the learned statistics must be a function of the realization alone.
-        """
-        head = struct.pack("<qd", int(self.horizon), float(self.eps_scale))
-        return (
-            head
-            + self.pull_count.tobytes()
-            + self.sample_sum.tobytes()
-            + self.empirical_ctr.tobytes()
-            + self.ucb.tobytes()
-            + self.lcb.tobytes()
         )
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization, used for exact state comparisons."""
-        head = struct.pack("<qB", int(self.round), 1 if self.phase is Phase.EXPLOITATION else 0)
-        return head + self.learning_bytes()
+        frozen = 1 if self.phase is Phase.EXPLOITATION else 0
+        head = struct.pack("<Bqd", frozen, int(self.horizon), float(self.eps_scale))
+        arrays = (self.pull_count, self.sample_sum, self.empirical_ctr, self.ucb, self.lcb)
+        return head + b"".join(a.tobytes() for a in arrays)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ prominence_m * ctr_i while the draw stays independent of who occupies which
 slot. That independence is what makes truthfulness checks ex post: two runs
 that differ only in bids see identical randomness.
 
-Each row comes from its own seeded substream keyed by (seed, layer, row),
+Each row comes from its own substream keyed by (config.seed, layer, row),
 so adding agents or slots never perturbs existing rows; outcome t of a row
 is its substream's t-th double below the row's rate. Rows are drawn only
 when read, a round window at a time: the substream is advanced to the
@@ -22,7 +22,7 @@ two layers; ``realized_click`` ANDs one round of each row ``clicks`` keeps.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -202,19 +202,14 @@ class ClickRealization:
         return [({m: (k >> j) & 1 for j, m in enumerate(slots)}, first[k]) for k in sorted(first)]
 
 
-def draw_realization(
-    config: AuctionConfig,
-    profiles: Sequence[AgentProfile],
-    seed: Optional[int] = None,
-) -> ClickRealization:
-    """The run's seeded realization; a pure function of the seed, drawn as it is read."""
+def draw_realization(config: AuctionConfig, profiles: Sequence[AgentProfile]) -> ClickRealization:
+    """The run's seeded realization; a pure function of ``config.seed``, drawn as it is read."""
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     rates = {_INTRINSIC_LAYER: [p.ctr for p in profiles]}
     if config.num_slots > 1:
         rates[_OBSERVATION_LAYER] = list(config.prominences)
-    seed = config.seed if seed is None else seed
-    return ClickRealization(seed, config.num_slots, config.horizon, rates=rates)
+    return ClickRealization(config.seed, config.num_slots, config.horizon, rates=rates)
 
 
 def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:

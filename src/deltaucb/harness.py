@@ -83,8 +83,12 @@ class ExperimentSpec:
 
 def parse_config_file(path) -> ExperimentSpec:
     """Parse a flat key=value config file; any unknown key is an error."""
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config: cannot read {path}: {err}") from err
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(source.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -202,18 +206,16 @@ def build_profiles(spec: ExperimentSpec, config: AuctionConfig) -> list:
     return _profiles(config, spec.ctrs, valuations, spec.bids or valuations)
 
 
-def dispatch_run(mechanism: str, config, profiles, realization=None, rounds_log="none"):
-    """Run the named mechanism and return its RunResult."""
+def dispatch_run(mechanism: str, config, profiles, rounds_log="none"):
+    """Run the named mechanism on the config's seeded realization and return its RunResult."""
     if mechanism == "delta-ucb-single":
-        return run_single_slot(config, profiles, realization=realization, rounds_log=rounds_log)
+        return run_single_slot(config, profiles, rounds_log=rounds_log)
     if mechanism == "delta-ucb-multi":
         from .mechanism_multi import run_multi_slot
-        return run_multi_slot(config, profiles, realization=realization, rounds_log=rounds_log)
+        return run_multi_slot(config, profiles, rounds_log=rounds_log)
     if mechanism in _BASELINES:
         from .strategy_lab import run_baseline
-        return run_baseline(
-            BaselineKind(mechanism), config, profiles, realization=realization, rounds_log=rounds_log
-        )
+        return run_baseline(BaselineKind(mechanism), config, profiles, rounds_log=rounds_log)
     raise ConfigError(f"unknown mechanism: {mechanism}")
 
 
@@ -573,14 +575,13 @@ _CHECKS = {
 }
 
 
-def property_check(command: str, spec: ExperimentSpec, instances: int, out=None) -> list:
+def property_check(command: str, spec: ExperimentSpec, instances: int) -> list:
     """Run one of ``_CHECKS`` over random instances; returns the (instance, report) violations."""
     _at_least_one("instances", instances)
     # the checks replay Δ-UCB with the slot count's price rule and the log-sized budget
     replayed = _delta_ucb_for(spec.config.num_slots)
     if spec.mechanism != replayed:
         raise ConfigError(f"mechanism: {command} replays {replayed}, not {spec.mechanism}")
-    out = out if out is not None else sys.stdout
     # loaded before the first draw: loaded between draws it left ~0.5 MiB more peak RSS
     from . import strategy_lab  # noqa: F401
     reports_of, finding, summary = _CHECKS[command]
@@ -592,11 +593,8 @@ def property_check(command: str, spec: ExperimentSpec, instances: int, out=None)
             reports.append(report)
             if not report.holds:
                 findings.append((index, report))
-                print(f"finding: instance={index} {finding(report)}", file=out)
-    print(
-        f"{command}: {instances} instances, {summary(reports)}, violations {len(findings)}",
-        file=out,
-    )
+                print(f"finding: instance={index} {finding(report)}")
+    print(f"{command}: {instances} instances, {summary(reports)}, violations {len(findings)}")
     return findings
 
 
@@ -605,6 +603,14 @@ def _load_spec(args) -> ExperimentSpec:
     if getattr(args, "seed", None) is not None:
         spec.config = validate_config(replace(spec.config, seed=args.seed))
     return spec
+
+
+def _out_dir(path) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"out: cannot make directory {path}: {err}") from err
+    return Path(path)
 
 
 def _cmd_validate(args) -> int:
@@ -620,13 +626,9 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     config = spec.config
     profiles = build_profiles(spec, config)
-    realization = draw_realization(config, profiles)
-    result = dispatch_run(
-        spec.mechanism, config, profiles, realization=realization, rounds_log=args.rounds_log
-    )
+    result = dispatch_run(spec.mechanism, config, profiles, rounds_log=args.rounds_log)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out)
         emit_summary([result.summary], out_dir / f"summary.{args.format}", args.format)
         if result.log is not None:
             path = out_dir / f"rounds.{args.format}"
@@ -655,8 +657,7 @@ def _cmd_sweep(args) -> int:
             summaries = list(pool.map(run_cell, [spec] * len(cells), cells))
     else:
         summaries = [run_cell(spec, cell) for cell in cells]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     emit_summary(summaries, out_dir / f"summary.{args.format}", args.format)
     print(f"sweep: wrote {len(summaries)} rows")
     return 0

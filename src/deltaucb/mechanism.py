@@ -15,12 +15,12 @@ The single-slot mechanism uses ``normalized_runner_up`` (here); the
 multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
 
 A run is two steps: ``learn`` folds the free rounds into a learner (bids
-never enter), and ``declare`` ranks and prices on it. ``run_mechanism``
-takes both steps and computes aggregates and the round log directly from
-the realization, reading every agent's clicks over the exploration window
-and only the winners' after it; the property checks in ``strategy_lab``
-take the same two steps. ``iter_rounds`` is the literal round-by-round
-reference that tests check all of them against.
+never enter), and ``declare`` ranks and prices on the profiles' bids.
+``run_mechanism`` takes both on the config's seeded realization (tests may
+pass their own), reading all clicks of the free rounds and only the winners'
+after them. ``exploration_clicks`` gives an agent's free rounds in round
+order to learning, the round log and the checks in ``strategy_lab``; tests
+check all of them against ``iter_rounds``, the round-by-round reference.
 """
 
 from __future__ import annotations
@@ -86,21 +86,30 @@ def multi_exploration_allocation(t, slot: int, num_agents: int):
 def exploration_clicks(
     realization: ClickRealization, config: AuctionConfig, agent: int, until: int
 ):
-    """Yield (slot, rounds in 1..until where the rotation shows the agent there, its clicks)."""
-    for m in range(1, config.num_slots + 1):
-        # the inverse of multi_exploration_allocation: (t - 1) mod K == (agent - m) mod K
-        rounds = np.arange((agent - m) % config.num_agents + 1, until + 1, config.num_agents)
-        yield m, rounds, realization.clicks(agent, m, 0, until)[rounds - 1]
+    """The agent's free rounds in 1..until in round order, with its slot and click in each.
+
+    The inverse of ``multi_exploration_allocation``: slot m shows the agent
+    in the rounds t with (t - 1) mod K == (agent - m) mod K. Within each
+    rotation cycle of K rounds the slots come in the order of those offsets,
+    so the rounds are the sorted offsets, cycle after cycle, cut at ``until``.
+    """
+    num_agents, num_slots = config.num_agents, config.num_slots
+    offsets, slots = zip(*sorted(((agent - m) % num_agents, m) for m in range(1, num_slots + 1)))
+    starts = np.arange(1, until + 1, num_agents)  # the first round of each cycle
+    rounds = np.add.outer(starts, offsets).ravel()
+    rounds = rounds[: np.searchsorted(rounds, until, side="right")]
+    clicks = np.empty(len(rounds), dtype=np.uint8)
+    for j, m in enumerate(slots):
+        shown = rounds[j::num_slots]
+        clicks[j::num_slots] = realization.clicks(agent, m, 0, until)[shown - 1]
+    return rounds, np.tile(slots, len(starts))[: len(rounds)], clicks
 
 
-def bid_vector(profiles: Sequence[AgentProfile], bids, config: AuctionConfig) -> np.ndarray:
-    """Bids as a float array in agent order, defaulting to the profiles' declared bids."""
-    if bids is None:
-        arr = np.array([p.bid for p in profiles], dtype=float)
-    else:
-        arr = np.asarray(bids, dtype=float)
-        if arr.shape != (config.num_agents,):
-            raise ConfigError("bids must have one entry per agent")
+def bid_vector(bids, config: AuctionConfig) -> np.ndarray:
+    """A bid row as a float array, checked to hold one bid in [0, v_max] per agent."""
+    arr = np.asarray(bids, dtype=float)
+    if arr.shape != (config.num_agents,):
+        raise ConfigError("bids must have one entry per agent")
     # written so that NaN fails the test too
     if not np.all((arr >= 0.0) & (arr <= config.v_max)):
         raise ConfigError("bid must lie in [0, v_max]")
@@ -172,7 +181,6 @@ def exploration_step(
     record = _play_round(realization, t, Phase.EXPLORATION, allocation, [0.0] * len(slots))
     for m, agent in allocation.items():
         state.record_pull(agent, record.clicks[agent] / config.prominences[m - 1])
-    state.round = t
     return record
 
 
@@ -184,15 +192,14 @@ def exploitation_step(
 ) -> RoundRecord:
     """One committed round: slot m shows the rank-m agent, who pays its price only on a click."""
     allocation = {m: outcome.ranking[m - 1] for m in range(1, config.num_slots + 1)}
-    outcome.learner.round = t
     prices = outcome.payments_per_click
     return _play_round(realization, t, Phase.EXPLOITATION, allocation, prices)
 
 
-def _prepare(config, profiles, bids, realization, budget_override):
+def _prepare(config, profiles, realization, budget_override):
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
-    bids_arr = bid_vector(profiles, bids, config)
+    bids_arr = bid_vector([p.bid for p in profiles], config)
     if realization is None:
         realization = draw_realization(config, profiles)
     budget = exploration_budget(config) if budget_override is None else budget_override
@@ -212,22 +219,18 @@ def learn(realization: ClickRealization, config: AuctionConfig, explore_until: i
     order (a sequential sum, so it matches ``record_pull`` to the byte).
     """
     state = _fresh_learner(config)
+    prominences = np.array(config.prominences)
     for i in range(config.num_agents):
-        rounds, samples = [], []
-        for m, shown, observed in exploration_clicks(realization, config, i + 1, explore_until):
-            rounds.append(shown)
-            samples.append(observed / config.prominences[m - 1])
-        order = np.argsort(np.concatenate(rounds), kind="stable")
-        count = len(order)
+        _, slots, clicks = exploration_clicks(realization, config, i + 1, explore_until)
+        count = len(slots)
         if count:
-            total = float(np.cumsum(np.concatenate(samples)[order])[-1])
+            total = float(np.cumsum(clicks / prominences[slots - 1])[-1])
             state.pull_count[i] = count
             state.sample_sum[i] = total
             state.empirical_ctr[i] = total / count
             state.ucb[i], state.lcb[i] = ucb_pair(
                 total / count, count, config.horizon, state.eps_scale
             )
-    state.round = explore_until
     return state
 
 
@@ -235,7 +238,6 @@ def iter_rounds(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
     price_rule,
-    bids=None,
     realization: Optional[ClickRealization] = None,
     budget_override: Optional[int] = None,
 ) -> Iterator[RoundRecord]:
@@ -245,7 +247,7 @@ def iter_rounds(
     compare it with the aggregate path's.
     """
     config, profiles, bids_arr, realization, budget = _prepare(
-        config, profiles, bids, realization, budget_override
+        config, profiles, realization, budget_override
     )
     explore_until = min(budget, config.horizon)
     state = _fresh_learner(config)
@@ -265,9 +267,9 @@ def _round_grids(realization, config, explore_until, outcome):
     prices = np.zeros((horizon, num_slots))
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
     for agent in range(1, config.num_agents + 1):
-        for m, shown, observed in exploration_clicks(realization, config, agent, explore_until):
-            agents[shown - 1, m - 1] = agent
-            clicks[shown - 1, m - 1] = observed
+        rounds, slots, observed = exploration_clicks(realization, config, agent, explore_until)
+        agents[rounds - 1, slots - 1] = agent
+        clicks[rounds - 1, slots - 1] = observed
     if outcome is not None:
         for m, agent in enumerate(outcome.ranking[:num_slots], start=1):
             agents[explore_until:, m - 1] = agent
@@ -280,7 +282,6 @@ def run_mechanism(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
     price_rule,
-    bids=None,
     realization: Optional[ClickRealization] = None,
     rounds_log: str = "none",
     budget_override: Optional[int] = None,
@@ -292,7 +293,7 @@ def run_mechanism(
     table entry, agent by agent.
     """
     config, profiles, bids_arr, realization, budget = _prepare(
-        config, profiles, bids, realization, budget_override
+        config, profiles, realization, budget_override
     )
     horizon = config.horizon
     explore_until = min(budget, horizon)
@@ -302,11 +303,10 @@ def run_mechanism(
     per_agent_utility = {}
     pulls = []
     for p in profiles:
-        clicks = 0
-        for m, shown, observed in exploration_clicks(realization, config, p.id, explore_until):
-            pulls.append((len(shown), p.id, m))
-            clicks += int(observed.sum())
-        per_agent_utility[p.id] = p.valuation * clicks
+        _, slots, clicks = exploration_clicks(realization, config, p.id, explore_until)
+        counts = np.bincount(slots, minlength=config.num_slots + 1)[1:].tolist()
+        pulls += [(count, p.id, m) for m, count in enumerate(counts, start=1)]
+        per_agent_utility[p.id] = p.valuation * int(clicks.sum())
     exploration = tables.accrue(pulls)
 
     outcome = None
@@ -327,7 +327,6 @@ def run_mechanism(
         exploitation = tables.accrue(
             (horizon - explore_until, agent, m) for m, agent in enumerate(winners, start=1)
         )
-        state.round = horizon
 
     log = round_log(
         rounds_log, explore_until, lambda: _round_grids(realization, config, explore_until, outcome)

@@ -114,9 +114,9 @@ def per_round_utilities(
     horizon = config.horizon
     valuation = profiles[agent - 1].valuation
     util = np.zeros(horizon)
-    for _, rounds, clicks in exploration_clicks(realization, config, agent, explore_until):
-        util[rounds - 1] += valuation * clicks
-
+    util[:explore_until] = _exploration_utilities(
+        config, realization, agent, valuation, explore_until
+    )
     if outcome is None or explore_until >= horizon:
         return util
 
@@ -143,7 +143,7 @@ def build_scenario(
     """
     config = validate_config(config)
     profiles = validate_profiles(profiles, config)
-    others = bid_vector(profiles, None, config)
+    others = bid_vector([p.bid for p in profiles], config)
 
     if learned is None:
         learned = shared_learner(config, realization)
@@ -222,9 +222,9 @@ def _earliest(candidates, pick):
 
 def _exploration_utilities(config, realization, agent, valuation, explore_until):
     """Utility in each free round 1..explore_until: valuation times the click when shown."""
+    rounds, _, clicks = exploration_clicks(realization, config, agent, explore_until)
     util = np.zeros(explore_until)
-    for _, rounds, clicks in exploration_clicks(realization, config, agent, explore_until):
-        util[rounds - 1] += valuation * clicks
+    util[rounds - 1] = valuation * clicks
     return util
 
 
@@ -252,7 +252,7 @@ def verify_dsic(
 
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = truthful_value
-    truthful_bids = bid_vector(profiles, truthful_bids, config)
+    truthful_bids = bid_vector(truthful_bids, config)
     explore_until, learner = scenario.learned
     outcomes = [None] * (1 + len(scenario.bid_grid))
     if learner is not None:
@@ -354,7 +354,7 @@ def max_tolerance_width(learner: LearnerState, profiles: Sequence[AgentProfile])
 def welfare_interval_violations(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
-    realization: Optional[ClickRealization] = None,
+    realization: ClickRealization,
 ) -> int:
     """Count (agent, round) pairs whose welfare interval misses the true welfare.
 
@@ -366,13 +366,11 @@ def welfare_interval_violations(
     profiles = validate_profiles(profiles, config)
     if config.num_slots != 1:
         raise ConfigError("interval coverage counting is defined on single-slot runs")
-    if realization is None:
-        realization = draw_realization(config, profiles)
     horizon = config.horizon
     explore_until = min(exploration_budget(config), horizon)
     total = 0
     for p in profiles:
-        ((_, rounds, clicks),) = exploration_clicks(realization, config, p.id, explore_until)
+        rounds, _, clicks = exploration_clicks(realization, config, p.id, explore_until)
         pulls = len(rounds)
         if pulls == 0:
             continue
@@ -398,7 +396,6 @@ def run_baseline(
     kind: BaselineKind,
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
-    bids=None,
     realization: Optional[ClickRealization] = None,
     rounds_log: str = "none",
 ) -> RunResult:
@@ -414,7 +411,6 @@ def run_baseline(
         return run_single_slot(
             config,
             profiles,
-            bids=bids,
             realization=realization,
             rounds_log=rounds_log,
             budget_override=t23_budget(config.num_agents, config.horizon),
@@ -422,7 +418,7 @@ def run_baseline(
         )
     if kind is BaselineKind.ORACLE_ALLOCATION:
         return _run_oracle(config, profiles, realization, rounds_log)
-    return _run_plain_ucb(config, profiles, bids, realization, rounds_log)
+    return _run_plain_ucb(config, profiles, realization, rounds_log)
 
 
 def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
@@ -458,12 +454,12 @@ def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
     return RunResult(summary=summary, outcome=None, log=log)
 
 
-def _run_plain_ucb(config, profiles, bids, realization, rounds_log) -> RunResult:
+def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
     """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
 
     The first K rounds show each agent once so every index is defined.
     """
-    bids_arr = bid_vector(profiles, bids, config)
+    bids_arr = bid_vector([p.bid for p in profiles], config)
     horizon = config.horizon
     num_agents = config.num_agents
     tables = InstanceTables.build(profiles, config.delta, config.prominences)

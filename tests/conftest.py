@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from deltaucb import metrics
 from deltaucb.core import AgentProfile, validate_config
 from deltaucb.environment import ClickRealization
@@ -12,6 +14,11 @@ def make_profiles(ctrs, valuations=None, bids=None):
         AgentProfile(id=i + 1, ctr=ctrs[i], valuation=valuations[i], bid=bids[i])
         for i in range(len(ctrs))
     ]
+
+
+def with_bids(profiles, bids):
+    """The profiles, each declaring the given bid instead of its own."""
+    return [replace(p, bid=b) for p, b in zip(profiles, bids)]
 
 
 def make_realization(intrinsic, observations=None, seed=0):

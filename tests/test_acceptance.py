@@ -10,6 +10,7 @@ is kept faithful and marked as an expected failure rather than weakened.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from deltaucb.strategy_lab import (
 )
 from deltaucb.harness import main
 
-from conftest import make_profiles, random_instance
+from conftest import make_profiles, random_instance, with_bids
 
 SEEDS = 100
 
@@ -61,7 +62,7 @@ def pinned_runs():
     start = time.perf_counter()
     results = []
     for seed in range(SEEDS):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         results.append(run_single_slot(config, profiles, realization=realization))
     elapsed = time.perf_counter() - start
     return results, elapsed
@@ -90,7 +91,7 @@ def test_criterion_2_logarithmic_growth():
         config = _instance_config(horizon)
         totals = []
         for seed in range(50):
-            realization = draw_realization(config, profiles, seed=seed)
+            realization = draw_realization(replace(config, seed=seed), profiles)
             totals.append(
                 run_single_slot(config, profiles, realization=realization).summary.total_delta_regret
             )
@@ -225,11 +226,9 @@ def test_criterion_6_exploration_separatedness():
         runner = run_single_slot if num_slots == 1 else run_multi_slot
         bids_a = rng.uniform(0.0, 1.0, num_agents)
         bids_b = rng.uniform(0.0, 1.0, num_agents)
-        run_a = runner(config, profiles, bids=bids_a, realization=realization)
-        run_b = runner(config, profiles, bids=bids_b, realization=realization)
-        identical += (
-            run_a.outcome.learner.learning_bytes() == run_b.outcome.learner.learning_bytes()
-        )
+        run_a = runner(config, with_bids(profiles, bids_a), realization=realization)
+        run_b = runner(config, with_bids(profiles, bids_b), realization=realization)
+        identical += run_a.outcome.learner.to_bytes() == run_b.outcome.learner.to_bytes()
     _report(
         "criterion 6 (exploration separatedness)",
         identical == trials,
@@ -242,7 +241,7 @@ def test_criterion_7_confidence_coverage():
     profiles = _instance_profiles()
     violations = 0
     for seed in range(100):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         violations += welfare_interval_violations(config, profiles, realization)
     _report(
         "criterion 7 (confidence coverage)",
@@ -308,7 +307,7 @@ def test_criterion_10_multi_slot_regret_bound():
     totals = []
     for seed in range(SEEDS):
         profiles = random_instance(rng, 6, truthful=True)
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         totals.append(
             run_multi_slot(config, profiles, realization=realization).summary.total_delta_regret
         )
@@ -337,7 +336,7 @@ def test_criterion_11_baseline_separation(pinned_runs):
     baseline_budget = t23_budget(5, 10**5)
     wins = 0
     for seed in range(SEEDS):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         baseline = run_baseline(
             BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles, realization=realization
         )
@@ -361,7 +360,7 @@ def test_baseline_separation_emerges_at_larger_horizon():
     assert budget < baseline_budget
     wins = 0
     for seed in range(5):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         ours = run_single_slot(config, profiles, realization=realization)
         baseline = run_baseline(
             BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles, realization=realization

@@ -53,7 +53,7 @@ def reference_dsic(config, profiles, scenario):
     realization = scenario.realization
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = profiles[deviator - 1].valuation
-    truthful_bids = bid_vector(profiles, truthful_bids, config)
+    truthful_bids = bid_vector(truthful_bids, config)
     explore_until, outcome_for = _reference_outcomes(config, realization)
     truth_util = per_round_utilities(
         config, profiles, realization, outcome_for(truthful_bids), deviator, explore_until

@@ -677,6 +677,47 @@ def test_infinite_delta_or_v_max_is_a_config_error(tmp_path, capsys, command, li
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["100", "0.9"])
+def test_prominence_that_overflows_the_index_is_a_config_error(tmp_path, capsys, delta):
+    # 1/gamma_M widens the index past the float range: a NaN price at one pull each, inf at more
+    text = MULTI.replace("prominences = 1.0, 0.6", "prominences = 1.0, 1e-308")
+    text = text.replace("horizon = 60", "horizon = 600").replace("delta = 2.5", f"delta = {delta}")
+    cfg = _write(tmp_path, "tiny.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: prominences: T M v_max (1 + sqrt(2 ln T)) / gamma_M is not finite\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "dsic-check"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, kind):
+    cfg = tmp_path / "basic.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(BASIC.encode() + b"# caf\xe9\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: config: cannot read {cfg}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", ["blocker", "blocker/out"])
+def test_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
+    (tmp_path / "blocker").write_text("a regular file\n")
+    cfg = _write(tmp_path, "basic.cfg", BASIC)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: out: cannot make directory {tmp_path / out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])

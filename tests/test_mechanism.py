@@ -1,15 +1,17 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaucb.core import AuctionConfig, LearnerState, Phase, validate_config
-from deltaucb.environment import draw_realization
+from deltaucb.environment import draw_realization, realized_click
 from deltaucb.mechanism import (
     declare,
     declare_winner,
+    exploration_clicks,
     iter_rounds,
     multi_exploration_allocation,
     normalized_runner_up,
@@ -26,6 +28,7 @@ from conftest import (
     make_realization,
     record_rows,
     welfare_of,
+    with_bids,
 )
 
 
@@ -140,7 +143,6 @@ def test_indices_frozen_through_exploitation():
     assert state_rounds  # exploitation happened
     result = run_single_slot(config, profiles, rounds_log="none")
     learner = result.outcome.learner
-    assert learner.round == config.horizon
     # no pulls ever land after the budget, so the indices at T are the ones at u
     assert learner.pull_count.sum() == result.summary.exploration_budget
     with pytest.raises(RuntimeError, match="frozen"):
@@ -185,7 +187,7 @@ def test_clear_favorite_wins_almost_surely():
     wins = 0
     seeds = 1000
     for seed in range(seeds):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         result = run_single_slot(config, profiles, realization=realization)
         wins += result.summary.winners == (1,)
     assert wins / seeds >= 0.999
@@ -195,16 +197,16 @@ def test_exploration_is_bid_independent():
     config = AuctionConfig(num_agents=3, horizon=500, delta=0.8, seed=6)
     profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.9, 0.8])
     realization = draw_realization(validate_config(config), profiles)
-    low = run_single_slot(config, profiles, bids=[0.1, 0.2, 0.3], realization=realization,
-                          rounds_log="all")
-    high = run_single_slot(config, profiles, bids=[1.0, 0.9, 0.8], realization=realization,
-                           rounds_log="all")
+    low = run_single_slot(config, with_bids(profiles, [0.1, 0.2, 0.3]),
+                          realization=realization, rounds_log="all")
+    high = run_single_slot(config, with_bids(profiles, [1.0, 0.9, 0.8]),
+                           realization=realization, rounds_log="all")
     budget = low.summary.exploration_budget
     explore_low = [row for row in log_rows(low.log) if row[0] <= low.log.explore_until]
     explore_high = [row for row in log_rows(high.log) if row[0] <= high.log.explore_until]
     assert explore_low == explore_high
     assert len(explore_low) == min(budget, config.horizon)
-    assert low.outcome.learner.learning_bytes() == high.outcome.learner.learning_bytes()
+    assert low.outcome.learner.to_bytes() == high.outcome.learner.to_bytes()
 
 
 def test_raising_own_bid_never_loses_the_slot():
@@ -215,13 +217,13 @@ def test_raising_own_bid_never_loses_the_slot():
         ctrs = rng.uniform(0.1, 0.9, 4)
         vals = rng.uniform(0.2, 1.0, 4)
         profiles = make_profiles(ctrs, vals)
-        realization = draw_realization(validate_config(config), profiles, seed=trial)
+        realization = draw_realization(replace(config, seed=trial), profiles)
         bids = rng.uniform(0.05, 1.0, 4)
-        base = run_single_slot(config, profiles, bids=bids, realization=realization)
+        base = run_single_slot(config, with_bids(profiles, bids), realization=realization)
         winner = base.summary.winners[0]
         raised = bids.copy()
         raised[winner - 1] = min(1.0, raised[winner - 1] + rng.uniform(0.0, 0.5))
-        again = run_single_slot(config, profiles, bids=raised, realization=realization)
+        again = run_single_slot(config, with_bids(profiles, raised), realization=realization)
         assert again.summary.winners[0] == winner
 
 
@@ -231,8 +233,8 @@ def test_payment_bounded_by_winning_bid():
     for trial in range(25):
         profiles = make_profiles(rng.uniform(0.05, 0.95, 5), rng.uniform(0.1, 1.0, 5))
         bids = rng.uniform(0.0, 1.0, 5)
-        realization = draw_realization(validate_config(config), profiles, seed=100 + trial)
-        result = run_single_slot(config, profiles, bids=bids, realization=realization)
+        realization = draw_realization(replace(config, seed=100 + trial), profiles)
+        result = run_single_slot(config, with_bids(profiles, bids), realization=realization)
         price = result.outcome.payment_per_click
         assert 0.0 <= price <= bids[result.outcome.winner - 1] + 1e-12
 
@@ -248,7 +250,7 @@ def test_confidence_width_below_tolerance_after_exploration():
             rng.uniform(0.05, 0.95, num_agents), rng.uniform(0.1, 1.0, num_agents)
         )
         result = run_single_slot(config, profiles, realization=draw_realization(
-            validate_config(config), profiles, seed=trial))
+            replace(config, seed=trial), profiles))
         if result.outcome is None:
             continue
         assert max_tolerance_width(result.outcome.learner, profiles) < delta
@@ -259,7 +261,7 @@ def test_welfare_interval_coverage_small_sample():
     profiles = make_profiles([0.7, 0.4, 0.2], [1.0, 0.8, 0.6])
     violations = 0
     for seed in range(10):
-        realization = draw_realization(validate_config(config), profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         violations += welfare_interval_violations(config, profiles, realization)
     assert violations <= 1
 
@@ -294,7 +296,7 @@ def test_nan_bids_are_rejected(runner):
     config = AuctionConfig(num_agents=2, horizon=200, delta=1.5, seed=5)
     run = run_single_slot if runner == "single" else run_multi_slot
     with pytest.raises(ConfigError, match="bid must lie"):
-        run(config, make_profiles([0.7, 0.3]), bids=[1.0, math.nan])
+        run(config, with_bids(make_profiles([0.7, 0.3]), [1.0, math.nan]))
 
 
 @pytest.mark.parametrize("winner_ucb", [0.0, -0.25, math.nan])
@@ -367,3 +369,39 @@ def test_batched_declare_rejects_a_non_positive_winner_index_in_any_row():
     state = _state_with_indices([-1.0, 0.5])
     with pytest.raises(ValueError, match="must be positive, got -1.0"):
         declare(state, np.array([[0.0, 1.0], [0.0, 0.0]]), (1.0,), price_rule_for(1))
+
+
+@st.composite
+def _rotations(draw):
+    """A K-agent, M-slot realization and an ``until`` that cuts a rotation cycle short.
+
+    With one agent every round ends a cycle, so there ``until`` is any count.
+    """
+    num_agents = draw(st.integers(1, 7))
+    num_slots = draw(st.integers(1, num_agents))
+    cut = draw(st.integers(min(1, num_agents - 1), num_agents - 1))
+    until = num_agents * draw(st.integers(0, 4)) + cut
+    horizon = until + draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    observations = rng.integers(0, 2, (num_slots, horizon)) if num_slots > 1 else None
+    realization = make_realization(rng.integers(0, 2, (num_agents, horizon)), observations)
+    config = AuctionConfig(num_agents=num_agents, horizon=horizon, delta=1.0,
+                           num_slots=num_slots, prominences=(1.0,) * num_slots)
+    return config, realization, until
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rotations())
+def test_exploration_clicks_are_the_rotations_rounds_in_order(case):
+    config, realization, until = case
+    num_agents, num_slots = config.num_agents, config.num_slots
+    for agent in range(1, num_agents + 1):
+        rounds, slots, clicks = exploration_clicks(realization, config, agent, until)
+        shown = [
+            (t, m)
+            for t in range(1, until + 1)
+            for m in range(1, num_slots + 1)
+            if multi_exploration_allocation(t, m, num_agents) == agent
+        ]
+        assert list(zip(rounds.tolist(), slots.tolist())) == shown
+        assert clicks.tolist() == [realized_click(realization, agent, m, t) for t, m in shown]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,7 @@ def test_well_separated_ranking_recovered():
     hits = 0
     seeds = 1000
     for seed in range(seeds):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         result = run_multi_slot(config, profiles, realization=realization)
         hits += result.outcome.ranking == (1, 2, 3, 4)
     assert hits / seeds >= 0.999

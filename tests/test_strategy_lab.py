@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from deltaucb.strategy_lab import (
     verify_ir,
 )
 
-from conftest import make_profiles, random_instance
+from conftest import make_profiles, random_instance, with_bids
 
 
 def _single_config(num_agents=2, horizon=2000, delta=0.5, seed=0):
@@ -34,7 +35,7 @@ def separated_instance():
 
 
 def _outcome_for_bids(config, profiles, realization, bids):
-    return run_single_slot(config, profiles, bids=bids, realization=realization)
+    return run_single_slot(config, with_bids(profiles, bids), realization=realization)
 
 
 def test_winning_overbid_changes_nothing(separated_instance):
@@ -83,12 +84,12 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
     from deltaucb.mechanism import declare_winner
 
     config, profiles, realization = separated_instance
-    base = run_single_slot(config, profiles, bids=[1.0, 0.8], realization=realization)
+    base = run_single_slot(config, with_bids(profiles, [1.0, 0.8]), realization=realization)
     explore_until = base.summary.exploration_rounds_used
     for bid in (0.05, 0.45, 0.95):
         bids = np.array([1.0, bid])
         direct = declare_winner(base.outcome.learner.copy(), bids)
-        full = run_single_slot(config, profiles, bids=bids, realization=realization)
+        full = run_single_slot(config, with_bids(profiles, bids), realization=realization)
         assert direct.winner == full.outcome.winner
         assert direct.payment_per_click == full.outcome.payment_per_click
         u_direct = per_round_utilities(config, profiles, realization, direct, 2, explore_until)
@@ -111,7 +112,7 @@ def test_multi_dsic_shortcut_matches_full_runs():
     for bid in (0.1, 0.5, 1.0):
         bids = np.array([1.0, 0.9, bid])
         direct = declare_ranking(base.outcome.learner.copy(), bids, config.prominences, telescoping)
-        full = run_multi_slot(config, profiles, bids=bids, realization=realization)
+        full = run_multi_slot(config, with_bids(profiles, bids), realization=realization)
         assert direct.ranking == full.outcome.ranking
         assert direct.payments_per_click == full.outcome.payments_per_click
         u_direct = per_round_utilities(config, profiles, realization, direct, 3, explore_until)
@@ -169,9 +170,7 @@ def test_learning_is_identical_across_bid_profiles(separated_instance):
     config, profiles, realization = separated_instance
     truthful = _outcome_for_bids(config, profiles, realization, [1.0, 0.8])
     deviant = _outcome_for_bids(config, profiles, realization, [0.2, 0.8])
-    assert (
-        truthful.outcome.learner.learning_bytes() == deviant.outcome.learner.learning_bytes()
-    )
+    assert truthful.outcome.learner.to_bytes() == deviant.outcome.learner.to_bytes()
 
 
 def test_oracle_baseline_has_zero_regret():
@@ -190,7 +189,7 @@ def test_plain_ucb_concentrates_on_best_arm():
         freq = 0.0
         config = _single_config(num_agents=3, horizon=horizon, delta=0.3)
         for seed in range(seeds):
-            realization = draw_realization(config, profiles, seed=seed)
+            realization = draw_realization(replace(config, seed=seed), profiles)
             result = run_baseline(BaselineKind.PLAIN_UCB, config, profiles,
                                   realization=realization)
             # zero payments, so utility / valuation counts the best arm's clicks;
@@ -215,7 +214,7 @@ def test_t23_explores_longer_and_regrets_more_when_tolerance_is_loose():
     profiles = make_profiles([0.9, 0.6, 0.5, 0.3, 0.1])
     assert exploration_budget(config) < t23_budget(5, 10**5)
     for seed in range(10):
-        realization = draw_realization(config, profiles, seed=seed)
+        realization = draw_realization(replace(config, seed=seed), profiles)
         tolerant = run_single_slot(config, profiles, realization=realization)
         poly = run_baseline(BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles,
                             realization=realization)
