@@ -12,7 +12,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # the public names, by defining module; a module loads when one of its names is first read
 _EXPORTS = {
     "core": "AgentProfile AuctionConfig BaselineKind ConfigError LearnerState Phase RoundRecord "
-    "exploration_budget gammas_from_lambdas validate_config validate_profiles",
+    "exploration_budget gammas_from_lambdas validate_profiles",
     "environment": "ClickRealization draw_realization dump_realization load_realization "
     "realized_click",
     "mechanism": "Outcome declare_winner run_single_slot ucb_pair",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -66,6 +66,10 @@ class AuctionConfig:
     alternatively ``lambdas`` gives the slot-to-next-slot view-through
     probabilities from which prominences are derived. Prominences win when
     both are supplied.
+
+    Construction checks every invariant, so ``dataclasses.replace`` checks
+    again: a ConfigError names the first violated field. The prominences
+    are then resolved, derived from lambdas when only those are given.
     """
 
     num_agents: int
@@ -76,6 +80,55 @@ class AuctionConfig:
     prominences: Optional[tuple] = None
     lambdas: Optional[tuple] = None
     seed: int = 0
+
+    def __post_init__(self):
+        if int(self.num_agents) != self.num_agents or self.num_agents < 1:
+            raise ConfigError("num_agents must be a positive integer")
+        if int(self.num_slots) != self.num_slots or self.num_slots < 1:
+            raise ConfigError("num_slots must be a positive integer")
+        if self.num_slots > self.num_agents:
+            raise ConfigError("num_slots exceeds num_agents")
+        if int(self.horizon) != self.horizon or self.horizon < 1:
+            raise ConfigError("horizon must be a positive integer")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be positive and finite")
+        if not 0 < self.v_max < math.inf:
+            raise ConfigError("v_max must be positive and finite")
+        try:
+            per_agent_pulls(self.v_max, self.delta, self.horizon)
+        except (ArithmeticError, ValueError) as err:
+            raise ConfigError("delta, v_max: 8 v_max^2 ln T / delta^2 is not finite") from err
+        if not (0 <= self.seed <= MAX_SEED):
+            raise ConfigError("seed must be an unsigned 64-bit integer")
+
+        prominences = self.prominences
+        if prominences is None:
+            if self.lambdas is not None:
+                derived = gammas_from_lambdas(self.lambdas)
+                if len(derived) < self.num_slots:
+                    raise ConfigError("lambdas too short for num_slots")
+                prominences = derived[: self.num_slots]
+            elif self.num_slots == 1:
+                prominences = (1.0,)
+            else:
+                raise ConfigError("prominences or lambdas required when num_slots > 1")
+        prominences = tuple(float(g) for g in prominences)
+        if len(prominences) != self.num_slots:
+            raise ConfigError("prominences length must equal num_slots")
+        if prominences[0] != 1.0:
+            raise ConfigError("prominences must start at 1")
+        for left, right in zip(prominences, prominences[1:]):
+            if not (0.0 < right <= left):
+                raise ConfigError("prominences must be positive and non-increasing")
+        # bounds every index, price and total: each sample is at most 1 / gamma_M
+        bound = self.num_slots * self.v_max * (1.0 + math.sqrt(2.0 * math.log(self.horizon)))
+        try:
+            finite = math.isfinite(self.horizon * bound / prominences[-1])
+        except OverflowError:  # a horizon past the float range
+            finite = False
+        if not finite:
+            raise ConfigError("prominences: T M v_max (1 + sqrt(2 ln T)) / gamma_M is not finite")
+        object.__setattr__(self, "prominences", prominences)
 
 
 def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
@@ -90,57 +143,6 @@ def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
             raise ConfigError("lambdas must lie in (0, 1]")
         gammas.append(gammas[-1] * float(lam))
     return tuple(gammas)
-
-
-def validate_config(config: AuctionConfig) -> AuctionConfig:
-    """Check every config invariant; returns the config with prominences resolved.
-
-    Raises ConfigError naming the first violated field. For multi-slot runs
-    the prominences are derived from lambdas when only those are given.
-    """
-    if int(config.num_agents) != config.num_agents or config.num_agents < 1:
-        raise ConfigError("num_agents must be a positive integer")
-    if int(config.num_slots) != config.num_slots or config.num_slots < 1:
-        raise ConfigError("num_slots must be a positive integer")
-    if config.num_slots > config.num_agents:
-        raise ConfigError("num_slots exceeds num_agents")
-    if int(config.horizon) != config.horizon or config.horizon < 1:
-        raise ConfigError("horizon must be a positive integer")
-    if not 0 < config.delta < math.inf:
-        raise ConfigError("delta must be positive and finite")
-    if not 0 < config.v_max < math.inf:
-        raise ConfigError("v_max must be positive and finite")
-    try:
-        per_agent_pulls(config.v_max, config.delta, config.horizon)
-    except (ArithmeticError, ValueError) as err:
-        raise ConfigError("delta, v_max: 8 v_max^2 ln T / delta^2 is not finite") from err
-    if not (0 <= config.seed <= MAX_SEED):
-        raise ConfigError("seed must be an unsigned 64-bit integer")
-
-    prominences = config.prominences
-    if prominences is None:
-        if config.lambdas is not None:
-            derived = gammas_from_lambdas(config.lambdas)
-            if len(derived) < config.num_slots:
-                raise ConfigError("lambdas too short for num_slots")
-            prominences = derived[: config.num_slots]
-        elif config.num_slots == 1:
-            prominences = (1.0,)
-        else:
-            raise ConfigError("prominences or lambdas required when num_slots > 1")
-    prominences = tuple(float(g) for g in prominences)
-    if len(prominences) != config.num_slots:
-        raise ConfigError("prominences length must equal num_slots")
-    if prominences[0] != 1.0:
-        raise ConfigError("prominences must start at 1")
-    for left, right in zip(prominences, prominences[1:]):
-        if not (0.0 < right <= left):
-            raise ConfigError("prominences must be positive and non-increasing")
-    # bounds every index, price and total: each sample is at most 1 / gamma_M
-    bound = config.num_slots * config.v_max * (1.0 + math.sqrt(2.0 * math.log(config.horizon)))
-    if not math.isfinite(config.horizon * bound / prominences[-1]):
-        raise ConfigError("prominences: T M v_max (1 + sqrt(2 ln T)) / gamma_M is not finite")
-    return replace(config, prominences=prominences)
 
 
 def validate_profiles(profiles: Sequence[AgentProfile], config: AuctionConfig) -> list:
@@ -170,19 +172,15 @@ def per_agent_pulls(v_max: float, delta: float, horizon: float) -> int:
     return max(1, math.ceil(raw))
 
 
-def exploration_rounds(num_agents: int, v_max: float, delta: float, horizon: float) -> int:
+def exploration_budget(config: AuctionConfig) -> int:
     """Total free rounds: complete round-robin cycles of per-agent pulls.
 
     Using whole cycles (rather than a raw ceiling on the product) means no
     agent is left a pull short of the per-agent requirement, which the
-    winner-selection guarantee needs for *every* agent.
+    winner-selection guarantee needs for *every* agent. Runs are
+    exploration-only when the budget reaches the horizon.
     """
-    return num_agents * per_agent_pulls(v_max, delta, horizon)
-
-
-def exploration_budget(config: AuctionConfig) -> int:
-    """Exploration budget for a validated config; runs are exploration-only when it reaches the horizon."""
-    return exploration_rounds(config.num_agents, config.v_max, config.delta, config.horizon)
+    return config.num_agents * per_agent_pulls(config.v_max, config.delta, config.horizon)
 
 
 def confidence_radius(pull_count: int, horizon: float, scale: float = 1.0) -> float:
@@ -238,18 +236,6 @@ class LearnerState:
     def freeze(self) -> None:
         """Stop learning: the indices stay as exploration left them."""
         self.phase = Phase.EXPLOITATION
-
-    def copy(self) -> "LearnerState":
-        return LearnerState(
-            horizon=self.horizon,
-            eps_scale=self.eps_scale,
-            pull_count=self.pull_count.copy(),
-            sample_sum=self.sample_sum.copy(),
-            empirical_ctr=self.empirical_ctr.copy(),
-            ucb=self.ucb.copy(),
-            lcb=self.lcb.copy(),
-            phase=self.phase,
-        )
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization, used for exact state comparisons."""

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AgentProfile, AuctionConfig, validate_config, validate_profiles
+from .core import AgentProfile, AuctionConfig, validate_profiles
 
 _INTRINSIC_LAYER = 0
 _OBSERVATION_LAYER = 1
@@ -204,7 +204,6 @@ class ClickRealization:
 
 def draw_realization(config: AuctionConfig, profiles: Sequence[AgentProfile]) -> ClickRealization:
     """The run's seeded realization; a pure function of ``config.seed``, drawn as it is read."""
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     rates = {_INTRINSIC_LAYER: [p.ctr for p in profiles]}
     if config.num_slots > 1:

@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy._core.multiarray import dragon4_positional
 
-from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError
-from .core import validate_config, validate_profiles
+from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError, validate_profiles
 from .environment import draw_realization
 from .mechanism import run_single_slot
 from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
@@ -140,7 +139,7 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
     for required in ("num_agents", "horizon", "delta"):
         if required not in values:
             raise ConfigError(f"missing required config key: {required}")
-    config = validate_config(AuctionConfig(**_given(AuctionConfig, values)))
+    config = AuctionConfig(**_given(AuctionConfig, values))
     values.setdefault("mechanism", _delta_ucb_for(config.num_slots))
     sweep = {
         axis: values[f"sweep_{axis}"]
@@ -242,7 +241,6 @@ def round_log_rows(log, profiles, config) -> dict:
     per-row amounts; numpy accumulates them in row order, so each entry is
     the left-to-right sum.
     """
-    config = validate_config(config)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
     cell = (log.agent - 1, log.slot - 1)
     return {
@@ -268,10 +266,11 @@ def write_table(columns: dict, path, fmt) -> None:
 
     CSV has a header row and renders floats with ``fmt_num`` and anything
     else with ``str``; JSONL has one object per row, keys sorted, values as
-    ``json.dumps`` gives them. Columns may be lists or 1-D numpy arrays; a row
-    holds what ``tolist`` gives. A block is one byte matrix: each column's
-    texts NUL-padded to its widest, between constant separator columns, and
-    written without its NULs. So a CSV text cell may not hold a NUL.
+    ``json.dumps`` gives them but with a NaN or infinity as null. Columns may
+    be lists or 1-D numpy arrays; a row holds what ``tolist`` gives. A block
+    is one byte matrix: each column's texts NUL-padded to its widest, between
+    constant separator columns, and written without its NULs. So a CSV text
+    cell may not hold a NUL.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
@@ -382,10 +381,17 @@ def _merged(rows: int, at, texts, rest, others):
 
 
 def _json_matrix(values, kind, room):
-    """``json.dumps`` of each value as NUL-padded rows; one call encodes a number array."""
+    """``json.dumps`` of each value as NUL-padded rows; one call encodes a number array.
+
+    JSON has no NaN or infinities, so a non-finite float is written as null.
+    """
     import json
     if kind in (None, "U"):
-        return _padded([json.dumps(v).encode() for v in _plain(values)], room)
+        plain = _plain(values)
+        plain = [None if isinstance(v, float) and not math.isfinite(v) else v for v in plain]
+        return _padded([json.dumps(v).encode() for v in plain], room)
+    if kind == "f" and not np.isfinite(values).all():
+        values = np.where(np.isfinite(values), values, None)
     # the texts of numbers hold no ", "
     return _padded(json.dumps(values.tolist())[1:-1].encode().split(b", "), room)
 
@@ -508,14 +514,12 @@ def sweep_cells(spec: ExperimentSpec) -> list:
 
 def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
     overrides = {k: v for k, v in cell.items() if k != "seed_index"}
-    config = spec.config
-    if "num_slots" in overrides and config.prominences is not None:
+    if "num_slots" in overrides:
         wanted = overrides["num_slots"]
-        if len(config.prominences) < wanted:
+        if len(spec.config.prominences) < wanted:
             raise ConfigError("prominences too short for num_slots sweep")
-        config = replace(config, prominences=config.prominences[:wanted])
-    config = replace(config, seed=derive_subseed(spec.config.seed, cell), **overrides)
-    return validate_config(config)
+        overrides["prominences"] = spec.config.prominences[:wanted]
+    return replace(spec.config, seed=derive_subseed(spec.config.seed, cell), **overrides)
 
 
 def run_cell(spec: ExperimentSpec, cell: dict):
@@ -533,9 +537,8 @@ def _draw_instance(spec: ExperimentSpec, index: int):
     num_agents = base.num_agents
     if spec.agents_choices:
         num_agents = int(rng.choice(np.array(spec.agents_choices)))
-    config = validate_config(
-        replace(base, num_agents=num_agents, seed=derive_subseed(base.seed, {"instance": index}))
-    )
+    seed = derive_subseed(base.seed, {"instance": index})
+    config = replace(base, num_agents=num_agents, seed=seed)
     if spec.ctrs is not None:
         return config, build_profiles(spec, config)
     ctrs, valuations = _draw_ctrs_and_valuations(spec, config, rng)
@@ -601,7 +604,7 @@ def property_check(command: str, spec: ExperimentSpec, instances: int) -> list:
 def _load_spec(args) -> ExperimentSpec:
     spec = parse_config_file(args.config)
     if getattr(args, "seed", None) is not None:
-        spec.config = validate_config(replace(spec.config, seed=args.seed))
+        spec.config = replace(spec.config, seed=args.seed)
     return spec
 
 
@@ -626,9 +629,9 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     config = spec.config
     profiles = build_profiles(spec, config)
+    out_dir = _out_dir(args.out) if args.out else None
     result = dispatch_run(spec.mechanism, config, profiles, rounds_log=args.rounds_log)
-    if args.out:
-        out_dir = _out_dir(args.out)
+    if out_dir:
         emit_summary([result.summary], out_dir / f"summary.{args.format}", args.format)
         if result.log is not None:
             path = out_dir / f"rounds.{args.format}"
@@ -649,6 +652,7 @@ def _cmd_sweep(args) -> int:
     jobs = _at_least_one("jobs", spec.jobs if args.jobs is None else args.jobs)
     # the pool forks every worker at the first submit, so fork no more than there are cells
     workers = min(jobs, len(cells))
+    out_dir = _out_dir(args.out)
     if workers > 1:
         # imported here: only a forking sweep needs multiprocessing and its imports
         from concurrent.futures import ProcessPoolExecutor
@@ -657,7 +661,6 @@ def _cmd_sweep(args) -> int:
             summaries = list(pool.map(run_cell, [spec] * len(cells), cells))
     else:
         summaries = [run_cell(spec, cell) for cell in cells]
-    out_dir = _out_dir(args.out)
     emit_summary(summaries, out_dir / f"summary.{args.format}", args.format)
     print(f"sweep: wrote {len(summaries)} rows")
     return 0

@@ -14,8 +14,9 @@ each slot's per-click price. Indices never change after the budget.
 The single-slot mechanism uses ``normalized_runner_up`` (here); the
 multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
 
-A run is two steps: ``learn`` folds the free rounds into a learner (bids
-never enter), and ``declare`` ranks and prices on the profiles' bids.
+A run is two steps: ``learn`` folds the free rounds into a learner and
+freezes it (bids never enter), and ``declare`` ranks and prices on the
+profiles' bids, reading the learner without changing it.
 ``run_mechanism`` takes both on the config's seeded realization (tests may
 pass their own), reading all clicks of the free rounds and only the winners'
 after them. ``exploration_clicks`` gives an agent's free rounds in round
@@ -39,7 +40,6 @@ from .core import (
     RoundRecord,
     confidence_radius,
     exploration_budget,
-    validate_config,
     validate_profiles,
 )
 from .environment import ClickRealization, draw_realization, realized_click
@@ -133,13 +133,13 @@ def normalized_runner_up(rankings, scores, ucb, prominences) -> np.ndarray:
 
 
 def declare(state: LearnerState, bids, prominences, price_rule):
-    """Rank agents by ucb * bid (ties toward the lower id), price every slot, and freeze learning.
+    """Rank agents by ucb * bid (ties toward the lower id) and price every slot.
 
     ``bids`` is one bid vector, giving one ``Outcome``, or a matrix of bid
     rows, giving one per row; a run is the one-row case. Every row is ranked
     by one stable argsort, and ``price_rule(rankings, scores, ucb,
     prominences)`` maps the 1-based rankings and the scores, one row each,
-    to one per-click price per slot and row.
+    to one per-click price per slot and row. The learner is only read.
     """
     bids = np.asarray(bids, dtype=float)
     if np.any(state.pull_count == 0):
@@ -147,7 +147,6 @@ def declare(state: LearnerState, bids, prominences, price_rule):
     scores = state.ucb * np.atleast_2d(bids)
     rankings = np.argsort(-scores, axis=1, kind="stable") + 1
     prices = price_rule(rankings, scores, state.ucb, prominences)
-    state.freeze()
     rows = zip(rankings.tolist(), prices.tolist())
     outcomes = [Outcome(tuple(ranking), tuple(row), state) for ranking, row in rows]
     return outcomes if bids.ndim == 2 else outcomes[0]
@@ -197,9 +196,8 @@ def exploitation_step(
 
 
 def _prepare(config, profiles, realization, budget_override):
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
-    bids_arr = bid_vector([p.bid for p in profiles], config)
+    bids_arr = np.array([p.bid for p in profiles], float)
     if realization is None:
         realization = draw_realization(config, profiles)
     budget = exploration_budget(config) if budget_override is None else budget_override
@@ -213,7 +211,7 @@ def _fresh_learner(config: AuctionConfig) -> LearnerState:
 
 
 def learn(realization: ClickRealization, config: AuctionConfig, explore_until: int) -> LearnerState:
-    """The learner after the free rounds 1..explore_until; bids never enter.
+    """The frozen learner after the free rounds 1..explore_until; bids never enter.
 
     Each agent's entry folds in its prominence-corrected samples in round
     order (a sequential sum, so it matches ``record_pull`` to the byte).
@@ -231,6 +229,7 @@ def learn(realization: ClickRealization, config: AuctionConfig, explore_until: i
             state.ucb[i], state.lcb[i] = ucb_pair(
                 total / count, count, config.horizon, state.eps_scale
             )
+    state.freeze()
     return state
 
 
@@ -253,6 +252,7 @@ def iter_rounds(
     state = _fresh_learner(config)
     for t in range(1, explore_until + 1):
         yield exploration_step(state, realization, t, config, budget)
+    state.freeze()
     if budget < config.horizon:
         outcome = declare(state, bids_arr, config.prominences, price_rule)
         for t in range(explore_until + 1, config.horizon + 1):
@@ -354,7 +354,7 @@ def run_single_slot(
 
     ``options`` are ``run_mechanism``'s keyword arguments.
     """
-    if validate_config(config).num_slots != 1:
+    if config.num_slots != 1:
         raise ConfigError("single-slot mechanism requires num_slots == 1")
     options.setdefault("mechanism_label", "delta-ucb-single")
     return run_mechanism(config, profiles, normalized_runner_up, **options)

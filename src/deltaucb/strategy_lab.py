@@ -41,7 +41,6 @@ from .core import (
     LearnerState,
     confidence_radius,
     exploration_budget,
-    validate_config,
     validate_profiles,
 )
 from .environment import ClickRealization, draw_realization
@@ -141,9 +140,8 @@ def build_scenario(
     tie-break never decides a comparison. ``learned`` is the realization's
     ``shared_learner``, learned here when not given; the scenario keeps it.
     """
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
-    others = bid_vector([p.bid for p in profiles], config)
+    others = np.array([p.bid for p in profiles], float)
 
     if learned is None:
         learned = shared_learner(config, realization)
@@ -244,7 +242,6 @@ def verify_dsic(
     first-round maximum, and across the grid the first bid strictly worse
     for truthfulness wins.
     """
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     deviator = scenario.deviator
     realization = scenario.realization
@@ -311,7 +308,6 @@ def verify_ir(
     the first round of each; an unshown agent's is 0.0. Each agent's worst
     is its first-round minimum, and the first agent strictly worse wins.
     """
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
     explore_until, learner = shared_learner(config, realization)
@@ -362,7 +358,6 @@ def welfare_interval_violations(
     recent pull; after exploration the indices are frozen, so the final
     interval is counted once per remaining round.
     """
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     if config.num_slots != 1:
         raise ConfigError("interval coverage counting is defined on single-slot runs")
@@ -401,7 +396,6 @@ def run_baseline(
 ) -> RunResult:
     """Run one of the reference mechanisms on the shared realization."""
     kind = BaselineKind(kind)
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     if config.num_slots != 1:
         raise ConfigError("baselines are single-slot only")
@@ -459,7 +453,7 @@ def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
 
     The first K rounds show each agent once so every index is defined.
     """
-    bids_arr = bid_vector([p.bid for p in profiles], config)
+    bids_arr = np.array([p.bid for p in profiles], float)
     horizon = config.horizon
     num_agents = config.num_agents
     tables = InstanceTables.build(profiles, config.delta, config.prominences)

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 from deltaucb import metrics
-from deltaucb.core import AgentProfile, validate_config
+from deltaucb.core import AgentProfile
 from deltaucb.environment import ClickRealization
 
 
@@ -43,7 +43,6 @@ def record_rows(records):
 
 def delta_regret_of(record, profiles, config):
     """A record's tolerance regret, from the per-call oracle."""
-    config = validate_config(config)
     return metrics.delta_regret_increment(
         record.allocation, profiles, config.delta, config.prominences
     )
@@ -51,7 +50,7 @@ def delta_regret_of(record, profiles, config):
 
 def welfare_of(record, profiles, config):
     """A record's welfare summed over its slots, from the per-call oracle."""
-    prominences = validate_config(config).prominences
+    prominences = config.prominences
     return sum(
         metrics.welfare_at_slot(profiles[a - 1], m, prominences)
         for m, a in record.allocation.items()

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deltaucb.core import AuctionConfig, exploration_budget, validate_config
+from deltaucb.core import AuctionConfig, exploration_budget
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import run_single_slot
 from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot
@@ -40,9 +40,7 @@ INSTANCE_CTRS = (0.9, 0.6, 0.5, 0.3, 0.1)
 
 
 def _instance_config(horizon):
-    return validate_config(
-        AuctionConfig(num_agents=5, horizon=horizon, delta=0.2, v_max=1.0)
-    )
+    return AuctionConfig(num_agents=5, horizon=horizon, delta=0.2, v_max=1.0)
 
 
 def _instance_profiles():
@@ -122,15 +120,13 @@ def _random_check_instances(rng, count, num_slots, prominences):
     instances = []
     for index in range(count):
         num_agents = int(rng.integers(max(2, num_slots), 7))
-        config = validate_config(
-            AuctionConfig(
-                num_agents=num_agents,
-                num_slots=num_slots,
-                horizon=3000,
-                delta=0.4,
-                prominences=prominences,
-                seed=1000 + index,
-            )
+        config = AuctionConfig(
+            num_agents=num_agents,
+            num_slots=num_slots,
+            horizon=3000,
+            delta=0.4,
+            prominences=prominences,
+            seed=1000 + index,
         )
         profiles = random_instance(rng, num_agents)
         instances.append((config, profiles, draw_realization(config, profiles)))
@@ -211,15 +207,13 @@ def test_criterion_6_exploration_separatedness():
     for index in range(trials):
         num_slots = 2 if index % 4 == 0 else 1
         num_agents = int(rng.integers(max(2, num_slots), 7))
-        config = validate_config(
-            AuctionConfig(
-                num_agents=num_agents,
-                num_slots=num_slots,
-                horizon=2000,
-                delta=0.5,
-                prominences=(1.0, 0.6) if num_slots == 2 else None,
-                seed=index,
-            )
+        config = AuctionConfig(
+            num_agents=num_agents,
+            num_slots=num_slots,
+            horizon=2000,
+            delta=0.5,
+            prominences=(1.0, 0.6) if num_slots == 2 else None,
+            seed=index,
         )
         profiles = random_instance(rng, num_agents, truthful=True)
         realization = draw_realization(config, profiles)
@@ -297,10 +291,8 @@ def test_criterion_9_payment_oracle():
 
 def test_criterion_10_multi_slot_regret_bound():
     prominences = (1.0, 0.7, 0.4)
-    config = validate_config(
-        AuctionConfig(
-            num_agents=6, num_slots=3, horizon=10**5, delta=0.25, prominences=prominences
-        )
+    config = AuctionConfig(
+        num_agents=6, num_slots=3, horizon=10**5, delta=0.25, prominences=prominences
     )
     bound = 8.0 * 6 * 3 * 1.0**3 * math.log(10**5) / (0.25**2) + 1.0
     rng = np.random.default_rng(31337)

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
-from deltaucb.core import AuctionConfig, exploration_budget, validate_config, validate_profiles
+from deltaucb.core import AuctionConfig, exploration_budget, validate_profiles
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import bid_vector, declare, learn
 from deltaucb.mechanism_multi import price_rule_for
@@ -41,13 +41,12 @@ def _reference_outcomes(config, realization):
         if learner is None:
             return None
         rule = price_rule_for(config.num_slots)
-        return declare(learner.copy(), bids, config.prominences, rule)
+        return declare(learner, bids, config.prominences, rule)
 
     return explore_until, outcome_for
 
 
 def reference_dsic(config, profiles, scenario):
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     deviator = scenario.deviator
     realization = scenario.realization
@@ -80,7 +79,6 @@ def reference_dsic(config, profiles, scenario):
 
 
 def reference_ir(config, profiles, realization):
-    config = validate_config(config)
     profiles = validate_profiles(profiles, config)
     explore_until, outcome_for = _reference_outcomes(config, realization)
     outcome = outcome_for(np.array([p.valuation for p in profiles]))
@@ -121,17 +119,15 @@ def check_instances(draw, horizons=st.integers(1, 3000), ctrs=_unit, drops=st.fl
     num_slots = draw(st.integers(1, min(3, num_agents)))
     drops = draw(st.lists(drops, min_size=num_slots - 1, max_size=num_slots - 1))
     v_max = draw(st.sampled_from([1.0, 0.5, 2.0]))
-    config = validate_config(
-        AuctionConfig(
-            num_agents=num_agents,
-            num_slots=num_slots,
-            # short horizons and tight tolerances give budgets that fill the horizon
-            horizon=draw(horizons),
-            delta=v_max * draw(st.floats(1.0, 6.0)),
-            v_max=v_max,
-            prominences=(1.0, *sorted(drops, reverse=True)),
-            seed=draw(st.integers(0, 2**32)),
-        )
+    config = AuctionConfig(
+        num_agents=num_agents,
+        num_slots=num_slots,
+        # short horizons and tight tolerances give budgets that fill the horizon
+        horizon=draw(horizons),
+        delta=v_max * draw(st.floats(1.0, 6.0)),
+        v_max=v_max,
+        prominences=(1.0, *sorted(drops, reverse=True)),
+        seed=draw(st.integers(0, 2**32)),
     )
     units = st.lists(_unit, min_size=num_agents, max_size=num_agents)
     ctrs = draw(st.lists(ctrs, min_size=num_agents, max_size=num_agents))
@@ -177,9 +173,7 @@ def test_ir_keeps_the_negative_zero_of_a_price_above_the_valuation():
     # K = M = 2 shows both agents in every free round, where they always click;
     # agent 1 then wins slot 1 at a price above its valuation and never clicks
     # again, so its worst round is the committed (1.0 - price) * 0 = -0.0
-    config = validate_config(
-        AuctionConfig(num_agents=2, num_slots=2, horizon=40, delta=4.0, prominences=(1.0, 0.1))
-    )
+    config = AuctionConfig(num_agents=2, num_slots=2, horizon=40, delta=4.0, prominences=(1.0, 0.1))
     explore_until = exploration_budget(config)
     clicked = [1] * explore_until + [0] * (config.horizon - explore_until)
     realization = make_realization([clicked, clicked], [[1] * config.horizon] * 2)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deltaucb.core import (
     AgentProfile,
@@ -11,8 +14,6 @@ from deltaucb.core import (
     Phase,
     confidence_radius,
     exploration_budget,
-    exploration_rounds,
-    validate_config,
     validate_profiles,
 )
 from deltaucb.mechanism import run_single_slot
@@ -22,48 +23,101 @@ from conftest import log_rows, make_profiles
 
 def test_validate_accepts_basic_config():
     config = AuctionConfig(num_agents=5, num_slots=1, horizon=1000, delta=0.1, v_max=1.0)
-    validated = validate_config(config)
-    assert validated.prominences == (1.0,)
-    assert validated.num_agents == 5
+    assert config.prominences == (1.0,)
+    assert config.num_agents == 5
 
 
 def test_validate_rejects_more_slots_than_agents():
-    config = AuctionConfig(num_agents=2, num_slots=3, horizon=10, delta=0.5,
-                           prominences=(1.0, 0.5, 0.2))
     with pytest.raises(ConfigError, match="num_slots exceeds num_agents"):
-        validate_config(config)
+        AuctionConfig(num_agents=2, num_slots=3, horizon=10, delta=0.5,
+                      prominences=(1.0, 0.5, 0.2))
 
 
 def test_validate_rejects_zero_delta():
-    config = AuctionConfig(num_agents=3, horizon=10, delta=0.0)
     with pytest.raises(ConfigError, match="delta must be positive"):
-        validate_config(config)
+        AuctionConfig(num_agents=3, horizon=10, delta=0.0)
 
 
 def test_validate_derives_prominences_from_lambdas():
     config = AuctionConfig(num_agents=4, num_slots=3, horizon=10, delta=0.5,
                            lambdas=(0.8, 0.5))
-    assert validate_config(config).prominences == (1.0, 0.8, pytest.approx(0.4))
+    assert config.prominences == (1.0, 0.8, pytest.approx(0.4))
 
 
 def test_validate_rejects_increasing_prominences():
-    config = AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5,
-                           prominences=(1.0, 1.2))
     with pytest.raises(ConfigError, match="non-increasing"):
-        validate_config(config)
+        AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5,
+                      prominences=(1.0, 1.2))
 
 
 def test_validate_rejects_first_prominence_not_one():
-    config = AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5,
-                           prominences=(0.9, 0.5))
     with pytest.raises(ConfigError, match="start at 1"):
-        validate_config(config)
+        AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5,
+                      prominences=(0.9, 0.5))
 
 
 def test_validate_rejects_bad_seed():
-    config = AuctionConfig(num_agents=3, horizon=10, delta=0.5, seed=2**64)
     with pytest.raises(ConfigError, match="seed"):
-        validate_config(config)
+        AuctionConfig(num_agents=3, horizon=10, delta=0.5, seed=2**64)
+
+
+def test_replace_checks_the_new_config():
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5, lambdas=(0.8,))
+    assert replace(config, num_slots=1, prominences=(1.0,)).prominences == (1.0,)
+    with pytest.raises(ConfigError, match="prominences length must equal num_slots"):
+        replace(config, num_slots=1)
+    with pytest.raises(ConfigError, match="delta must be positive"):
+        replace(config, delta=math.nan)
+
+
+_ODD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5, 1e-308, 0.5, 1.0, 2.0]),
+    st.floats(),
+)
+_ODD_INTS = st.one_of(
+    st.sampled_from([0, -1, 1, 2, 3, 2**64 - 1, 2**64, 10**400]),
+    st.integers(-2, 6),
+    st.integers(),
+)
+# short, rising, zero, tiny or non-finite lists as prominences or lambdas
+_GAMMAS = st.lists(st.one_of(_ODD_FLOATS, st.floats(0.0, 1.0)), max_size=4).map(tuple)
+_FIELDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "num_agents": _ODD_INTS,
+        "num_slots": _ODD_INTS,
+        "horizon": _ODD_INTS,
+        "delta": _ODD_FLOATS,
+        "v_max": _ODD_FLOATS,
+        "prominences": st.none() | _GAMMAS,
+        "lambdas": st.none() | _GAMMAS,
+        "seed": _ODD_INTS,
+    },
+)
+
+
+def _valid_or_rejected(build):
+    """build() raises ConfigError, or its config holds resolved prominences."""
+    try:
+        config = build()
+    except ConfigError:
+        return
+    gammas = config.prominences
+    assert type(gammas) is tuple and all(type(g) is float for g in gammas)
+    assert len(gammas) == config.num_slots and gammas[0] == 1.0
+    assert all(0.0 < later <= earlier for earlier, later in zip(gammas, gammas[1:]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@example(fields={"horizon": 10**400}, changes={"horizon": 10**400})  # past the float range
+@example(fields={"num_slots": 2, "prominences": (1.0, 1e-308)}, changes={"lambdas": (1e-308,)})
+@example(fields={"seed": 2**64}, changes={"seed": -1})
+@given(fields=_FIELDS, changes=_FIELDS)
+def test_a_built_or_replaced_config_is_valid_or_rejected(fields, changes):
+    base = {"num_agents": 3, "horizon": 100, "delta": 0.5}
+    _valid_or_rejected(lambda: AuctionConfig(**{**base, **fields}))
+    config = AuctionConfig(num_agents=4, num_slots=2, horizon=100, delta=0.5, lambdas=(0.5,))
+    _valid_or_rejected(lambda: replace(config, **changes))
 
 
 def test_profile_bid_defaults_to_valuation():
@@ -72,24 +126,28 @@ def test_profile_bid_defaults_to_valuation():
 
 
 def test_validate_profiles_rejects_out_of_range_bid():
-    config = validate_config(AuctionConfig(num_agents=1, horizon=10, delta=0.5, v_max=1.0))
+    config = AuctionConfig(num_agents=1, horizon=10, delta=0.5, v_max=1.0)
     with pytest.raises(ConfigError, match="bid must lie"):
         validate_profiles([AgentProfile(id=1, ctr=0.5, valuation=0.5, bid=1.5)], config)
 
 
+def _budget(num_agents, v_max, delta, horizon):
+    """The budget formula on bare values; the horizon may be any real, as e here."""
+    fields = dict(num_agents=num_agents, v_max=v_max, delta=delta, horizon=horizon)
+    return exploration_budget(SimpleNamespace(**fields))
+
+
 def test_budget_formula_values():
     # direct evaluations of the budget formula; ln(e) = 1 makes them exact
-    assert exploration_rounds(1, 1.0, math.sqrt(8.0), math.e) == 1
-    assert exploration_rounds(2, 1.0, 4.0, math.e) == 2  # raw value below one pull per agent
-    assert exploration_rounds(2, 1.0, 1.0, math.e) == 16
+    assert _budget(1, 1.0, math.sqrt(8.0), math.e) == 1
+    assert _budget(2, 1.0, 4.0, math.e) == 2  # raw value below one pull per agent
+    assert _budget(2, 1.0, 1.0, math.e) == 16
 
 
 def test_budget_is_whole_cycles():
     # every agent gets the same pull count, so none is left below the per-agent requirement
     for num_agents in (2, 3, 5, 7):
-        config = validate_config(
-            AuctionConfig(num_agents=num_agents, horizon=10**5, delta=0.2)
-        )
+        config = AuctionConfig(num_agents=num_agents, horizon=10**5, delta=0.2)
         assert exploration_budget(config) % num_agents == 0
 
 
@@ -99,20 +157,17 @@ def test_budget_monotonicity_grid():
     deltas = (0.1, 0.5, 1.0, 2.0)
     horizons = (10, 10**3, 10**6)
 
-    def budget(k, v, d, t):
-        return exploration_rounds(k, v, d, t)
-
     for v, d, t in [(v, d, t) for v in v_maxes for d in deltas for t in horizons]:
-        values = [budget(k, v, d, t) for k in agents]
+        values = [_budget(k, v, d, t) for k in agents]
         assert values == sorted(values)
     for k, d, t in [(k, d, t) for k in agents for d in deltas for t in horizons]:
-        values = [budget(k, v, d, t) for v in v_maxes]
+        values = [_budget(k, v, d, t) for v in v_maxes]
         assert values == sorted(values)
     for k, v, t in [(k, v, t) for k in agents for v in v_maxes for t in horizons]:
-        values = [budget(k, v, d, t) for d in deltas]
+        values = [_budget(k, v, d, t) for d in deltas]
         assert values == sorted(values, reverse=True)
     for k, v, d in [(k, v, d) for k in agents for v in v_maxes for d in deltas]:
-        values = [budget(k, v, d, t) for t in horizons]
+        values = [_budget(k, v, d, t) for t in horizons]
         assert values == sorted(values)
 
 
@@ -146,10 +201,9 @@ def test_learner_state_frozen_rejects_pulls():
 def test_learner_state_bytes_track_content():
     state = LearnerState.fresh(2, horizon=100)
     state.record_pull(1, 1.0)
-    snapshot = state.copy()
-    assert snapshot.to_bytes() == state.to_bytes()
+    snapshot = state.to_bytes()
     state.record_pull(2, 0.0)
-    assert snapshot.to_bytes() != state.to_bytes()
+    assert snapshot != state.to_bytes()
 
 
 def test_exploration_rounds_have_zero_payments():

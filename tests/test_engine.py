@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from deltaucb import metrics
-from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget, validate_config
+from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget
 from deltaucb.environment import draw_realization
 from deltaucb.harness import fmt_num, round_log_rows
 from deltaucb.mechanism import (
@@ -55,15 +55,13 @@ def instances(draw, max_slots):
         for i in range(num_agents)
     ]
     horizon = draw(st.sampled_from(range(1, 61)))
-    config = validate_config(
-        AuctionConfig(
-            num_agents=num_agents,
-            num_slots=num_slots,
-            horizon=horizon,
-            delta=draw(st.sampled_from([0.05, 0.25, 0.5, 2.0])),
-            prominences=prominences,
-            seed=draw(st.integers(0, 2**32)),
-        )
+    config = AuctionConfig(
+        num_agents=num_agents,
+        num_slots=num_slots,
+        horizon=horizon,
+        delta=draw(st.sampled_from([0.05, 0.25, 0.5, 2.0])),
+        prominences=prominences,
+        seed=draw(st.integers(0, 2**32)),
     )
     budget_override = draw(
         st.one_of(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaucb import environment, harness
-from deltaucb.core import AuctionConfig, exploration_budget, validate_config
+from deltaucb.core import AuctionConfig, exploration_budget
 from deltaucb.environment import (
     ClickRealization,
     draw_realization,
@@ -38,15 +38,13 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=
 
 
 def _config(num_agents, horizon, num_slots=1, prominences=None, seed=0, delta=0.5):
-    return validate_config(
-        AuctionConfig(
-            num_agents=num_agents,
-            horizon=horizon,
-            delta=delta,
-            num_slots=num_slots,
-            prominences=prominences,
-            seed=seed,
-        )
+    return AuctionConfig(
+        num_agents=num_agents,
+        horizon=horizon,
+        delta=delta,
+        num_slots=num_slots,
+        prominences=prominences,
+        seed=seed,
     )
 
 

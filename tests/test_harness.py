@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltaucb import harness
-from deltaucb.core import AuctionConfig, ConfigError, validate_config
+from deltaucb.core import AuctionConfig, ConfigError
 from deltaucb.harness import (
     _FLOAT_KEYS,
     _FLOAT_LIST_KEYS,
@@ -82,12 +82,12 @@ def test_parse_rejects_missing_required(tmp_path):
 def test_parse_leaves_absent_keys_to_the_dataclass_defaults(tmp_path):
     minimal = "num_agents = 3\nhorizon = 200\ndelta = 1.2\n"
     spec = parse_config_file(_write(tmp_path, "minimal.cfg", minimal))
-    config = validate_config(AuctionConfig(num_agents=3, horizon=200, delta=1.2))
+    config = AuctionConfig(num_agents=3, horizon=200, delta=1.2)
     assert spec == ExperimentSpec(config=config, mechanism="delta-ucb-single")
     two_slots = minimal + "num_slots = 2\nprominences = 1.0, 0.5\n"
     spec = parse_config_file(_write(tmp_path, "two_slots.cfg", two_slots))
     config = AuctionConfig(3, 200, 1.2, num_slots=2, prominences=(1.0, 0.5))
-    assert spec == ExperimentSpec(config=validate_config(config), mechanism="delta-ucb-multi")
+    assert spec == ExperimentSpec(config=config, mechanism="delta-ucb-multi")
 
 
 def test_parse_rejects_duplicate_key(tmp_path):
@@ -255,6 +255,23 @@ def test_jsonl_round_log(tmp_path):
     assert summary["mechanism"] == "delta-ucb-single"
 
 
+def test_one_round_summary_is_strict_json(tmp_path):
+    # ln 1 = 0, so a one-round run's delta_regret_over_logT is NaN, which JSON cannot hold
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    cfg = _write(tmp_path, "one.cfg", BASIC.replace("horizon = 200", "horizon = 1"))
+    for fmt in ("jsonl", "csv"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / fmt), "--format", fmt,
+                     "--rounds-log", "all"]) == 0
+    rounds = (tmp_path / "jsonl" / "rounds.jsonl").read_text().splitlines()
+    assert [json.loads(line, parse_constant=refuse)["t"] for line in rounds] == [1]
+    summary = json.loads((tmp_path / "jsonl" / "summary.jsonl").read_text(), parse_constant=refuse)
+    assert summary["delta_regret_over_logT"] is None
+    with open(tmp_path / "csv" / "summary.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["delta_regret_over_logT"] == "nan"
+
+
 def test_fmt_num_renderings():
     assert fmt_num(0.0) == "0.000000000000"
     assert fmt_num(0.5) == "0.50000000000"
@@ -283,6 +300,9 @@ def _reference_write_table(columns, path, fmt):
             ",".join(fmt_num(v) if isinstance(v, float) else str(v) for v in row) for row in rows
         ]
     elif fmt == "jsonl":
+        # JSON has no NaN or infinities, so a non-finite float is written as null
+        rows = ([None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                for row in rows)
         lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -692,6 +712,14 @@ def test_prominence_that_overflows_the_index_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_horizon_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "huge.cfg", BASIC.replace("horizon = 200", f"horizon = {10**400}"))
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: prominences: T M v_max (1 + sqrt(2 ln T)) / gamma_M is not finite\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "dsic-check"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, kind):
@@ -707,13 +735,22 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, kind):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("out", ["blocker", "blocker/out"])
-def test_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
+def test_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, out, command):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(harness, "dispatch_run", never)
+    monkeypatch.setattr(harness, "run_cell", never)
     (tmp_path / "blocker").write_text("a regular file\n")
     cfg = _write(tmp_path, "basic.cfg", BASIC)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: out: cannot make directory {tmp_path / out}: ")
+    grid = "sweep grid: 1 cells\n" if command == "sweep" else ""
+    assert captured.err.startswith(
+        f"{grid}config error: out: cannot make directory {tmp_path / out}: "
+    )
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaucb.core import AuctionConfig, LearnerState, Phase, validate_config
+from deltaucb.core import AuctionConfig, LearnerState, Phase, exploration_budget
 from deltaucb.environment import draw_realization, realized_click
 from deltaucb.mechanism import (
     declare,
     declare_winner,
     exploration_clicks,
     iter_rounds,
+    learn,
     multi_exploration_allocation,
     normalized_runner_up,
     run_single_slot,
@@ -149,8 +150,27 @@ def test_indices_frozen_through_exploitation():
         learner.record_pull(1, 1.0)
 
 
+def test_declare_leaves_its_learner_unchanged():
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=300, delta=0.9,
+                           prominences=(1.0, 0.5), seed=3)
+    profiles = make_profiles([0.8, 0.5, 0.2])
+    learner = learn(draw_realization(config, profiles), config, exploration_budget(config))
+    before = learner.to_bytes()
+    declare(learner, [[1.0, 0.5, 0.2], [0.1, 1.0, 0.3]], config.prominences, price_rule_for(2))
+    assert learner.to_bytes() == before
+    with pytest.raises(RuntimeError, match="frozen"):
+        learner.record_pull(1, 1.0)  # learn froze it, not declare
+    state = LearnerState.fresh(2, horizon=100)
+    state.record_pull(1, 1.0)
+    state.record_pull(2, 0.0)
+    before = state.to_bytes()
+    declare_winner(state, [1.0, 1.0])
+    assert state.to_bytes() == before
+    state.record_pull(1, 0.0)  # still learning
+
+
 def test_exploration_step_rejects_rounds_past_budget():
-    config = validate_config(AuctionConfig(num_agents=2, horizon=60, delta=1.5, seed=2))
+    config = AuctionConfig(num_agents=2, horizon=60, delta=1.5, seed=2)
     profiles = make_profiles([0.7, 0.3])
     realization = draw_realization(config, profiles)
     from deltaucb.core import LearnerState, exploration_budget
@@ -196,7 +216,7 @@ def test_clear_favorite_wins_almost_surely():
 def test_exploration_is_bid_independent():
     config = AuctionConfig(num_agents=3, horizon=500, delta=0.8, seed=6)
     profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.9, 0.8])
-    realization = draw_realization(validate_config(config), profiles)
+    realization = draw_realization(config, profiles)
     low = run_single_slot(config, with_bids(profiles, [0.1, 0.2, 0.3]),
                           realization=realization, rounds_log="all")
     high = run_single_slot(config, with_bids(profiles, [1.0, 0.9, 0.8]),
@@ -269,7 +289,7 @@ def test_welfare_interval_coverage_small_sample():
 def test_fast_path_matches_round_by_round_reference():
     config = AuctionConfig(num_agents=3, horizon=700, delta=0.6, seed=31)
     profiles = make_profiles([0.85, 0.5, 0.15], [1.0, 0.7, 0.4], [0.9, 0.7, 0.4])
-    realization = draw_realization(validate_config(config), profiles)
+    realization = draw_realization(config, profiles)
     fast = run_single_slot(config, profiles, realization=realization)
     records = list(iter_rounds(config, profiles, normalized_runner_up, realization=realization))
 

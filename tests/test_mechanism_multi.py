@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deltaucb.core import AuctionConfig, ConfigError, Phase, gammas_from_lambdas, validate_config
+from deltaucb.core import AuctionConfig, ConfigError, Phase, gammas_from_lambdas
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import iter_rounds, multi_exploration_allocation, run_single_slot
 from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot, telescoping
@@ -20,15 +20,13 @@ from conftest import (
 
 
 def _config(num_agents, num_slots, horizon, delta, prominences, seed=0):
-    return validate_config(
-        AuctionConfig(
-            num_agents=num_agents,
-            num_slots=num_slots,
-            horizon=horizon,
-            delta=delta,
-            prominences=prominences,
-            seed=seed,
-        )
+    return AuctionConfig(
+        num_agents=num_agents,
+        num_slots=num_slots,
+        horizon=horizon,
+        delta=delta,
+        prominences=prominences,
+        seed=seed,
     )
 
 

@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deltaucb.core import AuctionConfig, ConfigError, exploration_budget, validate_config
+from deltaucb.core import AuctionConfig, ConfigError, Phase, exploration_budget
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import run_single_slot
+from deltaucb.mechanism import declare, exploration_clicks, learn, run_mechanism, run_single_slot
+from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
     BaselineKind,
     build_scenario,
     per_round_utilities,
     run_baseline,
+    shared_learner,
     t23_budget,
     verify_dsic,
     verify_ir,
@@ -21,9 +23,7 @@ from conftest import make_profiles, random_instance, with_bids
 
 
 def _single_config(num_agents=2, horizon=2000, delta=0.5, seed=0):
-    return validate_config(
-        AuctionConfig(num_agents=num_agents, horizon=horizon, delta=delta, seed=seed)
-    )
+    return AuctionConfig(num_agents=num_agents, horizon=horizon, delta=delta, seed=seed)
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
     explore_until = base.summary.exploration_rounds_used
     for bid in (0.05, 0.45, 0.95):
         bids = np.array([1.0, bid])
-        direct = declare_winner(base.outcome.learner.copy(), bids)
+        direct = declare_winner(base.outcome.learner, bids)
         full = run_single_slot(config, with_bids(profiles, bids), realization=realization)
         assert direct.winner == full.outcome.winner
         assert direct.payment_per_click == full.outcome.payment_per_click
@@ -98,20 +98,46 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
         assert np.array_equal(u_direct, u_full)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        AuctionConfig(num_agents=3, horizon=400, delta=0.9, seed=4),
+        AuctionConfig(num_agents=3, num_slots=2, horizon=400, delta=0.9, lambdas=(0.6,), seed=4),
+    ],
+    ids=["single-slot", "multi-slot-from-lambdas"],
+)
+def test_learning_and_checks_take_a_config_built_directly(config):
+    profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.9, 0.6])
+    realization = draw_realization(config, profiles)
+    explore_until, learner = shared_learner(config, realization)
+    assert explore_until == exploration_budget(config) < config.horizon
+    assert learner.phase is Phase.EXPLOITATION
+    assert learner.to_bytes() == learn(realization, config, explore_until).to_bytes()
+    rule = price_rule_for(config.num_slots)
+    run = run_mechanism(config, profiles, rule, realization=realization)
+    assert run.outcome.learner.to_bytes() == learner.to_bytes()
+    outcome = declare(learner, [p.bid for p in profiles], config.prominences, rule)
+    assert outcome.ranking == run.outcome.ranking
+    for p in profiles:
+        rounds, _, clicks = exploration_clicks(realization, config, p.id, explore_until)
+        assert learner.pull_count[p.id - 1] == len(rounds)
+        util = per_round_utilities(config, profiles, realization, outcome, p.id, explore_until)
+        assert np.array_equal(util[rounds - 1], p.valuation * clicks)
+        assert util.sum() == pytest.approx(run.summary.per_agent_utility[p.id])
+
+
 def test_multi_dsic_shortcut_matches_full_runs():
     from deltaucb.mechanism_multi import declare_ranking, run_multi_slot, telescoping
 
-    config = validate_config(
-        AuctionConfig(num_agents=3, num_slots=2, horizon=1200, delta=0.7,
-                      prominences=(1.0, 0.6), seed=55)
-    )
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=1200, delta=0.7,
+                           prominences=(1.0, 0.6), seed=55)
     profiles = make_profiles([0.8, 0.6, 0.3], [1.0, 0.9, 0.7])
     realization = draw_realization(config, profiles)
     base = run_multi_slot(config, profiles, realization=realization)
     explore_until = base.summary.exploration_rounds_used
     for bid in (0.1, 0.5, 1.0):
         bids = np.array([1.0, 0.9, bid])
-        direct = declare_ranking(base.outcome.learner.copy(), bids, config.prominences, telescoping)
+        direct = declare_ranking(base.outcome.learner, bids, config.prominences, telescoping)
         full = run_multi_slot(config, with_bids(profiles, bids), realization=realization)
         assert direct.ranking == full.outcome.ranking
         assert direct.payments_per_click == full.outcome.payments_per_click
@@ -222,8 +248,8 @@ def test_t23_explores_longer_and_regrets_more_when_tolerance_is_loose():
 
 
 def test_baselines_reject_multi_slot():
-    config = validate_config(AuctionConfig(num_agents=3, num_slots=2, horizon=100, delta=0.5,
-                                           prominences=(1.0, 0.5)))
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=100, delta=0.5,
+                           prominences=(1.0, 0.5))
     profiles = make_profiles([0.5, 0.4, 0.3])
     with pytest.raises(ConfigError, match="single-slot"):
         run_baseline(BaselineKind.ORACLE_ALLOCATION, config, profiles)
@@ -232,10 +258,8 @@ def test_baselines_reject_multi_slot():
 def test_multi_slot_underbid_finding_is_reported():
     """The list mechanism is not per-round truthful: dropping one slot keeps the
     click but lowers the price. The verifier must surface this, not hide it."""
-    config = validate_config(
-        AuctionConfig(num_agents=3, num_slots=2, horizon=2500, delta=0.5,
-                      prominences=(1.0, 0.6), seed=9)
-    )
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=2500, delta=0.5,
+                           prominences=(1.0, 0.6), seed=9)
     profiles = make_profiles([0.9, 0.75, 0.5], [1.0, 0.9, 0.7])
     realization = draw_realization(config, profiles)
     scenario = build_scenario(config, profiles, realization, deviator=1)
@@ -247,10 +271,8 @@ def test_multi_slot_underbid_finding_is_reported():
 def test_multi_slot_price_can_exceed_value_finding():
     """With a steep prominence drop the widened indices push the top-slot price
     past the winner's valuation; the participation check must flag it."""
-    config = validate_config(
-        AuctionConfig(num_agents=3, num_slots=2, horizon=3000, delta=0.7,
-                      prominences=(1.0, 0.05), seed=13)
-    )
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=3000, delta=0.7,
+                           prominences=(1.0, 0.05), seed=13)
     profiles = make_profiles([0.9, 0.85, 0.8], [0.8, 0.95, 1.0])
     realization = draw_realization(config, profiles)
     report = verify_ir(config, profiles, realization)
