@@ -10,6 +10,7 @@ seed and configuration must reproduce bit-identical records.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -82,13 +83,19 @@ class AuctionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.num_agents) != self.num_agents or self.num_agents < 1:
+        # Python and numpy integers are stored as int; floats, even 2.0, are rejected
+        for name in ("num_agents", "num_slots", "horizon", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer") from None
+        if self.num_agents < 1:
             raise ConfigError("num_agents must be a positive integer")
-        if int(self.num_slots) != self.num_slots or self.num_slots < 1:
+        if self.num_slots < 1:
             raise ConfigError("num_slots must be a positive integer")
         if self.num_slots > self.num_agents:
             raise ConfigError("num_slots exceeds num_agents")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        if self.horizon < 1:
             raise ConfigError("horizon must be a positive integer")
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be positive and finite")

@@ -616,11 +616,16 @@ def _out_dir(path) -> Path:
     return Path(path)
 
 
+def _check_cells(spec: ExperimentSpec, cells) -> None:
+    """Build every sweep cell's config and profiles, so a rejected cell fails before any runs."""
+    for cell in cells:
+        build_profiles(spec, _cell_config(spec, cell))
+
+
 def _cmd_validate(args) -> int:
     spec = _load_spec(args)
     build_profiles(spec, spec.config)
-    for cell in sweep_cells(spec):
-        build_profiles(spec, _cell_config(spec, cell))
+    _check_cells(spec, sweep_cells(spec))
     print("config ok")
     return 0
 
@@ -652,6 +657,7 @@ def _cmd_sweep(args) -> int:
     jobs = _at_least_one("jobs", spec.jobs if args.jobs is None else args.jobs)
     # the pool forks every worker at the first submit, so fork no more than there are cells
     workers = min(jobs, len(cells))
+    _check_cells(spec, cells)
     out_dir = _out_dir(args.out)
     if workers > 1:
         # imported here: only a forking sweep needs multiprocessing and its imports

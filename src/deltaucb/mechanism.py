@@ -1,4 +1,4 @@
-"""The Δ-UCB engine: free rotated learning, then a ranking frozen on bid-weighted UCB scores.
+"""The Δ-UCB engine: free rotated learning, then an allocation frozen for the remaining rounds.
 
 For a budgeted number of free rounds, slot m of round t shows agent
 (((t-1) mod K) + m - 1) mod K + 1, ignoring bids entirely, so over K
@@ -7,16 +7,17 @@ observed at slot m is folded into the agent's single learner entry as the
 prominence-corrected sample click / prominence_m, and the confidence radius
 is widened by 1 / min(prominence) to cover that sample range. With one slot
 (prominences (1.0,)) this is plain round-robin learning with an unscaled
-radius. At the end of the budget agents are ranked once by ucb * bid, the
-rank-m agent takes slot m for every remaining round, and a price rule fixes
-each slot's per-click price. Indices never change after the budget.
-
-The single-slot mechanism uses ``normalized_runner_up`` (here); the
-multi-slot mechanism uses the telescoping rule in ``mechanism_multi``.
+radius. At the end of the budget the ranking and each slot's per-click
+price are fixed once: the rank-m agent takes slot m for every remaining
+round. Indices never change after the budget.
 
 A run is two steps: ``learn`` folds the free rounds into a learner and
-freezes it (bids never enter), and ``declare`` ranks and prices on the
-profiles' bids, reading the learner without changing it.
+freezes it (bids never enter), and a declare step ``decide(learner, bids)``
+returns the ``Outcome``, reading the learner without changing it. Δ-UCB's
+steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
+the ``normalized_runner_up`` price (here), and the telescoping rule of
+``mechanism_multi`` on several. The clairvoyant allocator and the T^(2/3)
+variant in ``strategy_lab`` run this engine with their own step and budget.
 ``run_mechanism`` takes both on the config's seeded realization (tests may
 pass their own), reading all clicks of the free rounds and only the winners'
 after them. ``exploration_clicks`` gives an agent's free rounds in round
@@ -201,7 +202,7 @@ def _prepare(config, profiles, realization, budget_override):
     if realization is None:
         realization = draw_realization(config, profiles)
     budget = exploration_budget(config) if budget_override is None else budget_override
-    return config, profiles, bids_arr, realization, budget
+    return profiles, bids_arr, realization, budget
 
 
 def _fresh_learner(config: AuctionConfig) -> LearnerState:
@@ -236,16 +237,17 @@ def learn(realization: ClickRealization, config: AuctionConfig, explore_until: i
 def iter_rounds(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
-    price_rule,
+    decide,
     realization: Optional[ClickRealization] = None,
     budget_override: Optional[int] = None,
 ) -> Iterator[RoundRecord]:
     """Replay the whole mechanism round by round (the tests' reference path).
 
-    The generator's return value is the final learner state, so tests can
+    ``decide`` is the declare step, as in ``run_mechanism``. The
+    generator's return value is the final learner state, so tests can
     compare it with the aggregate path's.
     """
-    config, profiles, bids_arr, realization, budget = _prepare(
+    profiles, bids_arr, realization, budget = _prepare(
         config, profiles, realization, budget_override
     )
     explore_until = min(budget, config.horizon)
@@ -254,7 +256,7 @@ def iter_rounds(
         yield exploration_step(state, realization, t, config, budget)
     state.freeze()
     if budget < config.horizon:
-        outcome = declare(state, bids_arr, config.prominences, price_rule)
+        outcome = decide(state, bids_arr)
         for t in range(explore_until + 1, config.horizon + 1):
             yield exploitation_step(outcome, realization, t, config)
     return state
@@ -281,7 +283,7 @@ def _round_grids(realization, config, explore_until, outcome):
 def run_mechanism(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
-    price_rule,
+    decide,
     realization: Optional[ClickRealization] = None,
     rounds_log: str = "none",
     budget_override: Optional[int] = None,
@@ -289,10 +291,12 @@ def run_mechanism(
 ) -> RunResult:
     """Run the mechanism and aggregate regret, revenue, welfare, and utilities.
 
-    Regret and welfare accrue as pull count times the per-(agent, slot)
-    table entry, agent by agent.
+    ``decide(learner, bids)`` is the declare step: after the free rounds it
+    returns the ``Outcome`` the remaining rounds follow. Regret and welfare
+    accrue as pull count times the per-(agent, slot) table entry, agent by
+    agent.
     """
-    config, profiles, bids_arr, realization, budget = _prepare(
+    profiles, bids_arr, realization, budget = _prepare(
         config, profiles, realization, budget_override
     )
     horizon = config.horizon
@@ -317,7 +321,7 @@ def run_mechanism(
     if budget >= horizon:
         flags = ("exploration-only",)
     else:
-        outcome = declare(state, bids_arr, config.prominences, price_rule)
+        outcome = decide(state, bids_arr)
         winners = outcome.ranking[: config.num_slots]
         for m, agent in enumerate(winners, start=1):
             n_clicks = realization.click_count(agent, m, explore_until, horizon)
@@ -357,4 +361,4 @@ def run_single_slot(
     if config.num_slots != 1:
         raise ConfigError("single-slot mechanism requires num_slots == 1")
     options.setdefault("mechanism_label", "delta-ucb-single")
-    return run_mechanism(config, profiles, normalized_runner_up, **options)
+    return run_mechanism(config, profiles, declare_winner, **options)

@@ -1,9 +1,10 @@
 """Multi-slot Δ-UCB: the engine in ``mechanism`` with telescoping list prices.
 
 Slots have non-increasing observation probabilities (prominences). Learning
-and the ranking are the engine's. After the budget the occupant of slot m
-pays, per click, the telescoping sum of prominence drops times the scores
-ranked below it.
+and the ranking are the engine's. The declare step is ``declare_ranking``
+bound to the config's prominences and ``telescoping``: after the budget the
+occupant of slot m pays, per click, the telescoping sum of prominence drops
+times the scores ranked below it.
 
 Note the price rule differs in shape from the single-slot one: with M = 1
 it charges the runner-up score without dividing by the winner's own index.
@@ -13,13 +14,14 @@ payments do not, and tests pin both facts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .core import AgentProfile, AuctionConfig
 from .mechanism import normalized_runner_up, run_mechanism
-from .mechanism import declare as declare_ranking  # noqa: F401  (the multi-slot name for declare)
+from .mechanism import declare as declare_ranking  # the multi-slot name for declare
 from .metrics import RunResult
 
 
@@ -56,6 +58,5 @@ def run_multi_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **op
 
     ``options`` are ``run_mechanism``'s keyword arguments.
     """
-    return run_mechanism(
-        config, profiles, telescoping, mechanism_label="delta-ucb-multi", **options
-    )
+    decide = partial(declare_ranking, prominences=config.prominences, price_rule=telescoping)
+    return run_mechanism(config, profiles, decide, mechanism_label="delta-ucb-multi", **options)

@@ -22,7 +22,8 @@ pattern that never occurs still scans to T, as does any matrix realization.
 Also provides reference mechanisms for regret comparisons: a clairvoyant
 allocator, a plain bid-weighted UCB learner with no payments, and a
 variant of the main mechanism whose free-round budget grows like T^(2/3)
-instead of log T.
+instead of log T. The clairvoyant allocator and the T^(2/3) variant run
+on the engine in ``mechanism`` with their own declare step and budget.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .core import (
     exploration_budget,
     validate_profiles,
 )
-from .environment import ClickRealization, draw_realization
-from .mechanism import bid_vector, declare, exploration_clicks, learn, run_single_slot
+from .environment import ClickRealization
+from .mechanism import Outcome, bid_vector, declare, declare_winner, exploration_clicks, learn
+from .mechanism import _fresh_learner, _prepare, run_mechanism  # the engine's one way in
 from .mechanism_multi import price_rule_for
 from . import metrics
 from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
@@ -387,6 +389,12 @@ def t23_budget(num_agents: int, horizon: int) -> int:
     return math.ceil(num_agents * horizon ** (2.0 / 3.0))
 
 
+def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]):
+    """The oracle's declare step: the true welfare ranking at price 0, whatever the bids."""
+    ranking = InstanceTables.build(profiles, config.delta, config.prominences).ranking
+    return lambda learner, bids: Outcome(ranking, (0.0,), learner)
+
+
 def run_baseline(
     kind: BaselineKind,
     config: AuctionConfig,
@@ -396,56 +404,23 @@ def run_baseline(
 ) -> RunResult:
     """Run one of the reference mechanisms on the shared realization."""
     kind = BaselineKind(kind)
-    profiles = validate_profiles(profiles, config)
     if config.num_slots != 1:
         raise ConfigError("baselines are single-slot only")
-    if realization is None:
-        realization = draw_realization(config, profiles)
-    if kind is BaselineKind.EXPLORATION_SEPARATED_T23:
-        return run_single_slot(
-            config,
-            profiles,
-            realization=realization,
-            rounds_log=rounds_log,
-            budget_override=t23_budget(config.num_agents, config.horizon),
-            mechanism_label="explore-t23",
-        )
+    if kind is BaselineKind.PLAIN_UCB:
+        return _run_plain_ucb(config, profiles, realization, rounds_log)
     if kind is BaselineKind.ORACLE_ALLOCATION:
-        return _run_oracle(config, profiles, realization, rounds_log)
-    return _run_plain_ucb(config, profiles, realization, rounds_log)
-
-
-def _run_oracle(config, profiles, realization, rounds_log) -> RunResult:
-    """Clairvoyant reference: always show the true-welfare maximizer, charge nothing."""
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
-    winner = tables.ranking[0]
-    horizon = config.horizon
-    per_agent_utility = {p.id: 0.0 for p in profiles}
-    n_clicks = realization.click_count(winner, 1, 0, horizon)
-    per_agent_utility[winner] = profiles[winner - 1].valuation * n_clicks
-    log = metrics.round_log(
-        rounds_log,
-        0,
-        lambda: (
-            np.full((horizon, 1), winner),
-            realization.clicks(winner, 1, 0, horizon)[:, None],
-            np.zeros((horizon, 1)),
-        ),
-    )
-    summary = summarize(
-        "oracle",
+        decide, budget = clairvoyant(config, profiles), 0
+    else:
+        decide, budget = declare_winner, t23_budget(config.num_agents, config.horizon)
+    return run_mechanism(
         config,
-        seed=realization.seed,
-        budget=0,
-        rounds_used=0,
-        exploration=NO_ACCRUAL,
-        exploitation=tables.accrue([(horizon, winner, 1)]),
-        revenue=0.0,
-        utilities=per_agent_utility,
-        winners=(winner,),
-        flags=(),
+        profiles,
+        decide,
+        realization=realization,
+        rounds_log=rounds_log,
+        budget_override=budget,
+        mechanism_label=kind.value,
     )
-    return RunResult(summary=summary, outcome=None, log=log)
 
 
 def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
@@ -453,12 +428,12 @@ def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
 
     The first K rounds show each agent once so every index is defined.
     """
-    bids_arr = np.array([p.bid for p in profiles], float)
+    profiles, bids_arr, realization, _ = _prepare(config, profiles, realization, None)
     horizon = config.horizon
     num_agents = config.num_agents
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
-    state = LearnerState.fresh(num_agents, horizon)
+    state = _fresh_learner(config)
     per_agent_utility = {p.id: 0.0 for p in profiles}
     shown = np.empty((horizon, 1), dtype=np.int64)
     clicks = np.empty((horizon, 1), dtype=np.uint8)

@@ -1,8 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 from deltaucb import metrics
 from deltaucb.core import AgentProfile
 from deltaucb.environment import ClickRealization
+from deltaucb.mechanism import declare
+from deltaucb.mechanism_multi import telescoping
 
 
 def make_profiles(ctrs, valuations=None, bids=None):
@@ -19,6 +22,11 @@ def make_profiles(ctrs, valuations=None, bids=None):
 def with_bids(profiles, bids):
     """The profiles, each declaring the given bid instead of its own."""
     return [replace(p, bid=b) for p, b in zip(profiles, bids)]
+
+
+def telescoping_step(config):
+    """The multi-slot declare step: ``declare`` on the config's prominences with ``telescoping``."""
+    return partial(declare, prominences=config.prominences, price_rule=telescoping)
 
 
 def make_realization(intrinsic, observations=None, seed=0):

@@ -78,6 +78,9 @@ _ODD_INTS = st.one_of(
     st.sampled_from([0, -1, 1, 2, 3, 2**64 - 1, 2**64, 10**400]),
     st.integers(-2, 6),
     st.integers(),
+    # not integers, or integers of another type
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 2.0]),
+    st.integers(-2, 6).map(np.int64),
 )
 # short, rising, zero, tiny or non-finite lists as prominences or lambdas
 _GAMMAS = st.lists(st.one_of(_ODD_FLOATS, st.floats(0.0, 1.0)), max_size=4).map(tuple)
@@ -97,11 +100,13 @@ _FIELDS = st.fixed_dictionaries(
 
 
 def _valid_or_rejected(build):
-    """build() raises ConfigError, or its config holds resolved prominences."""
+    """build() raises ConfigError, or its config holds int counts and resolved prominences."""
     try:
         config = build()
     except ConfigError:
         return
+    for name in ("num_agents", "num_slots", "horizon", "seed"):
+        assert type(getattr(config, name)) is int, name
     gammas = config.prominences
     assert type(gammas) is tuple and all(type(g) is float for g in gammas)
     assert len(gammas) == config.num_slots and gammas[0] == 1.0

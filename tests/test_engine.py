@@ -1,14 +1,15 @@
 """Generated equivalence checks for the one Δ-UCB engine.
 
-The aggregate path (``run_single_slot`` / ``run_multi_slot``) and its
-round log are checked against the round-by-round reference ``iter_rounds``
-for both price rules, the log's running totals against left-to-right sums
-of the per-call ``metrics`` functions, and ``InstanceTables`` against
-those functions. Instances draw click rates, values, bids and
-prominences from small grids, so ties in welfare and in scores, zero bids
-and zero welfare are common; horizons include 1 and 2, and budgets include
-the horizon and one round short of it. Examples are derandomized, so the
-suite is deterministic.
+The aggregate path (``run_single_slot`` / ``run_multi_slot``, and the
+oracle baseline with no free rounds) and its round log are checked against
+the round-by-round reference ``iter_rounds`` with the same declare step:
+both price rules and the clairvoyant step. The log's running totals are
+checked against left-to-right sums of the per-call ``metrics`` functions,
+and ``InstanceTables`` against those functions. Instances draw click
+rates, values, bids and prominences from small grids, so ties in welfare
+and in scores, zero bids and zero welfare are common; horizons include 1
+and 2, and budgets include the horizon and one round short of it. Examples
+are derandomized, so the suite is deterministic.
 """
 
 import numpy as np
@@ -20,26 +21,36 @@ from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget
 from deltaucb.environment import draw_realization
 from deltaucb.harness import fmt_num, round_log_rows
 from deltaucb.mechanism import (
+    declare_winner,
     iter_rounds,
     multi_exploration_allocation,
-    normalized_runner_up,
     run_single_slot,
 )
-from deltaucb.mechanism_multi import run_multi_slot, telescoping
+from deltaucb.mechanism_multi import run_multi_slot
 from deltaucb.metrics import InstanceTables
+from deltaucb.strategy_lab import BaselineKind, clairvoyant, run_baseline
 
-from conftest import delta_regret_of, log_rows, record_rows, welfare_of
+from conftest import delta_regret_of, log_rows, record_rows, telescoping_step, welfare_of
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
+
+def _oracle(config, profiles, budget_override, **options):
+    # the oracle runs with no free rounds; instances() draws that budget for it
+    assert budget_override == 0
+    return run_baseline(BaselineKind.ORACLE_ALLOCATION, config, profiles, **options)
+
+
+# name: (aggregate run, declare step for (config, profiles), most slots, fixed budget)
 ENGINES = {
-    "normalized-runner-up": (run_single_slot, normalized_runner_up, 1),
-    "telescoping": (run_multi_slot, telescoping, 3),
+    "normalized-runner-up": (run_single_slot, lambda config, profiles: declare_winner, 1, None),
+    "telescoping": (run_multi_slot, lambda config, profiles: telescoping_step(config), 3, None),
+    "oracle": (_oracle, clairvoyant, 1, 0),
 }
 
 
 @st.composite
-def instances(draw, max_slots):
+def instances(draw, max_slots, budget=None):
     num_agents = draw(st.integers(1, 4))
     num_slots = draw(st.integers(1, min(num_agents, max_slots)))
     lower = draw(
@@ -63,12 +74,14 @@ def instances(draw, max_slots):
         prominences=prominences,
         seed=draw(st.integers(0, 2**32)),
     )
-    budget_override = draw(
-        st.one_of(
-            st.sampled_from([None, horizon, horizon - 1]),
-            st.integers(0, horizon),
+    budget_override = budget
+    if budget is None:
+        budget_override = draw(
+            st.one_of(
+                st.sampled_from([None, horizon, horizon - 1]),
+                st.integers(0, horizon),
+            )
         )
-    )
     return config, profiles, budget_override
 
 
@@ -146,14 +159,15 @@ def _check_running_totals(log, records, profiles, config):
 @PROPERTY
 @given(data=st.data())
 def test_engine_matches_round_by_round_reference(engine, data):
-    run, price_rule, max_slots = ENGINES[engine]
-    config, profiles, budget_override = data.draw(instances(max_slots))
+    run, step, max_slots, fixed_budget = ENGINES[engine]
+    config, profiles, budget_override = data.draw(instances(max_slots, fixed_budget))
     rounds_log = data.draw(st.sampled_from(["none", "all", "exploit-only"]))
     realization = draw_realization(config, profiles)
     budget = exploration_budget(config) if budget_override is None else budget_override
     _label_edges(config, profiles, budget, rounds_log)
+    decide = step(config, profiles)
     reference = iter_rounds(
-        config, profiles, price_rule, realization=realization, budget_override=budget_override
+        config, profiles, decide, realization=realization, budget_override=budget_override
     )
     try:
         records, learner = _drain(reference)

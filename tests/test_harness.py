@@ -1155,6 +1155,23 @@ def test_sweep_cells_that_fail_exit_2(tmp_path, capsys, command, lines, field):
     assert "config ok" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "num_slots = 2\nprominences = 1.0, 0.7\nsweep_num_slots = 2, 3",
+        "ctrs = 0.8, 0.5, 0.2\nsweep_num_agents = 3, 4",
+    ],
+    ids=["prominences-too-short", "ctrs-with-agents-sweep"],
+)
+def test_a_sweep_with_a_rejected_cell_leaves_no_out(tmp_path, capsys, lines):
+    # every cell is built before the directory is made, also when an earlier cell is valid
+    text = "num_agents = 3\nhorizon = 200\ndelta = 1.2\nseed = 11\n" + lines + "\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path, "cells.cfg", text), "--out", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep", "dsic-check", "ir-check"])
 @pytest.mark.parametrize(
     "line, key", [("valuations = 0.1, 0.2, 0.3", "valuations"), ("bids = 0, 0, 0", "bids")]

@@ -15,7 +15,6 @@ from deltaucb.mechanism import (
     iter_rounds,
     learn,
     multi_exploration_allocation,
-    normalized_runner_up,
     run_single_slot,
     ucb_pair,
 )
@@ -74,7 +73,7 @@ def test_exploration_updates_only_allocated_agent():
     realization = make_realization(intrinsic)
     records = []
     gen = iter_rounds(
-        config, make_profiles([0.5, 0.5]), normalized_runner_up, realization=realization
+        config, make_profiles([0.5, 0.5]), declare_winner, realization=realization
     )
     for _ in range(4):
         records.append(next(gen))
@@ -139,7 +138,7 @@ def test_exploitation_pays_only_on_click():
 def test_indices_frozen_through_exploitation():
     config = AuctionConfig(num_agents=2, horizon=60, delta=1.5, seed=2)
     profiles = make_profiles([0.7, 0.3])
-    records = list(iter_rounds(config, profiles, normalized_runner_up))
+    records = list(iter_rounds(config, profiles, declare_winner))
     state_rounds = [r for r in records if r.phase is Phase.EXPLOITATION]
     assert state_rounds  # exploitation happened
     result = run_single_slot(config, profiles, rounds_log="none")
@@ -291,7 +290,7 @@ def test_fast_path_matches_round_by_round_reference():
     profiles = make_profiles([0.85, 0.5, 0.15], [1.0, 0.7, 0.4], [0.9, 0.7, 0.4])
     realization = draw_realization(config, profiles)
     fast = run_single_slot(config, profiles, realization=realization)
-    records = list(iter_rounds(config, profiles, normalized_runner_up, realization=realization))
+    records = list(iter_rounds(config, profiles, declare_winner, realization=realization))
 
     # learned state must agree to the byte
     stepper_state = None

@@ -6,7 +6,7 @@ import pytest
 from deltaucb.core import AuctionConfig, ConfigError, Phase, gammas_from_lambdas
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import iter_rounds, multi_exploration_allocation, run_single_slot
-from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot, telescoping
+from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot
 from deltaucb import metrics
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     make_realization,
     random_instance,
     record_rows,
+    telescoping_step,
 )
 
 
@@ -81,7 +82,7 @@ def test_rotation_is_distinct_within_round_and_fair_across_cycle():
 
 def test_every_agent_pulled_once_per_round_when_slots_equal_agents():
     config = _config(3, 3, 30, 2.0, (1.0, 0.8, 0.6), seed=1)
-    records = list(iter_rounds(config, make_profiles([0.5, 0.5, 0.5]), telescoping))
+    records = list(iter_rounds(config, make_profiles([0.5, 0.5, 0.5]), telescoping_step(config)))
     for record in records:
         if record.phase is Phase.EXPLORATION:
             assert sorted(record.allocation.values()) == [1, 2, 3]
@@ -92,7 +93,9 @@ def test_unobserved_slot_records_no_click():
     observations = np.stack([np.ones(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)])
     realization = make_realization(intrinsic, observations)
     config = _config(2, 2, 10, 5.0, (1.0, 0.5), seed=2)
-    records = list(iter_rounds(config, make_profiles([1.0, 1.0]), telescoping, realization=realization))
+    records = list(iter_rounds(
+        config, make_profiles([1.0, 1.0]), telescoping_step(config), realization=realization
+    ))
     for record in records:
         slot2_agent = record.allocation.get(2)
         if slot2_agent is not None and record.phase is Phase.EXPLORATION:
@@ -177,7 +180,8 @@ def test_exploitation_charges_each_clicked_slot():
     realization = make_realization(intrinsic, observations)
     config = _config(2, 2, 12, 6.0, (1.0, 0.5), seed=5)
     profiles = make_profiles([1.0, 1.0], [1.0, 0.8])
-    records = list(iter_rounds(config, profiles, telescoping, realization=realization))
+    step = telescoping_step(config)
+    records = list(iter_rounds(config, profiles, step, realization=realization))
     exploit = [r for r in records if r.phase is Phase.EXPLOITATION]
     assert exploit
     for record in exploit:
@@ -194,7 +198,12 @@ def test_no_clicks_means_no_payments():
     realization = make_realization(intrinsic, observations)
     config = _config(3, 2, 10, 6.0, (1.0, 0.5), seed=6)
     records = list(
-        iter_rounds(config, make_profiles([0.5, 0.5, 0.5]), telescoping, realization=realization)
+        iter_rounds(
+            config,
+            make_profiles([0.5, 0.5, 0.5]),
+            telescoping_step(config),
+            realization=realization,
+        )
     )
     for record in records:
         assert all(p == 0.0 for p in record.payments.values())
@@ -269,7 +278,8 @@ def test_multi_fast_path_matches_reference():
     profiles = make_profiles([0.8, 0.6, 0.4, 0.2], [1.0, 0.9, 0.8, 0.7], [0.9, 0.8, 0.7, 0.6])
     realization = draw_realization(config, profiles)
     fast = run_multi_slot(config, profiles, realization=realization)
-    records = list(iter_rounds(config, profiles, telescoping, realization=realization))
+    step = telescoping_step(config)
+    records = list(iter_rounds(config, profiles, step, realization=realization))
     with_records = run_multi_slot(config, profiles, realization=realization, rounds_log="all")
     assert log_rows(with_records.log) == record_rows(records)
     assert fast.outcome.learner.to_bytes() == with_records.outcome.learner.to_bytes()

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ def test_learning_and_checks_take_a_config_built_directly(config):
     assert learner.phase is Phase.EXPLOITATION
     assert learner.to_bytes() == learn(realization, config, explore_until).to_bytes()
     rule = price_rule_for(config.num_slots)
-    run = run_mechanism(config, profiles, rule, realization=realization)
+    decide = partial(declare, prominences=config.prominences, price_rule=rule)
+    run = run_mechanism(config, profiles, decide, realization=realization)
     assert run.outcome.learner.to_bytes() == learner.to_bytes()
     outcome = declare(learner, [p.bid for p in profiles], config.prominences, rule)
     assert outcome.ranking == run.outcome.ranking
