@@ -15,9 +15,9 @@ _EXPORTS = {
     "exploration_budget gammas_from_lambdas validate_profiles",
     "environment": "ClickRealization draw_realization dump_realization load_realization "
     "realized_click",
-    "mechanism": "Outcome declare_winner run_single_slot ucb_pair",
+    "mechanism": "Learned Outcome declare_winner explore run_single_slot",
     "mechanism_multi": "multi_slot_payment run_multi_slot",
-    "metrics": "RunResult RunSummary agent_utility delta_set welfare",
+    "metrics": "RunResult RunSummary agent_utility welfare",
     "strategy_lab": "DeviationScenario build_scenario run_baseline verify_dsic verify_ir",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -2,14 +2,15 @@
 
 Everything downstream (environment, mechanisms, metrics, verification, CLI)
 speaks in terms of the types defined here: agent profiles, the auction
-configuration, the learner's confidence state, and per-round records.
-A single run is sequential and owns its mutable state; replaying the same
+configuration, the learner's confidence state (one index rule, ``set_entry``),
+and per-round records. A run owns its mutable state; replaying the same
 seed and configuration must reproduce bit-identical records.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -97,6 +98,9 @@ class AuctionConfig:
             raise ConfigError("num_slots exceeds num_agents")
         if self.horizon < 1:
             raise ConfigError("horizon must be a positive integer")
+        for name in ("delta", "v_max"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a real number")
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be positive and finite")
         if not 0 < self.v_max < math.inf:
@@ -108,18 +112,20 @@ class AuctionConfig:
         if not (0 <= self.seed <= MAX_SEED):
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
+        if self.lambdas is not None:
+            object.__setattr__(self, "lambdas", _real_tuple("lambdas", self.lambdas))
+            chain = gammas_from_lambdas(self.lambdas)
         prominences = self.prominences
         if prominences is None:
             if self.lambdas is not None:
-                derived = gammas_from_lambdas(self.lambdas)
-                if len(derived) < self.num_slots:
+                if len(chain) < self.num_slots:
                     raise ConfigError("lambdas too short for num_slots")
-                prominences = derived[: self.num_slots]
+                prominences = chain[: self.num_slots]
             elif self.num_slots == 1:
                 prominences = (1.0,)
             else:
                 raise ConfigError("prominences or lambdas required when num_slots > 1")
-        prominences = tuple(float(g) for g in prominences)
+        prominences = _real_tuple("prominences", prominences)
         if len(prominences) != self.num_slots:
             raise ConfigError("prominences length must equal num_slots")
         if prominences[0] != 1.0:
@@ -138,6 +144,18 @@ class AuctionConfig:
         object.__setattr__(self, "prominences", prominences)
 
 
+def _real_tuple(name: str, values) -> tuple:
+    """A sequence of real numbers as a tuple of floats; a string or a bare number is rejected."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            items = tuple(values)
+            if all(isinstance(v, numbers.Real) for v in items):
+                return tuple(float(v) for v in items)
+    except (TypeError, OverflowError):  # not iterable, or an integer past the float range
+        pass
+    raise ConfigError(f"{name} must be a sequence of real numbers")
+
+
 def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
     """Per-slot observation probabilities from the chain of view-through probabilities.
 
@@ -145,26 +163,33 @@ def gammas_from_lambdas(lambdas: Sequence[float]) -> tuple:
     the first m-1 view-through terms.
     """
     gammas = [1.0]
-    for lam in lambdas:
+    for lam in _real_tuple("lambdas", lambdas):
         if not 0.0 < lam <= 1.0:
             raise ConfigError("lambdas must lie in (0, 1]")
-        gammas.append(gammas[-1] * float(lam))
+        gammas.append(gammas[-1] * lam)
     return tuple(gammas)
 
 
 def validate_profiles(profiles: Sequence[AgentProfile], config: AuctionConfig) -> list:
-    """Check agent ids are 1..K in order and all rates/values are in range."""
+    """Check agent ids are the integers 1..K in order and all rates/values are in range."""
     if len(profiles) != config.num_agents:
         raise ConfigError("expected exactly num_agents profiles")
+    for p in profiles:
+        if not isinstance(p.id, numbers.Integral):
+            raise ConfigError(f"agent {p.id!r}: id must be an integer")
     if [p.id for p in profiles] != list(range(1, config.num_agents + 1)):
         raise ConfigError("agent ids must be 1..num_agents in order")
     for p in profiles:
-        if not 0.0 <= p.ctr <= 1.0:
-            raise ConfigError(f"agent {p.id}: ctr must lie in [0, 1]")
-        if not 0.0 <= p.valuation <= config.v_max:
-            raise ConfigError(f"agent {p.id}: valuation must lie in [0, v_max]")
-        if not 0.0 <= p.bid <= config.v_max:
-            raise ConfigError(f"agent {p.id}: bid must lie in [0, v_max]")
+        for name, high, bound in (
+            ("ctr", 1.0, "1"),
+            ("valuation", config.v_max, "v_max"),
+            ("bid", config.v_max, "v_max"),
+        ):
+            value = getattr(p, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"agent {p.id}: {name} must be a real number")
+            if not 0.0 <= value <= high:
+                raise ConfigError(f"agent {p.id}: {name} must lie in [0, {bound}]")
     return list(profiles)
 
 
@@ -228,17 +253,20 @@ class LearnerState:
             lcb=np.full(num_agents, np.nan),
         )
 
-    def record_pull(self, agent: int, sample: float) -> None:
-        """Fold one observed sample into the agent's statistics and refresh only its indices."""
+    def set_entry(self, agent: int, count: int, total: float) -> None:
+        """Set the agent's pull count and sample sum, its mean, and mean +- radius."""
         if self.phase is not Phase.EXPLORATION:
             raise RuntimeError("learning is frozen after exploration")
+        radius = confidence_radius(count, self.horizon, self.eps_scale)
         i = agent - 1
-        self.pull_count[i] += 1
-        self.sample_sum[i] += sample
-        self.empirical_ctr[i] = self.sample_sum[i] / self.pull_count[i]
-        radius = confidence_radius(int(self.pull_count[i]), self.horizon, self.eps_scale)
-        self.ucb[i] = self.empirical_ctr[i] + radius
-        self.lcb[i] = self.empirical_ctr[i] - radius
+        self.pull_count[i], self.sample_sum[i] = count, total
+        self.empirical_ctr[i] = mean = total / count
+        self.ucb[i], self.lcb[i] = mean + radius, mean - radius
+
+    def record_pull(self, agent: int, sample: float) -> None:
+        """Fold one observed sample into the agent's entry; only its indices change."""
+        i = agent - 1
+        self.set_entry(agent, int(self.pull_count[i]) + 1, float(self.sample_sum[i]) + sample)
 
     def freeze(self) -> None:
         """Stop learning: the indices stay as exploration left them."""

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy._core.multiarray import dragon4_positional
 
-from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError, validate_profiles
+from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError, gammas_from_lambdas
+from .core import validate_profiles
 from .environment import draw_realization
 from .mechanism import run_single_slot
 from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
@@ -516,9 +517,13 @@ def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
     overrides = {k: v for k, v in cell.items() if k != "seed_index"}
     if "num_slots" in overrides:
         wanted = overrides["num_slots"]
-        if len(spec.config.prominences) < wanted:
+        prominences, lambdas = spec.config.prominences, spec.config.lambdas
+        chain = () if lambdas is None else gammas_from_lambdas(lambdas)
+        if chain[: len(prominences)] == prominences:  # cut from the lambdas' chain: follow it
+            prominences = chain
+        if len(prominences) < wanted:
             raise ConfigError("prominences too short for num_slots sweep")
-        overrides["prominences"] = spec.config.prominences[:wanted]
+        overrides["prominences"] = prominences[:wanted]
     return replace(spec.config, seed=derive_subseed(spec.config.seed, cell), **overrides)
 
 

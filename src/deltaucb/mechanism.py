@@ -11,11 +11,12 @@ radius. At the end of the budget the ranking and each slot's per-click
 price are fixed once: the rank-m agent takes slot m for every remaining
 round. Indices never change after the budget.
 
-A run is two steps: ``learn`` folds the free rounds into a learner and
-freezes it (bids never enter), and a declare step ``decide(learner, bids)``
-returns the ``Outcome``, reading the learner without changing it. Δ-UCB's
-steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
-the ``normalized_runner_up`` price (here), and the telescoping rule of
+A run is two steps: ``explore`` ends the free rounds in the horizon and
+``learn`` folds them into a frozen learner (``Learned``, shared by runs and
+checks; bids never enter), then ``decide(learner, bids)`` returns the
+``Outcome``, reading the learner without changing it. Δ-UCB's steps rank by
+ucb * bid (``declare``): ``declare_winner`` on one slot, with the
+``normalized_runner_up`` price (here), and the telescoping rule of
 ``mechanism_multi`` on several. The clairvoyant allocator and the T^(2/3)
 variant in ``strategy_lab`` run this engine with their own step and budget.
 ``run_mechanism`` takes both on the config's seeded realization (tests may
@@ -28,7 +29,7 @@ check all of them against ``iter_rounds``, the round-by-round reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .core import (
     LearnerState,
     Phase,
     RoundRecord,
-    confidence_radius,
     exploration_budget,
     validate_profiles,
 )
@@ -68,10 +68,11 @@ class Outcome:
         return self.payments_per_click[0]
 
 
-def ucb_pair(empirical_ctr: float, pull_count: int, horizon: float, scale: float = 1.0):
-    """Upper and lower confidence values around an empirical click rate; unclipped."""
-    radius = confidence_radius(pull_count, horizon, scale)
-    return empirical_ctr + radius, empirical_ctr - radius
+class Learned(NamedTuple):
+    """The free rounds 1..explore_until and the learner after them (None if they fill T)."""
+
+    explore_until: int
+    learner: Optional[LearnerState]
 
 
 def multi_exploration_allocation(t, slot: int, num_agents: int):
@@ -219,19 +220,20 @@ def learn(realization: ClickRealization, config: AuctionConfig, explore_until: i
     """
     state = _fresh_learner(config)
     prominences = np.array(config.prominences)
-    for i in range(config.num_agents):
-        _, slots, clicks = exploration_clicks(realization, config, i + 1, explore_until)
-        count = len(slots)
-        if count:
+    for agent in range(1, config.num_agents + 1):
+        _, slots, clicks = exploration_clicks(realization, config, agent, explore_until)
+        if len(slots):
             total = float(np.cumsum(clicks / prominences[slots - 1])[-1])
-            state.pull_count[i] = count
-            state.sample_sum[i] = total
-            state.empirical_ctr[i] = total / count
-            state.ucb[i], state.lcb[i] = ucb_pair(
-                total / count, count, config.horizon, state.eps_scale
-            )
+            state.set_entry(agent, len(slots), total)
     state.freeze()
     return state
+
+
+def explore(realization: ClickRealization, config: AuctionConfig, budget: int) -> Learned:
+    """The free rounds a budget leaves in the horizon, and the learner after them."""
+    if budget >= config.horizon:  # nothing is declared, so nothing is learned
+        return Learned(config.horizon, None)
+    return Learned(budget, learn(realization, config, budget))
 
 
 def iter_rounds(
@@ -266,8 +268,8 @@ def _round_grids(realization, config, explore_until, outcome):
     """Agents, clicks and payments per (round, slot): the rotation, then the frozen ranking."""
     horizon, num_slots = config.horizon, config.num_slots
     agents = np.empty((horizon, num_slots), dtype=np.int64)
-    prices = np.zeros((horizon, num_slots))
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
+    payments = np.zeros((horizon, num_slots))
     for agent in range(1, config.num_agents + 1):
         rounds, slots, observed = exploration_clicks(realization, config, agent, explore_until)
         agents[rounds - 1, slots - 1] = agent
@@ -275,9 +277,9 @@ def _round_grids(realization, config, explore_until, outcome):
     if outcome is not None:
         for m, agent in enumerate(outcome.ranking[:num_slots], start=1):
             agents[explore_until:, m - 1] = agent
-            prices[explore_until:, m - 1] = outcome.payments_per_click[m - 1]
             clicks[explore_until:, m - 1] = realization.clicks(agent, m, explore_until, horizon)
-    return agents, clicks, prices * clicks
+        payments[explore_until:] = clicks[explore_until:] * outcome.payments_per_click
+    return agents, clicks, payments
 
 
 def run_mechanism(
@@ -300,10 +302,9 @@ def run_mechanism(
         config, profiles, realization, budget_override
     )
     horizon = config.horizon
-    explore_until = min(budget, horizon)
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
-    state = learn(realization, config, explore_until)
+    explore_until, state = explore(realization, config, budget)
     per_agent_utility = {}
     pulls = []
     for p in profiles:
@@ -318,7 +319,7 @@ def run_mechanism(
     flags = ()
     exploitation = NO_ACCRUAL
     total_revenue = 0.0
-    if budget >= horizon:
+    if state is None:
         flags = ("exploration-only",)
     else:
         outcome = decide(state, bids_arr)

@@ -40,12 +40,6 @@ def welfare_ranking(profiles: Sequence[AgentProfile]) -> list:
     return [p.id for p in sorted(profiles, key=lambda p: (-welfare(p), p.id))]
 
 
-def delta_set(profiles: Sequence[AgentProfile], delta: float) -> set:
-    """Agents whose welfare gap to the best is strictly below the tolerance."""
-    best = max(welfare(p) for p in profiles)
-    return {p.id for p in profiles if best - welfare(p) < delta}
-
-
 def delta_set_for_slot(
     profiles: Sequence[AgentProfile], delta: float, slot: int, prominences: Sequence[float]
 ) -> set:

@@ -4,8 +4,8 @@ Truthfulness is checked the strong way: fix the click realization and the
 other agents' bids, sweep the deviator's bid over a grid, and demand that
 the truthful bid is at least as good in *every single round*, not just in
 expectation. Because learning rounds ignore bids, the learner state at the
-end of exploration is shared across all counterfactuals, which is what
-makes this replay exact.
+end of exploration (``shared_learner``, the engine's ``explore``) is
+shared across all counterfactuals, which is what makes this replay exact.
 
 The per-round checks are closed forms over click patterns. A committed
 round's utility depends only on the agent's placement (slot and per-click
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization
-from .mechanism import Outcome, bid_vector, declare, declare_winner, exploration_clicks, learn
-from .mechanism import _fresh_learner, _prepare, run_mechanism  # the engine's one way in
+from .mechanism import Learned, Outcome, bid_vector, declare, declare_winner, exploration_clicks
+from .mechanism import _fresh_learner, _prepare, explore, run_mechanism  # the engine's one way in
 from .mechanism_multi import price_rule_for
 from . import metrics
 from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
@@ -55,13 +55,6 @@ DSIC_TOLERANCE = 1e-12
 GRID_POINTS = 21
 PIVOT_PROBE = 1e-6
 TIE_NUDGE = 1e-9
-
-
-class Learned(NamedTuple):
-    """The free rounds 1..explore_until and the learner after them (None if they fill T)."""
-
-    explore_until: int
-    learner: Optional[LearnerState]
 
 
 @dataclass(frozen=True)
@@ -133,20 +126,18 @@ def build_scenario(
     profiles: Sequence[AgentProfile],
     realization: ClickRealization,
     deviator: int,
-    learned: Optional[Learned] = None,
+    learned: Learned,
 ) -> DeviationScenario:
     """Bid grid over [0, v_max] plus probes just above and below the rank-flipping bids.
 
     The probe bids are where the deviator's score would tie the strongest
     competitor scores; exact ties are nudged away so the deterministic
     tie-break never decides a comparison. ``learned`` is the realization's
-    ``shared_learner``, learned here when not given; the scenario keeps it.
+    ``shared_learner``; the scenario keeps it.
     """
     profiles = validate_profiles(profiles, config)
     others = np.array([p.bid for p in profiles], float)
 
-    if learned is None:
-        learned = shared_learner(config, realization)
     learner = learned.learner
     probes = []
     if learner is not None:
@@ -186,10 +177,7 @@ def build_scenario(
 
 def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Learned:
     """The free rounds and the learner after them, shared by every check on the realization."""
-    explore_until = min(exploration_budget(config), config.horizon)
-    if explore_until >= config.horizon:
-        return Learned(explore_until, None)
-    return Learned(explore_until, learn(realization, config, explore_until))
+    return explore(realization, config, exploration_budget(config))
 
 
 def _placement(config, outcome, agent):

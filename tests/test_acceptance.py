@@ -24,6 +24,7 @@ from deltaucb.strategy_lab import (
     build_scenario,
     max_tolerance_width,
     run_baseline,
+    shared_learner,
     t23_budget,
     verify_dsic,
     verify_ir,
@@ -147,8 +148,9 @@ def test_criterion_4_dsic(check_instances):
     single, multi = check_instances
     worst = -math.inf
     for config, profiles, realization in single:
+        learned = shared_learner(config, realization)
         for deviator in range(1, config.num_agents + 1):
-            scenario = build_scenario(config, profiles, realization, deviator)
+            scenario = build_scenario(config, profiles, realization, deviator, learned)
             report = verify_dsic(config, profiles, scenario)
             worst = max(worst, report.worst_violation)
             assert report.grid_size == 21
@@ -156,8 +158,9 @@ def test_criterion_4_dsic(check_instances):
 
     findings = []
     for config, profiles, realization in multi:
+        learned = shared_learner(config, realization)
         for deviator in range(1, config.num_agents + 1):
-            scenario = build_scenario(config, profiles, realization, deviator)
+            scenario = build_scenario(config, profiles, realization, deviator, learned)
             report = verify_dsic(config, profiles, scenario)
             if not report.holds:
                 findings.append((config.num_slots, report))

@@ -24,6 +24,7 @@ from deltaucb.strategy_lab import (
     IrReport,
     build_scenario,
     per_round_utilities,
+    shared_learner,
     verify_dsic,
     verify_ir,
 )
@@ -143,8 +144,9 @@ def _assert_checks_match(instance):
     event(f"M={config.num_slots}, K={config.num_agents}")
     if exploration_budget(config) >= config.horizon:
         event("exploration only")
+    learned = shared_learner(config, realization)
     for deviator in range(1, config.num_agents + 1):
-        scenario = build_scenario(config, profiles, realization, deviator)
+        scenario = build_scenario(config, profiles, realization, deviator, learned)
         report = verify_dsic(config, profiles, scenario)
         expected = reference_dsic(config, profiles, scenario)
         assert _bits(report) == _bits(expected), (report, expected)

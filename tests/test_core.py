@@ -73,6 +73,7 @@ def test_replace_checks_the_new_config():
 _ODD_FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5, 1e-308, 0.5, 1.0, 2.0]),
     st.floats(),
+    st.sampled_from(["0.5", None, "1"]),  # not numbers
 )
 _ODD_INTS = st.one_of(
     st.sampled_from([0, -1, 1, 2, 3, 2**64 - 1, 2**64, 10**400]),
@@ -82,8 +83,11 @@ _ODD_INTS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 2.0]),
     st.integers(-2, 6).map(np.int64),
 )
-# short, rising, zero, tiny or non-finite lists as prominences or lambdas
-_GAMMAS = st.lists(st.one_of(_ODD_FLOATS, st.floats(0.0, 1.0)), max_size=4).map(tuple)
+# short, rising, zero, tiny or non-finite lists as prominences or lambdas, or no list at all
+_GAMMAS = st.one_of(
+    st.lists(st.one_of(_ODD_FLOATS, st.floats(0.0, 1.0)), max_size=4).map(tuple),
+    st.sampled_from([1, 1.0, "1", "1.0, 0.5"]),
+)
 _FIELDS = st.fixed_dictionaries(
     {},
     optional={
@@ -111,6 +115,10 @@ def _valid_or_rejected(build):
     assert type(gammas) is tuple and all(type(g) is float for g in gammas)
     assert len(gammas) == config.num_slots and gammas[0] == 1.0
     assert all(0.0 < later <= earlier for earlier, later in zip(gammas, gammas[1:]))
+    if config.lambdas is not None:
+        lambdas = config.lambdas
+        assert type(lambdas) is tuple and all(type(lam) is float for lam in lambdas)
+        assert all(0.0 < lam <= 1.0 for lam in lambdas)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -125,6 +133,26 @@ def test_a_built_or_replaced_config_is_valid_or_rejected(fields, changes):
     _valid_or_rejected(lambda: replace(config, **changes))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"delta": "0.5"},
+        {"v_max": None},
+        {"prominences": 1},
+        {"prominences": "1"},  # a string is not a list of its characters
+        {"lambdas": 1},
+        {"lambdas": "1"},
+        # lambdas are checked also when prominences are given
+        {"prominences": (1.0,), "lambdas": (7.0,)},
+        {"prominences": (1.0,), "lambdas": (math.nan,)},
+    ],
+)
+def test_non_numbers_are_config_errors_naming_the_field(fields):
+    name = list(fields)[-1]
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        AuctionConfig(**{"num_agents": 3, "horizon": 100, "delta": 0.5, **fields})
+
+
 def test_profile_bid_defaults_to_valuation():
     profile = AgentProfile(id=1, ctr=0.5, valuation=0.7)
     assert profile.bid == 0.7
@@ -134,6 +162,24 @@ def test_validate_profiles_rejects_out_of_range_bid():
     config = AuctionConfig(num_agents=1, horizon=10, delta=0.5, v_max=1.0)
     with pytest.raises(ConfigError, match="bid must lie"):
         validate_profiles([AgentProfile(id=1, ctr=0.5, valuation=0.5, bid=1.5)], config)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"id": 1.0}, "agent 1.0: id must be an integer"),
+        ({"id": "1"}, "agent '1': id must be an integer"),
+        ({"ctr": "0.5"}, "agent 1: ctr must be a real number"),
+        ({"ctr": None}, "agent 1: ctr must be a real number"),
+        ({"valuation": "0.5"}, "agent 1: valuation must be a real number"),
+        ({"bid": "0.5"}, "agent 1: bid must be a real number"),
+    ],
+)
+def test_validate_profiles_rejects_non_numbers(fields, message):
+    config = AuctionConfig(num_agents=2, horizon=10, delta=0.5)
+    first = AgentProfile(**{"id": 1, "ctr": 0.5, "valuation": 0.5, **fields})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_profiles([first, AgentProfile(id=2, ctr=0.5, valuation=0.5)], config)
 
 
 def _budget(num_agents, v_max, delta, horizon):
@@ -201,6 +247,10 @@ def test_learner_state_frozen_rejects_pulls():
     assert state.phase is Phase.EXPLOITATION
     with pytest.raises(RuntimeError, match="frozen"):
         state.record_pull(1, 1.0)
+    before = state.to_bytes()
+    with pytest.raises(RuntimeError, match="frozen"):
+        state.set_entry(1, 5, 2.0)
+    assert state.to_bytes() == before
 
 
 def test_learner_state_bytes_track_content():

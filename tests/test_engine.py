@@ -263,4 +263,4 @@ def test_instance_tables_match_per_call_metrics(data):
             assert tables.member[row][m - 1] == (p.id in members)
     if config.num_slots == 1:
         members = {p.id for p in profiles if tables.member[p.id - 1][0]}
-        assert members == metrics.delta_set(profiles, delta)
+        assert members == metrics.delta_set_for_slot(profiles, delta, 1, (1.0,))

@@ -1172,6 +1172,17 @@ def test_a_sweep_with_a_rejected_cell_leaves_no_out(tmp_path, capsys, lines):
     assert not out.exists()
 
 
+def test_a_num_slots_sweep_follows_the_lambdas_chain(tmp_path, capsys):
+    # lambdas 0.6, 0.5 chain three prominences (1.0, 0.6, 0.3), though the config uses two
+    text = "num_agents = 3\nnum_slots = 2\nlambdas = 0.6, 0.5\nhorizon = 200\ndelta = 1.2\n"
+    cfg = _write(tmp_path, "chain.cfg", text + "seed = 11\nsweep_num_slots = 2, 3\n")
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "summary.csv").read_text().splitlines()))
+    assert sorted(row["num_slots"] for row in rows) == ["2", "3"]
+    assert [len(row["winners"].split(";")) for row in rows] == [int(r["num_slots"]) for r in rows]
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep", "dsic-check", "ir-check"])
 @pytest.mark.parametrize(
     "line, key", [("valuations = 0.1, 0.2, 0.3", "valuations"), ("bids = 0, 0, 0", "bids")]

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaucb.core import AuctionConfig, LearnerState, Phase, exploration_budget
+from deltaucb.core import AuctionConfig, LearnerState, Phase, confidence_radius, exploration_budget
 from deltaucb.environment import draw_realization, realized_click
 from deltaucb.mechanism import (
     declare,
     declare_winner,
     exploration_clicks,
+    explore,
     iter_rounds,
     learn,
     multi_exploration_allocation,
     run_single_slot,
-    ucb_pair,
 )
 from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import max_tolerance_width, welfare_interval_violations
@@ -42,23 +42,23 @@ def _state_with_indices(ucb_values, horizon=100):
     return state
 
 
-def test_ucb_pair_radius_cancels():
+def test_index_radius_cancels():
     horizon = 50
-    upper, lower = ucb_pair(0.5, 2.0 * math.log(horizon), horizon)
-    assert upper == pytest.approx(1.5)
-    assert lower == pytest.approx(-0.5)
+    radius = confidence_radius(2.0 * math.log(horizon), horizon)
+    assert 0.5 + radius == pytest.approx(1.5)
+    assert 0.5 - radius == pytest.approx(-0.5)
 
 
-def test_ucb_pair_quarter_radius():
+def test_index_quarter_radius():
     horizon = 50
-    upper, lower = ucb_pair(0.0, 8.0 * math.log(horizon), horizon)
-    assert upper == pytest.approx(0.5)
-    assert lower == pytest.approx(-0.5)
+    radius = confidence_radius(8.0 * math.log(horizon), horizon)
+    assert 0.0 + radius == pytest.approx(0.5)
+    assert 0.0 - radius == pytest.approx(-0.5)
 
 
-def test_ucb_pair_rejects_zero_pulls():
+def test_index_rejects_zero_pulls():
     with pytest.raises(ValueError, match="before first pull"):
-        ucb_pair(0.5, 0, 100)
+        confidence_radius(0, 100)
 
 
 def test_round_robin_schedule():
@@ -190,6 +190,33 @@ def test_exploration_only_run_has_zero_revenue():
     assert result.summary.total_revenue == 0.0
     assert result.summary.winners == ()
     assert result.outcome is None
+
+
+def test_exploration_only_run_learns_nothing(monkeypatch):
+    # nothing is declared when the free rounds fill the horizon, so no learner is folded
+    from deltaucb import mechanism
+
+    calls = []
+    monkeypatch.setattr(mechanism, "learn", lambda *args: calls.append(args))
+    config = AuctionConfig(num_agents=2, horizon=100, delta=0.1, seed=3)
+    profiles = make_profiles([0.9, 0.1])
+    for budget in (None, config.horizon, config.horizon + 1):
+        result = run_single_slot(config, profiles, rounds_log="all", budget_override=budget)
+        assert result.summary.exploration_rounds_used == config.horizon
+    assert calls == []
+
+
+@pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (2, (1.0, 0.6))])
+def test_explore_ends_the_free_rounds_in_the_horizon(num_slots, prominences):
+    config = AuctionConfig(num_agents=3, num_slots=num_slots, horizon=90, delta=1.5,
+                           prominences=prominences, seed=8)
+    realization = draw_realization(config, make_profiles([0.8, 0.5, 0.2]))
+    for budget in (90, 91, 10**6):
+        assert explore(realization, config, budget) == (90, None)
+    for budget in (0, 1, 5, 89):
+        explore_until, learner = explore(realization, config, budget)
+        assert explore_until == budget
+        assert learner.to_bytes() == learn(realization, config, budget).to_bytes()
 
 
 def test_identical_agents_accrue_no_tolerance_regret():

@@ -25,12 +25,12 @@ def test_top_slot_welfare_equals_plain_welfare():
 
 def test_delta_set_strict_threshold():
     profiles = make_profiles([0.9, 0.85, 0.3])  # welfares 0.9, 0.85, 0.3
-    assert metrics.delta_set(profiles, 0.1) == {1, 2}
+    assert metrics.delta_set_for_slot(profiles, 0.1, 1, (1.0,)) == {1, 2}
 
 
 def test_delta_set_contains_everyone_for_huge_tolerance():
     profiles = make_profiles([0.9, 0.5, 0.1])
-    assert metrics.delta_set(profiles, 10.0) == {1, 2, 3}
+    assert metrics.delta_set_for_slot(profiles, 10.0, 1, (1.0,)) == {1, 2, 3}
 
 
 def test_delta_set_always_contains_best_agent():
@@ -38,7 +38,8 @@ def test_delta_set_always_contains_best_agent():
     for _ in range(30):
         profiles = random_instance(rng, int(rng.integers(2, 7)), truthful=True)
         best = metrics.welfare_ranking(profiles)[0]
-        assert best in metrics.delta_set(profiles, float(rng.uniform(0.01, 1.0)))
+        delta = float(rng.uniform(0.01, 1.0))
+        assert best in metrics.delta_set_for_slot(profiles, delta, 1, (1.0,))
 
 
 def test_slot_delta_set_cardinality_at_least_slot_index():

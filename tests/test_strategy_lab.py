@@ -156,8 +156,9 @@ def test_verify_dsic_holds_on_random_single_slot_instances():
         config = _single_config(num_agents=num_agents, horizon=2000, delta=0.45, seed=index)
         profiles = random_instance(rng, num_agents)
         realization = draw_realization(config, profiles)
+        learned = shared_learner(config, realization)
         for deviator in range(1, num_agents + 1):
-            scenario = build_scenario(config, profiles, realization, deviator)
+            scenario = build_scenario(config, profiles, realization, deviator, learned)
             report = verify_dsic(config, profiles, scenario)
             assert report.holds, (
                 f"instance {index} deviator {deviator}: gain {report.worst_violation} "
@@ -168,7 +169,7 @@ def test_verify_dsic_holds_on_random_single_slot_instances():
 
 def test_scenario_grid_shape(separated_instance):
     config, profiles, realization = separated_instance
-    scenario = build_scenario(config, profiles, realization, deviator=2)
+    scenario = build_scenario(config, profiles, realization, 2, shared_learner(config, realization))
     grid = np.array(scenario.bid_grid)
     assert len(grid) == 21
     assert grid.min() >= 0.0 and grid.max() <= config.v_max
@@ -264,7 +265,7 @@ def test_multi_slot_underbid_finding_is_reported():
                            prominences=(1.0, 0.6), seed=9)
     profiles = make_profiles([0.9, 0.75, 0.5], [1.0, 0.9, 0.7])
     realization = draw_realization(config, profiles)
-    scenario = build_scenario(config, profiles, realization, deviator=1)
+    scenario = build_scenario(config, profiles, realization, 1, shared_learner(config, realization))
     report = verify_dsic(config, profiles, scenario)
     assert not report.holds
     assert report.worst_violation > 1e-12
