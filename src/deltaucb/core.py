@@ -64,14 +64,12 @@ class AgentProfile:
 class AuctionConfig:
     """Run parameters: population size, horizon, tolerance, and slot layout.
 
-    ``prominences`` gives the per-slot observation probabilities directly;
-    alternatively ``lambdas`` gives the slot-to-next-slot view-through
-    probabilities from which prominences are derived. Prominences win when
-    both are supplied.
+    ``prominences`` gives the per-slot observation probabilities, (1.0,)
+    by default on one slot; ``gammas_from_lambdas`` derives them from a
+    chain of view-through probabilities.
 
     Construction checks every invariant, so ``dataclasses.replace`` checks
-    again: a ConfigError names the first violated field. The prominences
-    are then resolved, derived from lambdas when only those are given.
+    again: a ConfigError names the first violated field.
     """
 
     num_agents: int
@@ -80,7 +78,6 @@ class AuctionConfig:
     num_slots: int = 1
     v_max: float = 1.0
     prominences: Optional[tuple] = None
-    lambdas: Optional[tuple] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -112,19 +109,11 @@ class AuctionConfig:
         if not (0 <= self.seed <= MAX_SEED):
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
-        if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", _real_tuple("lambdas", self.lambdas))
-            chain = gammas_from_lambdas(self.lambdas)
         prominences = self.prominences
         if prominences is None:
-            if self.lambdas is not None:
-                if len(chain) < self.num_slots:
-                    raise ConfigError("lambdas too short for num_slots")
-                prominences = chain[: self.num_slots]
-            elif self.num_slots == 1:
-                prominences = (1.0,)
-            else:
-                raise ConfigError("prominences or lambdas required when num_slots > 1")
+            if self.num_slots > 1:
+                raise ConfigError("prominences required when num_slots > 1")
+            prominences = (1.0,)
         prominences = _real_tuple("prominences", prominences)
         if len(prominences) != self.num_slots:
             raise ConfigError("prominences length must equal num_slots")

@@ -70,6 +70,7 @@ class ExperimentSpec:
 
     config: AuctionConfig
     mechanism: str
+    chain: Optional[tuple] = None  # the prominences chained from lambdas, all of them
     ctrs: Optional[tuple] = None
     valuations: Optional[tuple] = None
     bids: Optional[tuple] = None
@@ -135,11 +136,20 @@ def _given(cls, values: dict) -> dict:
 
 
 def spec_from_values(raw: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from already-split key/value strings."""
+    """Build an ExperimentSpec from key/value strings; the one place lambdas become prominences."""
     values = {key: _parse_value(key, value) for key, value in raw.items()}
     for required in ("num_agents", "horizon", "delta"):
         if required not in values:
             raise ConfigError(f"missing required config key: {required}")
+    chain = None
+    if "lambdas" in values:
+        chain = gammas_from_lambdas(values["lambdas"])
+        num_slots = values.get("num_slots", 1)
+        head = values.setdefault("prominences", chain[:num_slots])
+        if len(chain) < num_slots:
+            raise ConfigError("lambdas too short for num_slots")
+        if chain[: len(head)] != head:
+            raise ConfigError("lambdas: their chain must start with the prominences")
     config = AuctionConfig(**_given(AuctionConfig, values))
     values.setdefault("mechanism", _delta_ucb_for(config.num_slots))
     sweep = {
@@ -147,7 +157,7 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
         for axis in ("horizon", "delta", "num_agents", "num_slots")
         if f"sweep_{axis}" in values
     }
-    spec = ExperimentSpec(config=config, sweep=sweep, **_given(ExperimentSpec, values))
+    spec = ExperimentSpec(config=config, sweep=sweep, chain=chain, **_given(ExperimentSpec, values))
     if spec.mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism: {spec.mechanism}")
     slot_counts = {config.num_slots, *sweep.get("num_slots", ())}
@@ -517,10 +527,7 @@ def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
     overrides = {k: v for k, v in cell.items() if k != "seed_index"}
     if "num_slots" in overrides:
         wanted = overrides["num_slots"]
-        prominences, lambdas = spec.config.prominences, spec.config.lambdas
-        chain = () if lambdas is None else gammas_from_lambdas(lambdas)
-        if chain[: len(prominences)] == prominences:  # cut from the lambdas' chain: follow it
-            prominences = chain
+        prominences = spec.chain or spec.config.prominences
         if len(prominences) < wanted:
             raise ConfigError("prominences too short for num_slots sweep")
         overrides["prominences"] = prominences[:wanted]

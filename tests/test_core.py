@@ -38,12 +38,6 @@ def test_validate_rejects_zero_delta():
         AuctionConfig(num_agents=3, horizon=10, delta=0.0)
 
 
-def test_validate_derives_prominences_from_lambdas():
-    config = AuctionConfig(num_agents=4, num_slots=3, horizon=10, delta=0.5,
-                           lambdas=(0.8, 0.5))
-    assert config.prominences == (1.0, 0.8, pytest.approx(0.4))
-
-
 def test_validate_rejects_increasing_prominences():
     with pytest.raises(ConfigError, match="non-increasing"):
         AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5,
@@ -62,7 +56,7 @@ def test_validate_rejects_bad_seed():
 
 
 def test_replace_checks_the_new_config():
-    config = AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5, lambdas=(0.8,))
+    config = AuctionConfig(num_agents=3, num_slots=2, horizon=10, delta=0.5, prominences=(1.0, 0.8))
     assert replace(config, num_slots=1, prominences=(1.0,)).prominences == (1.0,)
     with pytest.raises(ConfigError, match="prominences length must equal num_slots"):
         replace(config, num_slots=1)
@@ -83,7 +77,7 @@ _ODD_INTS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 2.0]),
     st.integers(-2, 6).map(np.int64),
 )
-# short, rising, zero, tiny or non-finite lists as prominences or lambdas, or no list at all
+# short, rising, zero, tiny or non-finite lists as prominences, or no list at all
 _GAMMAS = st.one_of(
     st.lists(st.one_of(_ODD_FLOATS, st.floats(0.0, 1.0)), max_size=4).map(tuple),
     st.sampled_from([1, 1.0, "1", "1.0, 0.5"]),
@@ -97,7 +91,6 @@ _FIELDS = st.fixed_dictionaries(
         "delta": _ODD_FLOATS,
         "v_max": _ODD_FLOATS,
         "prominences": st.none() | _GAMMAS,
-        "lambdas": st.none() | _GAMMAS,
         "seed": _ODD_INTS,
     },
 )
@@ -115,21 +108,21 @@ def _valid_or_rejected(build):
     assert type(gammas) is tuple and all(type(g) is float for g in gammas)
     assert len(gammas) == config.num_slots and gammas[0] == 1.0
     assert all(0.0 < later <= earlier for earlier, later in zip(gammas, gammas[1:]))
-    if config.lambdas is not None:
-        lambdas = config.lambdas
-        assert type(lambdas) is tuple and all(type(lam) is float for lam in lambdas)
-        assert all(0.0 < lam <= 1.0 for lam in lambdas)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @example(fields={"horizon": 10**400}, changes={"horizon": 10**400})  # past the float range
-@example(fields={"num_slots": 2, "prominences": (1.0, 1e-308)}, changes={"lambdas": (1e-308,)})
+@example(
+    fields={"num_slots": 2, "prominences": (1.0, 1e-308)}, changes={"prominences": (1.0, 1e-308)}
+)
 @example(fields={"seed": 2**64}, changes={"seed": -1})
 @given(fields=_FIELDS, changes=_FIELDS)
 def test_a_built_or_replaced_config_is_valid_or_rejected(fields, changes):
     base = {"num_agents": 3, "horizon": 100, "delta": 0.5}
     _valid_or_rejected(lambda: AuctionConfig(**{**base, **fields}))
-    config = AuctionConfig(num_agents=4, num_slots=2, horizon=100, delta=0.5, lambdas=(0.5,))
+    config = AuctionConfig(
+        num_agents=4, num_slots=2, horizon=100, delta=0.5, prominences=(1.0, 0.5)
+    )
     _valid_or_rejected(lambda: replace(config, **changes))
 
 
@@ -140,11 +133,6 @@ def test_a_built_or_replaced_config_is_valid_or_rejected(fields, changes):
         {"v_max": None},
         {"prominences": 1},
         {"prominences": "1"},  # a string is not a list of its characters
-        {"lambdas": 1},
-        {"lambdas": "1"},
-        # lambdas are checked also when prominences are given
-        {"prominences": (1.0,), "lambdas": (7.0,)},
-        {"prominences": (1.0,), "lambdas": (math.nan,)},
     ],
 )
 def test_non_numbers_are_config_errors_naming_the_field(fields):

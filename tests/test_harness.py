@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltaucb import harness
-from deltaucb.core import AuctionConfig, ConfigError
+from deltaucb.core import AuctionConfig, ConfigError, gammas_from_lambdas
 from deltaucb.harness import (
     _FLOAT_KEYS,
     _FLOAT_LIST_KEYS,
@@ -33,6 +33,7 @@ from deltaucb.harness import (
     fmt_num,
     main,
     parse_config_file,
+    spec_from_values,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -1181,6 +1182,70 @@ def test_a_num_slots_sweep_follows_the_lambdas_chain(tmp_path, capsys):
     rows = list(csv.DictReader((tmp_path / "out" / "summary.csv").read_text().splitlines()))
     assert sorted(row["num_slots"] for row in rows) == ["2", "3"]
     assert [len(row["winners"].split(";")) for row in rows] == [int(r["num_slots"]) for r in rows]
+
+
+def test_a_config_file_derives_prominences_from_lambdas():
+    spec = spec_from_values(
+        {"num_agents": "4", "num_slots": "3", "horizon": "10", "delta": "0.5", "lambdas": "0.8, 0.5"}
+    )
+    assert spec.config.prominences == spec.chain == gammas_from_lambdas((0.8, 0.5))
+    assert spec.config.prominences == (1.0, 0.8, pytest.approx(0.4))
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "dsic-check", "ir-check"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # prominences that are not the chain's head: one layout or the other would be ignored
+        ("num_slots = 2\nprominences = 1.0, 0.5\nlambdas = 0.9", "lambdas: their chain must start"),
+        ("num_slots = 3\nlambdas = 0.9", "lambdas too short for num_slots"),
+    ],
+    ids=["contradicts-prominences", "too-short"],
+)
+def test_lambdas_that_do_not_give_the_slot_layout_exit_2(tmp_path, capsys, command, lines, message):
+    text = "num_agents = 3\nhorizon = 200\ndelta = 1.2\nseed = 11\n" + lines + "\n"
+    args = [command, "--config", _write(tmp_path, "layout.cfg", text)]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+
+
+_SLOT_LISTS = st.lists(
+    st.one_of(
+        st.sampled_from([math.nan, math.inf, -0.0, 0.0, -0.5, 1e-308, 0.25, 0.5, 1.0, 2.0, 7.0]),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(num_slots=2, prominences=[1.0], lambdas=[7.0])  # checked also when prominences are given
+@example(num_slots=1, prominences=[1.0], lambdas=[math.nan])
+@example(num_slots=3, prominences=[1.0, 0.5, 0.25], lambdas=[0.5, 0.5])
+@given(num_slots=st.integers(-1, 5), prominences=st.none() | _SLOT_LISTS, lambdas=_SLOT_LISTS)
+def test_lambdas_in_a_config_file_give_the_head_of_their_chain(num_slots, prominences, lambdas):
+    raw = {"num_agents": "5", "num_slots": str(num_slots), "horizon": "100", "delta": "0.5"}
+    raw["lambdas"] = ", ".join(map(repr, lambdas))
+    if prominences is not None:
+        raw["prominences"] = ", ".join(map(repr, prominences))
+    if not all(0.0 < lam <= 1.0 for lam in lambdas):
+        with pytest.raises(ConfigError, match="^lambdas must lie in"):
+            spec_from_values(raw)
+        return
+    try:
+        spec = spec_from_values(raw)
+    except ConfigError:
+        return
+    chain = gammas_from_lambdas(lambdas)
+    assert spec.chain == chain
+    assert spec.config.prominences == chain[:num_slots]
+    if prominences is not None:
+        assert tuple(prominences) == chain[:num_slots]
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep", "dsic-check", "ir-check"])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,11 +45,19 @@ def test_gammas_cumulative_product():
     assert gammas == (1.0, 0.8, pytest.approx(0.4))
 
 
-def test_gammas_reject_out_of_range():
-    with pytest.raises(ConfigError, match="lambdas"):
-        gammas_from_lambdas((0.5, 1.5))
-    with pytest.raises(ConfigError, match="lambdas"):
-        gammas_from_lambdas((0.0,))
+@pytest.mark.parametrize(
+    "lambdas, message",
+    [
+        ((0.5, 1.5), "lie in"),
+        ((0.0,), "lie in"),
+        ((math.nan,), "lie in"),
+        (1, "be a sequence"),
+        ("1", "be a sequence"),  # a string is not a list of its characters
+    ],
+)
+def test_gammas_reject_out_of_range_or_non_sequences(lambdas, message):
+    with pytest.raises(ConfigError, match=f"^lambdas must {message}"):
+        gammas_from_lambdas(lambdas)
 
 
 def test_rotation_examples():

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from deltaucb.core import AuctionConfig, ConfigError, Phase, exploration_budget
+from deltaucb.core import AuctionConfig, ConfigError, Phase, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import declare, exploration_clicks, learn, run_mechanism, run_single_slot
 from deltaucb.mechanism_multi import price_rule_for
@@ -103,7 +103,10 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
     "config",
     [
         AuctionConfig(num_agents=3, horizon=400, delta=0.9, seed=4),
-        AuctionConfig(num_agents=3, num_slots=2, horizon=400, delta=0.9, lambdas=(0.6,), seed=4),
+        AuctionConfig(
+            num_agents=3, num_slots=2, horizon=400, delta=0.9,
+            prominences=gammas_from_lambdas((0.6,)), seed=4,
+        ),
     ],
     ids=["single-slot", "multi-slot-from-lambdas"],
 )
