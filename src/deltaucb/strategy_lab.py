@@ -131,8 +131,10 @@ def build_scenario(
     """Bid grid over [0, v_max] plus probes just above and below the rank-flipping bids.
 
     The probe bids are where the deviator's score would tie the strongest
-    competitor scores; exact ties are nudged away so the deterministic
-    tie-break never decides a comparison. ``learned`` is the realization's
+    competitor scores. A placement (a slot, or not shown) is one window of
+    bids between two pivots; each window no grid bid falls in gets one bid
+    in its middle, so the bids reach every placement. Exact ties are nudged
+    away so the deterministic tie-break never decides a comparison. ``learned`` is the realization's
     ``shared_learner``; the scenario keeps it.
     """
     profiles = validate_profiles(profiles, config)
@@ -158,6 +160,12 @@ def build_scenario(
     grid = list(uniform) + probes
 
     if learner is not None:
+        # placement r (slot r + 1, or not shown at r = M) is the bids between top pivots r and r - 1
+        top = pivots[: config.num_slots]
+        reached = set((own * np.array(grid)[:, None] < top).sum(axis=1).tolist())
+        edges = np.clip(np.r_[config.v_max, top / own, 0.0], 0.0, config.v_max).tolist()
+        windows = enumerate(zip(edges[1:], edges))
+        grid += [(lo + hi) / 2 for r, (lo, hi) in windows if lo < hi and r not in reached]
         ties = set(other_scores.tolist())
         for k, x in enumerate(grid):
             nudge = TIE_NUDGE

@@ -10,6 +10,7 @@ from deltaucb.environment import draw_realization
 from deltaucb.mechanism import declare, exploration_clicks, learn, run_mechanism, run_single_slot
 from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
+    GRID_POINTS,
     BaselineKind,
     build_scenario,
     per_round_utilities,
@@ -168,6 +169,61 @@ def test_verify_dsic_holds_on_random_single_slot_instances():
                 f"at bid {report.witness_bid}, round {report.witness_round}"
             )
             assert report.worst_violation <= 1e-12
+
+
+def _one_bid_per_window(config, scenario):
+    """The scenario with one bid in the middle of each window between two competitor pivot bids.
+
+    A pivot bid is a competitor's score over the deviator's upper index. The
+    windows cover every rank the deviator can take, so every placement.
+    """
+    learner = scenario.learned.learner
+    own = float(learner.ucb[scenario.deviator - 1])
+    scores = np.delete(learner.ucb * np.array(scenario.fixed_others), scenario.deviator - 1)
+    inside = [b for b in (scores / own).tolist() if 0.0 < b < config.v_max]
+    edges = sorted({0.0, config.v_max, *inside})
+    return replace(scenario, bid_grid=tuple((lo + hi) / 2 for lo, hi in zip(edges, edges[1:])))
+
+
+@pytest.mark.parametrize("num_slots", [1, 2, 3, 4])
+def test_verify_dsic_finds_the_worst_placement_a_window_oracle_finds(num_slots):
+    rng = np.random.default_rng(num_slots)
+    for index in range(20):
+        num_agents = int(rng.integers(max(2, num_slots), 8))
+        prominences = (1.0, *sorted(rng.uniform(0.05, 1.0, num_slots - 1).tolist(), reverse=True))
+        config = AuctionConfig(
+            num_agents=num_agents, num_slots=num_slots, prominences=prominences,
+            horizon=int(rng.choice([500, 2000])), delta=float(rng.uniform(0.5, 1.5)), seed=index,
+        )
+        profiles = random_instance(rng, num_agents)
+        realization = draw_realization(config, profiles)
+        learned = shared_learner(config, realization)
+        for deviator in range(1, num_agents + 1):
+            scenario = build_scenario(config, profiles, realization, deviator, learned)
+            report = verify_dsic(config, profiles, scenario)
+            if learned.learner is not None:
+                oracle = verify_dsic(config, profiles, _one_bid_per_window(config, scenario))
+                assert (report.holds, report.worst_violation) == (
+                    oracle.holds, oracle.worst_violation
+                ), f"instance {index} deviator {deviator}"
+
+
+def test_a_three_slot_placement_the_grid_misses_is_found():
+    config = AuctionConfig(
+        num_agents=5, num_slots=3, prominences=(1.0, 0.4, 0.23), horizon=2000, delta=0.5, seed=20
+    )
+    profiles = make_profiles(
+        [0.67, 0.24, 0.73, 0.61, 0.86], [0.89, 0.41, 0.32, 0.13, 0.58], [0.01, 0.5, 0.34, 0.33, 0.87]
+    )
+    realization = draw_realization(config, profiles)
+    scenario = build_scenario(config, profiles, realization, 1, shared_learner(config, realization))
+    grid = replace(scenario, bid_grid=scenario.bid_grid[:GRID_POINTS])
+    assert verify_dsic(config, profiles, grid).holds
+    report = verify_dsic(config, profiles, scenario)
+    assert not report.holds
+    assert report.witness_bid == scenario.bid_grid[GRID_POINTS]
+    assert report.witness_round == 1228
+    assert report.worst_violation == pytest.approx(0.793122, abs=1e-6)
 
 
 def test_scenario_grid_shape(separated_instance):
