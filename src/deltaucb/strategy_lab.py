@@ -360,7 +360,7 @@ def welfare_interval_violations(
     if config.num_slots != 1:
         raise ConfigError("interval coverage counting is defined on single-slot runs")
     horizon = config.horizon
-    explore_until = min(exploration_budget(config), horizon)
+    explore_until, _ = shared_learner(config, realization)
     total = 0
     for p in profiles:
         rounds, _, clicks = exploration_clicks(realization, config, p.id, explore_until)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltaucb import metrics
 from deltaucb.core import AuctionConfig, LearnerState, Phase, confidence_radius, exploration_budget
 from deltaucb.environment import draw_realization, realized_click
 from deltaucb.mechanism import (
@@ -310,6 +311,38 @@ def test_welfare_interval_coverage_small_sample():
         realization = draw_realization(replace(config, seed=seed), profiles)
         violations += welfare_interval_violations(config, profiles, realization)
     assert violations <= 1
+
+
+def _interval_violations_of(records, profiles, config) -> int:
+    """(agent, round) pairs whose interval from the agent's latest free pull misses its welfare."""
+    pulls, clicks, total = {}, {}, 0
+    for record in records:
+        if record.phase is Phase.EXPLORATION:
+            (agent,) = record.allocation.values()
+            pulls[agent] = pulls.get(agent, 0) + 1
+            clicks[agent] = clicks.get(agent, 0) + record.click_of(agent)
+        for agent, count in pulls.items():
+            p = profiles[agent - 1]
+            mean, radius = clicks[agent] / count, confidence_radius(count, config.horizon)
+            low, high = (mean - radius) * p.valuation, (mean + radius) * p.valuation
+            total += not low <= metrics.welfare(p) <= high
+    return total
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.5], ids=["exploration-only", "committed"])
+def test_welfare_interval_violations_count_the_records_intervals(delta):
+    config = AuctionConfig(num_agents=3, horizon=200, delta=delta, seed=8)
+    assert (exploration_budget(config) >= config.horizon) == (delta == 0.5)
+    # agent 1 never clicks at rate 0.9 and agent 2 always at rate 0.1: their intervals miss
+    intrinsic = np.zeros((3, 200), dtype=np.uint8)
+    intrinsic[1] = 1
+    intrinsic[2, ::3] = 1
+    realization = make_realization(intrinsic, seed=8)
+    profiles = make_profiles([0.9, 0.1, 0.3], [1.0, 0.8, 0.6])
+    records = list(iter_rounds(config, profiles, declare_winner, realization=realization))
+    expected = _interval_violations_of(records, profiles, config)
+    assert expected > 0
+    assert welfare_interval_violations(config, profiles, realization) == expected
 
 
 def test_fast_path_matches_round_by_round_reference():
