@@ -288,6 +288,19 @@ def test_fmt_num_renderings():
     assert fmt_num(9.9999999999995) == "10.0000000000"
 
 
+# _render12 calls numpy's private Dragon4 entry point; this fails if that API drifts
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@example(x=0.27499999999999997)
+@example(x=9.9999999999995)
+@example(x=5e-324)
+@example(x=-1.7976931348623157e308)
+@example(x=-0.0)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_render12_is_format_float_positional(x):
+    public = np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
+    assert harness._render12(x) == public
+
+
 def _reference_write_table(columns, path, fmt):
     """The per-row writer that write_table replaced, fed plain values as round_log_rows was."""
     columns = {
