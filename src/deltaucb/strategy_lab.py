@@ -163,7 +163,7 @@ def build_scenario(
         # placement r (slot r + 1, or not shown at r = M) is the bids between top pivots r and r - 1
         top = pivots[: config.num_slots]
         reached = set((own * np.array(grid)[:, None] < top).sum(axis=1).tolist())
-        edges = np.clip(np.r_[config.v_max, top / own, 0.0], 0.0, config.v_max).tolist()
+        edges = [config.v_max, *np.minimum(top / own, config.v_max).tolist(), 0.0]
         windows = enumerate(zip(edges[1:], edges))
         grid += [(lo + hi) / 2 for r, (lo, hi) in windows if lo < hi and r not in reached]
         ties = set(other_scores.tolist())
