@@ -134,8 +134,8 @@ def build_scenario(
     competitor scores. A placement (a slot, or not shown) is one window of
     bids between two pivots; each window no grid bid falls in gets one bid
     in its middle, so the bids reach every placement. Exact ties are nudged
-    away so the deterministic tie-break never decides a comparison. ``learned`` is the realization's
-    ``shared_learner``; the scenario keeps it.
+    away so the deterministic tie-break never decides a comparison.
+    ``learned`` is the realization's ``shared_learner``; the scenario keeps it.
     """
     profiles = validate_profiles(profiles, config)
     others = np.array([p.bid for p in profiles], float)
