@@ -1,11 +1,12 @@
 """Counterfactual replay checks and reference mechanisms.
 
 Truthfulness is checked the strong way: fix the click realization and the
-other agents' bids, sweep the deviator's bid over a grid, and demand that
-the truthful bid is at least as good in *every single round*, not just in
-expectation. Because learning rounds ignore bids, the learner state at the
-end of exploration (``shared_learner``, the engine's ``explore``) is
-shared across all counterfactuals, which is what makes this replay exact.
+other agents' bids, try one deviating bid per placement it can buy, and
+demand that the truthful bid is at least as good in *every single round*,
+not just in expectation. Because learning rounds ignore bids, the learner
+state at the end of exploration (``shared_learner``, the engine's
+``explore``) is shared across all counterfactuals, which is what makes
+this replay exact.
 
 The per-round checks are closed forms over click patterns. A committed
 round's utility depends only on the agent's placement (slot and per-click
@@ -52,9 +53,6 @@ from . import metrics
 from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
 
 DSIC_TOLERANCE = 1e-12
-GRID_POINTS = 21
-PIVOT_PROBE = 1e-6
-TIE_NUDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,10 @@ class DeviationScenario:
 
 @dataclass(frozen=True)
 class DsicReport:
-    """Worst per-round gain any grid bid achieved over the truthful bid."""
+    """Worst per-round gain any scenario bid achieved over the truthful bid.
+
+    ``grid_size`` counts the scenario's bids, one per placement window.
+    """
 
     deviator: int
     holds: bool
@@ -128,55 +129,29 @@ def build_scenario(
     deviator: int,
     learned: Learned,
 ) -> DeviationScenario:
-    """Bid grid over [0, v_max] plus probes just above and below the rank-flipping bids.
+    """One bid in the middle of each placement window, in ascending order.
 
-    The probe bids are where the deviator's score would tie the strongest
-    competitor scores. A placement (a slot, or not shown) is one window of
-    bids between two pivots; each window no grid bid falls in gets one bid
-    in its middle, so the bids reach every placement. Exact ties are nudged
-    away so the deterministic tie-break never decides a comparison.
-    ``learned`` is the realization's ``shared_learner``; the scenario keeps it.
+    The ranking is by ``ucb * bid`` and a slot's price reads only the
+    scores ranked below it, so the deviator's bid decides only its
+    placement: slot 1..M, or not shown. Placement windows lie between the
+    pivot bids where the deviator's score ties one of the top M competitor
+    scores, capped at v_max; a midpoint lies strictly inside its window, so
+    no tie-break decides its placement, and an empty window is skipped.
+    Without a committed learner the bids are (0.0,). ``learned`` is the
+    realization's ``shared_learner``; the scenario keeps it.
     """
     profiles = validate_profiles(profiles, config)
     others = np.array([p.bid for p in profiles], float)
-
+    bids = [0.0]
     learner = learned.learner
-    probes = []
     if learner is not None:
         own = float(learner.ucb[deviator - 1])
-        other_scores = np.delete(learner.ucb * others, deviator - 1)
-        pivots = np.sort(other_scores)[::-1]
-        # no competitor, no pivot: the uniform grid alone
-        targets = list(pivots[:1])
-        second_idx = min(config.num_slots, len(pivots) - 1)
-        if second_idx > 0:
-            targets.append(pivots[second_idx])
-        for target in targets:
-            pivot_bid = target / own
-            for probe in (pivot_bid - PIVOT_PROBE, pivot_bid + PIVOT_PROBE):
-                probes.append(min(max(probe, 0.0), config.v_max))
-
-    uniform = np.linspace(0.0, config.v_max, max(2, GRID_POINTS - len(probes)))
-    grid = list(uniform) + probes
-
-    if learner is not None:
-        # placement r (slot r + 1, or not shown at r = M) is the bids between top pivots r and r - 1
-        top = pivots[: config.num_slots]
-        reached = set((own * np.array(grid)[:, None] < top).sum(axis=1).tolist())
-        edges = [config.v_max, *np.minimum(top / own, config.v_max).tolist(), 0.0]
-        windows = enumerate(zip(edges[1:], edges))
-        grid += [(lo + hi) / 2 for r, (lo, hi) in windows if lo < hi and r not in reached]
-        ties = set(other_scores.tolist())
-        for k, x in enumerate(grid):
-            nudge = TIE_NUDGE
-            while own * x in ties:
-                x = x + nudge if x + nudge <= config.v_max else x - nudge
-                nudge *= 2
-            grid[k] = x
-
+        top = np.sort(np.delete(learner.ucb * others, deviator - 1))[-config.num_slots :]
+        edges = [0.0, *np.minimum(top / own, config.v_max).tolist(), config.v_max]
+        bids = [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:]) if lo < hi]
     return DeviationScenario(
         deviator=deviator,
-        bid_grid=tuple(float(x) for x in grid),
+        bid_grid=tuple(bids),
         fixed_others=tuple(float(b) for b in others),
         realization=realization,
         learned=learned,
@@ -229,15 +204,15 @@ def verify_dsic(
     profiles: Sequence[AgentProfile],
     scenario: DeviationScenario,
 ) -> DsicReport:
-    """Check that no grid bid ever beats the truthful bid in any round.
+    """Check that no scenario bid ever beats the truthful bid in any round.
 
     Declares the ranking and prices on the scenario's shared learner with
-    the deviator truthful and once per grid bid, against the fixed
+    the deviator truthful and once per scenario bid, against the fixed
     competitor bids. Free rounds ignore bids, so their gain is 0.0. A
     committed round's gain depends only on the deviator's clicks at its
     deviated and its truthful slot; each pattern of those clicks is scored
     at its first round, once per deviated slot. The worst gain is the
-    first-round maximum, and across the grid the first bid strictly worse
+    first-round maximum, and across the bids the first one strictly worse
     for truthfulness wins.
     """
     profiles = validate_profiles(profiles, config)
@@ -251,7 +226,7 @@ def verify_dsic(
     explore_until, learner = scenario.learned
     outcomes = [None] * (1 + len(scenario.bid_grid))
     if learner is not None:
-        # the truthful row, then one row per grid bid, ranked and priced in one call
+        # the truthful row, then one row per scenario bid, ranked and priced in one call
         rows = np.tile(truthful_bids, (len(outcomes), 1))
         rows[1:, deviator - 1] = scenario.bid_grid
         outcomes = declare(learner, rows, config.prominences, price_rule_for(config.num_slots))

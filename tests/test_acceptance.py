@@ -153,7 +153,7 @@ def test_criterion_4_dsic(check_instances):
             scenario = build_scenario(config, profiles, realization, deviator, learned)
             report = verify_dsic(config, profiles, scenario)
             worst = max(worst, report.worst_violation)
-            assert report.grid_size == 21
+            assert report.grid_size <= min(config.num_agents, config.num_slots + 1)
     single_ok = worst <= 1e-12
 
     findings = []

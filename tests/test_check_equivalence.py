@@ -1,7 +1,7 @@
 """The closed-form DSIC and IR checks against the per-round utility vectors they replace.
 
 The reference below is the vector algorithm: one length-T utility vector
-for the truthful bid and one per grid bid from ``per_round_utilities``,
+for the truthful bid and one per scenario bid from ``per_round_utilities``,
 then ``np.argmax`` / ``np.argmin`` and the same strict-improvement loops.
 Reports must agree field for field, with floats equal bit for bit, so a
 -0.0 never turns into 0.0 or the other way round.

@@ -10,7 +10,6 @@ from deltaucb.environment import draw_realization
 from deltaucb.mechanism import declare, exploration_clicks, learn, run_mechanism, run_single_slot
 from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
-    GRID_POINTS,
     BaselineKind,
     build_scenario,
     per_round_utilities,
@@ -171,15 +170,62 @@ def test_verify_dsic_holds_on_random_single_slot_instances():
             assert report.worst_violation <= 1e-12
 
 
+def _verdict(report):
+    return report.holds, report.worst_violation, report.witness_round
+
+
+def _pivots(scenario):
+    """The deviator's upper index and the competitor scores; score / index is a pivot bid."""
+    learner = scenario.learned.learner
+    own = float(learner.ucb[scenario.deviator - 1])
+    return own, np.delete(learner.ucb * np.array(scenario.fixed_others), scenario.deviator - 1)
+
+
+def _reference_grid(config, scenario):
+    """A 21-bid reference grid: uniform over [0, v_max] plus probes 1e-6 either side of two
+    pivot bids, with each exact score tie nudged away. It reaches most placements by density,
+    not by construction.
+
+    The probes sit at the strongest competitor's pivot bid and at the min(M, K - 2)-th
+    next one's.
+    """
+    learner = scenario.learned.learner
+    probes = []
+    if learner is not None:
+        own, scores = _pivots(scenario)
+        pivots = np.sort(scores)[::-1]
+        targets = list(pivots[:1])
+        if min(config.num_slots, len(pivots) - 1) > 0:
+            targets.append(pivots[min(config.num_slots, len(pivots) - 1)])
+        for target in targets:
+            for probe in (target / own - 1e-6, target / own + 1e-6):
+                probes.append(min(max(probe, 0.0), config.v_max))
+    grid = [*np.linspace(0.0, config.v_max, max(2, 21 - len(probes))).tolist(), *probes]
+    if learner is not None:
+        ties = set(scores.tolist())
+        for k, x in enumerate(grid):
+            nudge = 1e-9
+            while own * x in ties:
+                x = x + nudge if x + nudge <= config.v_max else x - nudge
+                nudge *= 2
+            grid[k] = x
+    return tuple(grid)
+
+
+def _placement_windows(config, scenario):
+    """The non-empty bid windows (lo, hi) between 0.0, the top M pivot bids and v_max, ascending."""
+    own, scores = _pivots(scenario)
+    top = sorted(scores.tolist(), reverse=True)[: config.num_slots]
+    edges = [0.0, *sorted(min(score / own, config.v_max) for score in top), config.v_max]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
 def _one_bid_per_window(config, scenario):
     """The scenario with one bid in the middle of each window between two competitor pivot bids.
 
-    A pivot bid is a competitor's score over the deviator's upper index. The
-    windows cover every rank the deviator can take, so every placement.
+    The windows cover every rank the deviator can take, so every placement.
     """
-    learner = scenario.learned.learner
-    own = float(learner.ucb[scenario.deviator - 1])
-    scores = np.delete(learner.ucb * np.array(scenario.fixed_others), scenario.deviator - 1)
+    own, scores = _pivots(scenario)
     inside = [b for b in (scores / own).tolist() if 0.0 < b < config.v_max]
     edges = sorted({0.0, config.v_max, *inside})
     return replace(scenario, bid_grid=tuple((lo + hi) / 2 for lo, hi in zip(edges, edges[1:])))
@@ -203,9 +249,33 @@ def test_verify_dsic_finds_the_worst_placement_a_window_oracle_finds(num_slots):
             report = verify_dsic(config, profiles, scenario)
             if learned.learner is not None:
                 oracle = verify_dsic(config, profiles, _one_bid_per_window(config, scenario))
-                assert (report.holds, report.worst_violation) == (
-                    oracle.holds, oracle.worst_violation
-                ), f"instance {index} deviator {deviator}"
+                assert _verdict(report) == _verdict(oracle), f"instance {index} deviator {deviator}"
+
+
+@pytest.mark.parametrize("num_slots", [1, 2, 3, 4])
+def test_placement_bids_find_the_worst_gain_the_reference_grid_finds(num_slots):
+    # K <= 7, T from 5 (exploration fills it) to 2,000, rates that are exactly 0 or 1 among
+    # drawn ones, truthful and random competitor bids
+    rng = np.random.default_rng(100 + num_slots)
+    for index in range(40):
+        num_agents = int(rng.integers(num_slots, 8))
+        prominences = (1.0, *sorted(rng.uniform(0.05, 1.0, num_slots - 1).tolist(), reverse=True))
+        config = AuctionConfig(
+            num_agents=num_agents, num_slots=num_slots, prominences=prominences,
+            horizon=int(rng.choice([5, 50, 500, 2000], p=[0.1, 0.1, 0.4, 0.4])),
+            delta=float(rng.uniform(0.3, 1.5)), seed=index,
+        )
+        profiles = random_instance(rng, num_agents, truthful=bool(rng.integers(2)))
+        rates = rng.choice([0.0, 1.0, np.nan], num_agents, p=[0.15, 0.15, 0.7])
+        profiles = [p if np.isnan(r) else replace(p, ctr=float(r)) for p, r in zip(profiles, rates)]
+        realization = draw_realization(config, profiles)
+        learned = shared_learner(config, realization)
+        for deviator in range(1, num_agents + 1):
+            scenario = build_scenario(config, profiles, realization, deviator, learned)
+            grid = _reference_grid(config, scenario) + scenario.bid_grid
+            reference = verify_dsic(config, profiles, replace(scenario, bid_grid=grid))
+            report = verify_dsic(config, profiles, scenario)
+            assert _verdict(report) == _verdict(reference), f"instance {index} deviator {deviator}"
 
 
 def test_a_three_slot_placement_the_grid_misses_is_found():
@@ -217,30 +287,47 @@ def test_a_three_slot_placement_the_grid_misses_is_found():
     )
     realization = draw_realization(config, profiles)
     scenario = build_scenario(config, profiles, realization, 1, shared_learner(config, realization))
-    grid = replace(scenario, bid_grid=scenario.bid_grid[:GRID_POINTS])
-    assert verify_dsic(config, profiles, grid).holds
+    grid = _reference_grid(config, scenario)
+    assert verify_dsic(config, profiles, replace(scenario, bid_grid=grid)).holds
     report = verify_dsic(config, profiles, scenario)
     assert not report.holds
-    assert report.witness_bid == scenario.bid_grid[GRID_POINTS]
     assert report.witness_round == 1228
     assert report.worst_violation == pytest.approx(0.793122, abs=1e-6)
+    # the witness is the midpoint of a window no reference bid falls in
+    windows = _placement_windows(config, scenario)
+    [(lo, hi)] = [(lo, hi) for lo, hi in windows if lo < report.witness_bid < hi]
+    assert report.witness_bid == (lo + hi) / 2
+    assert not any(lo < bid < hi for bid in grid)
 
 
-def test_scenario_grid_shape(separated_instance):
-    config, profiles, realization = separated_instance
-    scenario = build_scenario(config, profiles, realization, 2, shared_learner(config, realization))
-    grid = np.array(scenario.bid_grid)
-    assert len(grid) == 21
-    assert grid.min() >= 0.0 and grid.max() <= config.v_max
-    uniform = set(np.linspace(0.0, config.v_max, 17).tolist())
-    probes = [x for x in scenario.bid_grid if x not in uniform]
-    assert len(probes) >= 2  # pivot +/- probes made it into the grid
-    # no grid bid produces an exact score tie with a competitor
-    result = run_single_slot(config, profiles, realization=realization)
-    ucb = result.outcome.learner.ucb
-    other_scores = {float(ucb[0] * profiles[0].bid)}
-    for x in scenario.bid_grid:
-        assert float(ucb[1] * x) not in other_scores
+@pytest.mark.parametrize(
+    "config",
+    [
+        AuctionConfig(num_agents=2, horizon=2500, delta=0.5, seed=42),
+        AuctionConfig(num_agents=4, num_slots=2, prominences=(1.0, 0.5), horizon=1500, delta=0.6,
+                      seed=3),
+        AuctionConfig(num_agents=3, num_slots=3, prominences=(1.0, 0.7, 0.2), horizon=1500,
+                      delta=0.8, seed=8),
+        AuctionConfig(num_agents=3, horizon=20, delta=0.5, seed=1),
+    ],
+    ids=["one-slot", "two-slot", "three-slot-of-three", "exploration-fills-T"],
+)
+def test_scenario_tries_one_bid_inside_each_placement_window(config):
+    profiles = random_instance(np.random.default_rng(config.seed), config.num_agents)
+    realization = draw_realization(config, profiles)
+    learned = shared_learner(config, realization)
+    for deviator in range(1, config.num_agents + 1):
+        scenario = build_scenario(config, profiles, realization, deviator, learned)
+        bids = scenario.bid_grid
+        if learned.learner is None:
+            assert bids == (0.0,)
+            continue
+        windows = _placement_windows(config, scenario)
+        assert len(bids) == len(windows) <= min(config.num_agents, config.num_slots + 1)
+        assert list(bids) == sorted(bids)
+        assert all(lo < bid < hi for bid, (lo, hi) in zip(bids, windows))
+        own, scores = _pivots(scenario)
+        assert not set((own * np.array(bids)).tolist()) & set(scores.tolist())
 
 
 def test_verify_ir_exact_on_random_instances():
