@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -743,4 +744,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # every output file is closed by now: untracking the live objects spares the collections
+    # at interpreter exit, which walk numpy's import (~15 ms of a ~0.15 s command)
+    gc.freeze()
+    sys.exit(code)

@@ -769,17 +769,27 @@ def test_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatc
     assert captured.out == ""
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    # each exit code reaches the shell through console_main, with main()'s output
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "deltaucb", "run", "--config", str(DATA / "golden.cfg"),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("run: mechanism=delta-ucb-single seed=42")
+    findings = str(DATA / "golden_check_dsic_multi.cfg")
+    bad = _write(tmp_path, "bad.cfg", BASIC.replace("delta = 1.2", "delta = -1"))
+    cases = [
+        (["run", "--config", str(DATA / "golden.cfg"), "--out", str(tmp_path)], 0),
+        (["dsic-check", "--config", findings, "--instances", "6"], 1),
+        (["validate", "--config", bad], 2),
+    ]
+    for args, code in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "deltaucb", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
     assert (tmp_path / "summary.csv").read_bytes() == (DATA / "golden_summary.csv").read_bytes()
 
 
