@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import itertools
 import math
 import sys
@@ -509,6 +508,7 @@ def derive_subseed(master_seed: int, cell: dict) -> int:
     Keyed by values rather than enumeration position, so reordering sweep
     axes (or the values inside an axis) never changes any cell's results.
     """
+    import hashlib
     canon = repr((int(master_seed), tuple(sorted((k, repr(v)) for k, v in cell.items()))))
     digest = hashlib.sha256(canon.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -524,7 +524,8 @@ def sweep_cells(spec: ExperimentSpec) -> list:
     return cells
 
 
-def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
+def _cell_fields(spec: ExperimentSpec, cell: dict) -> dict:
+    """The config fields a sweep cell sets, its seed aside."""
     overrides = {k: v for k, v in cell.items() if k != "seed_index"}
     if "num_slots" in overrides:
         wanted = overrides["num_slots"]
@@ -532,7 +533,12 @@ def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
         if len(prominences) < wanted:
             raise ConfigError("prominences too short for num_slots sweep")
         overrides["prominences"] = prominences[:wanted]
-    return replace(spec.config, seed=derive_subseed(spec.config.seed, cell), **overrides)
+    return overrides
+
+
+def _cell_config(spec: ExperimentSpec, cell: dict) -> AuctionConfig:
+    seed = derive_subseed(spec.config.seed, cell)
+    return replace(spec.config, seed=seed, **_cell_fields(spec, cell))
 
 
 def run_cell(spec: ExperimentSpec, cell: dict):
@@ -630,9 +636,13 @@ def _out_dir(path) -> Path:
 
 
 def _check_cells(spec: ExperimentSpec, cells) -> None:
-    """Build every sweep cell's config and profiles, so a rejected cell fails before any runs."""
+    """Build every sweep cell's config and profiles, so a rejected cell fails before any runs.
+
+    Drawn profiles lie in the checked ranges whatever the seed, so the master
+    seed stands in for each cell's, and validate needs no sha256.
+    """
     for cell in cells:
-        build_profiles(spec, _cell_config(spec, cell))
+        build_profiles(spec, replace(spec.config, **_cell_fields(spec, cell)))
 
 
 def _cmd_validate(args) -> int:

@@ -564,21 +564,27 @@ def test_non_ascii_text_is_written_as_utf8(tmp_path):
 
 def test_run_loads_only_what_it_runs(tmp_path):
     # a single-slot CSV run needs neither the checks, the multi-slot price rule nor json; and
-    # numpy.ma, which np.unique loads when asked for the values alone, costs ~30 ms
-    args = ["run", "--config", str(DATA / "golden.cfg"), "--out", str(tmp_path), "--format", "csv",
-            "--rounds-log", "all"]
+    # numpy.ma, which np.unique loads when asked for the values alone, costs ~30 ms. validate,
+    # run first, needs no hashlib either (~2.4 ms); run loads it through numpy.random
+    cfg = str(DATA / "golden.cfg")
+    validate = ["validate", "--config", cfg]
+    run = ["run", "--config", cfg, "--out", str(tmp_path), "--format", "csv", "--rounds-log", "all"]
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    unused = ("deltaucb.strategy_lab", "deltaucb.mechanism_multi", "json", "numpy.ma")
+    unused_by_validate = (*unused, "hashlib")
     code = (
-        f"import sys; from deltaucb.harness import main; code = main({args!r}); "
-        "print(code, [m for m in ('deltaucb.strategy_lab', 'deltaucb.mechanism_multi', 'json', "
-        "'numpy.ma') if m in sys.modules])"
+        "import sys; from deltaucb.harness import main; "
+        "loaded = lambda names: [m for m in names if m in sys.modules]; "
+        f"code = main({validate!r}); print(code, loaded({unused_by_validate!r})); "
+        f"code = main({run!r}); print(code, loaded({unused!r}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    lines = done.stdout.splitlines()
+    assert lines[1] == "0 []" and lines[-1] == "0 []", done.stdout
     assert (tmp_path / "rounds.csv").read_bytes() == (DATA / "golden_rounds.csv").read_bytes()
 
 
