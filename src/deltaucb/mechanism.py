@@ -11,19 +11,20 @@ radius. At the end of the budget the ranking and each slot's per-click
 price are fixed once: the rank-m agent takes slot m for every remaining
 round. Indices never change after the budget.
 
-A run is two steps: ``explore`` ends the free rounds in the horizon and
-``learn`` folds them into a frozen learner (``Learned``, shared by runs and
-checks; bids never enter), then ``decide(learner, bids)`` returns the
-``Outcome``, reading the learner without changing it. Δ-UCB's steps rank by
-ucb * bid (``declare``): ``declare_winner`` on one slot, with the
-``normalized_runner_up`` price (here), and the telescoping rule of
+A run is two steps: ``explore`` ends the free rounds in the horizon, reads
+them once into a (round × slot) table of who was shown and clicked
+(``free_rounds``), and ``learn`` folds it into a frozen learner (``Learned``,
+shared by runs and checks; bids never enter), then ``decide(learner, bids)``
+returns the ``Outcome``, reading the learner without changing it. Δ-UCB's
+steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
+the ``normalized_runner_up`` price (here), and the telescoping rule of
 ``mechanism_multi`` on several. The clairvoyant allocator and the T^(2/3)
 variant in ``strategy_lab`` run this engine with their own step and budget.
 ``run_mechanism`` takes both on the config's seeded realization (tests may
 pass their own), reading all clicks of the free rounds and only the winners'
-after them. ``exploration_clicks`` gives an agent's free rounds in round
-order to learning, the round log and the checks in ``strategy_lab``; tests
-check all of them against ``iter_rounds``, the round-by-round reference.
+after them. Learning, the free rounds' accrual and utilities, the round log
+and the checks in ``strategy_lab`` all read the free rounds from the table;
+tests check it against ``iter_rounds``, the round-by-round reference.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ class Outcome:
     def payment_per_click(self) -> float:
         return self.payments_per_click[0]
 
-
+    """The free rounds 1..explore_until as a table; the learner after them, None if they fill T."""
 class Learned(NamedTuple):
-    """The free rounds 1..explore_until and the learner after them (None if they fill T)."""
+    """The free rounds 1..explore_until as a table, and the learner after them (or None)."""
 
     explore_until: int
+    agents: np.ndarray
+    clicks: np.ndarray
     learner: Optional[LearnerState]
 
 
@@ -85,26 +88,23 @@ def multi_exploration_allocation(t, slot: int, num_agents: int):
     return (((t - 1) % num_agents) + slot - 1) % num_agents + 1
 
 
-def exploration_clicks(
-    realization: ClickRealization, config: AuctionConfig, agent: int, until: int
-):
-    """The agent's free rounds in 1..until in round order, with its slot and click in each.
+def free_rounds(realization: ClickRealization, config: AuctionConfig, until: int):
+    """Who each slot shows in the free rounds 1..until and their clicks, as until × M arrays.
 
-    The inverse of ``multi_exploration_allocation``: slot m shows the agent
-    in the rounds t with (t - 1) mod K == (agent - m) mod K. Within each
-    rotation cycle of K rounds the slots come in the order of those offsets,
-    so the rounds are the sorted offsets, cycle after cycle, cut at ``until``.
+    Row r holds round r + 1. Slot m shows agent a in the rows r with
+    r ≡ (a - m) mod K, so each (agent, slot) click window is read once and
+    one strided slice of it fills the agent's rows of the slot's column.
     """
     num_agents, num_slots = config.num_agents, config.num_slots
-    offsets, slots = zip(*sorted(((agent - m) % num_agents, m) for m in range(1, num_slots + 1)))
-    starts = np.arange(1, until + 1, num_agents)  # the first round of each cycle
-    rounds = np.add.outer(starts, offsets).ravel()
-    rounds = rounds[: np.searchsorted(rounds, until, side="right")]
-    clicks = np.empty(len(rounds), dtype=np.uint8)
-    for j, m in enumerate(slots):
-        shown = rounds[j::num_slots]
-        clicks[j::num_slots] = realization.clicks(agent, m, 0, until)[shown - 1]
-    return rounds, np.tile(slots, len(starts))[: len(rounds)], clicks
+    rounds = np.arange(1, until + 1)
+    agents = np.empty((until, num_slots), dtype=np.int64)
+    clicks = np.empty((until, num_slots), dtype=np.uint8)
+    for m in range(1, num_slots + 1):
+        agents[:, m - 1] = multi_exploration_allocation(rounds, m, num_agents)
+        for agent in range(1, num_agents + 1):
+            rows = slice((agent - m) % num_agents, None, num_agents)
+            clicks[rows, m - 1] = realization.clicks(agent, m, 0, until)[rows]
+    return agents, clicks
 
 
 def bid_vector(bids, config: AuctionConfig) -> np.ndarray:
@@ -212,28 +212,29 @@ def _fresh_learner(config: AuctionConfig) -> LearnerState:
     )
 
 
-def learn(realization: ClickRealization, config: AuctionConfig, explore_until: int) -> LearnerState:
-    """The frozen learner after the free rounds 1..explore_until; bids never enter.
+def learn(agents: np.ndarray, clicks: np.ndarray, config: AuctionConfig) -> LearnerState:
+    """The frozen learner after a ``free_rounds`` table; bids never enter.
 
     Each agent's entry folds in its prominence-corrected samples in round
-    order (a sequential sum, so it matches ``record_pull`` to the byte).
+    order, the table's ravel order (a sequential sum: ``record_pull``'s bits).
     """
     state = _fresh_learner(config)
-    prominences = np.array(config.prominences)
+    samples = clicks / np.array(config.prominences)
     for agent in range(1, config.num_agents + 1):
-        _, slots, clicks = exploration_clicks(realization, config, agent, explore_until)
-        if len(slots):
-            total = float(np.cumsum(clicks / prominences[slots - 1])[-1])
-            state.set_entry(agent, len(slots), total)
+        own = samples[agents == agent]
+        if len(own):
+            state.set_entry(agent, len(own), float(np.cumsum(own)[-1]))
     state.freeze()
     return state
 
 
 def explore(realization: ClickRealization, config: AuctionConfig, budget: int) -> Learned:
-    """The free rounds a budget leaves in the horizon, and the learner after them."""
-    if budget >= config.horizon:  # nothing is declared, so nothing is learned
-        return Learned(config.horizon, None)
-    return Learned(budget, learn(realization, config, budget))
+    """The free rounds a budget leaves in the horizon, their table, and the learner after them."""
+    explore_until = min(budget, config.horizon)
+    agents, clicks = free_rounds(realization, config, explore_until)
+    # nothing is declared when the free rounds fill T, so nothing is learned
+    learner = None if budget >= config.horizon else learn(agents, clicks, config)
+    return Learned(explore_until, agents, clicks, learner)
 
 
 def iter_rounds(
@@ -264,16 +265,14 @@ def iter_rounds(
     return state
 
 
-def _round_grids(realization, config, explore_until, outcome):
-    """Agents, clicks and payments per (round, slot): the rotation, then the frozen ranking."""
+def _round_grids(realization, config, learned, outcome):
+    """Agents, clicks and payments per (round, slot): the free rounds' table, then the ranking."""
     horizon, num_slots = config.horizon, config.num_slots
+    explore_until = learned.explore_until
     agents = np.empty((horizon, num_slots), dtype=np.int64)
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
     payments = np.zeros((horizon, num_slots))
-    for agent in range(1, config.num_agents + 1):
-        rounds, slots, observed = exploration_clicks(realization, config, agent, explore_until)
-        agents[rounds - 1, slots - 1] = agent
-        clicks[rounds - 1, slots - 1] = observed
+    agents[:explore_until], clicks[:explore_until] = learned.agents, learned.clicks
     if outcome is not None:
         for m, agent in enumerate(outcome.ranking[:num_slots], start=1):
             agents[explore_until:, m - 1] = agent
@@ -304,14 +303,15 @@ def run_mechanism(
     horizon = config.horizon
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
 
-    explore_until, state = explore(realization, config, budget)
+    learned = explore(realization, config, budget)
+    explore_until, free_agents, free_clicks, state = learned
     per_agent_utility = {}
     pulls = []
     for p in profiles:
-        _, slots, clicks = exploration_clicks(realization, config, p.id, explore_until)
-        counts = np.bincount(slots, minlength=config.num_slots + 1)[1:].tolist()
+        shown = free_agents == p.id
+        counts = shown.sum(axis=0).tolist()
         pulls += [(count, p.id, m) for m, count in enumerate(counts, start=1)]
-        per_agent_utility[p.id] = p.valuation * int(clicks.sum())
+        per_agent_utility[p.id] = p.valuation * int(free_clicks[shown].sum())
     exploration = tables.accrue(pulls)
 
     outcome = None
@@ -334,7 +334,7 @@ def run_mechanism(
         )
 
     log = round_log(
-        rounds_log, explore_until, lambda: _round_grids(realization, config, explore_until, outcome)
+        rounds_log, explore_until, lambda: _round_grids(realization, config, learned, outcome)
     )
     summary = summarize(
         mechanism_label,

@@ -3,10 +3,10 @@
 Truthfulness is checked the strong way: fix the click realization and the
 other agents' bids, try one deviating bid per placement it can buy, and
 demand that the truthful bid is at least as good in *every single round*,
-not just in expectation. Because learning rounds ignore bids, the learner
-state at the end of exploration (``shared_learner``, the engine's
-``explore``) is shared across all counterfactuals, which is what makes
-this replay exact.
+not just in expectation. Because learning rounds ignore bids, the free
+rounds' table and the learner after it (``shared_learner``, the engine's
+``explore``) are shared across all counterfactuals, which is what makes
+this replay exact; the checks read free-round utilities from the table.
 
 The per-round checks are closed forms over click patterns. A committed
 round's utility depends only on the agent's placement (slot and per-click
@@ -46,7 +46,7 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization
-from .mechanism import Learned, Outcome, bid_vector, declare, declare_winner, exploration_clicks
+from .mechanism import Learned, Outcome, bid_vector, declare, declare_winner, free_rounds
 from .mechanism import _fresh_learner, _prepare, explore, run_mechanism  # the engine's one way in
 from .mechanism_multi import price_rule_for
 from . import metrics
@@ -109,9 +109,8 @@ def per_round_utilities(
     horizon = config.horizon
     valuation = profiles[agent - 1].valuation
     util = np.zeros(horizon)
-    util[:explore_until] = _exploration_utilities(
-        config, realization, agent, valuation, explore_until
-    )
+    free_agents, free_clicks = free_rounds(realization, config, explore_until)
+    util[:explore_until] = valuation * np.where(free_agents == agent, free_clicks, 0).max(axis=1)
     if outcome is None or explore_until >= horizon:
         return util
 
@@ -191,14 +190,6 @@ def _earliest(candidates, pick):
     return pick(sorted(candidates, key=lambda c: c[1]), key=lambda c: c[0])
 
 
-def _exploration_utilities(config, realization, agent, valuation, explore_until):
-    """Utility in each free round 1..explore_until: valuation times the click when shown."""
-    rounds, _, clicks = exploration_clicks(realization, config, agent, explore_until)
-    util = np.zeros(explore_until)
-    util[rounds - 1] = valuation * clicks
-    return util
-
-
 def verify_dsic(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
@@ -223,7 +214,7 @@ def verify_dsic(
     truthful_bids = np.array(scenario.fixed_others, dtype=float)
     truthful_bids[deviator - 1] = truthful_value
     truthful_bids = bid_vector(truthful_bids, config)
-    explore_until, learner = scenario.learned
+    explore_until, _, _, learner = scenario.learned
     outcomes = [None] * (1 + len(scenario.bid_grid))
     if learner is not None:
         # the truthful row, then one row per scenario bid, ranked and priced in one call
@@ -276,14 +267,14 @@ def verify_ir(
 ) -> IrReport:
     """Check every truthful agent's per-round utility is nonnegative, exactly.
 
-    Free-round utilities are a vector of explore_until entries. A committed
+    Free-round utilities are a vector of the shared table's rows. A committed
     agent's utility takes one value with a click and one without, scored at
     the first round of each; an unshown agent's is 0.0. Each agent's worst
     is its first-round minimum, and the first agent strictly worse wins.
     """
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
-    explore_until, learner = shared_learner(config, realization)
+    explore_until, agents, clicks, learner = shared_learner(config, realization)
     rule = price_rule_for(config.num_slots)
     outcome = None if learner is None else declare(learner, truthful, config.prominences, rule)
 
@@ -291,7 +282,7 @@ def verify_ir(
     agent_hit = None
     round_hit = None
     for p in profiles:
-        util = _exploration_utilities(config, realization, p.id, p.valuation, explore_until)
+        util = p.valuation * np.where(agents == p.id, clicks, 0).max(axis=1)
         idx = int(np.argmin(util))
         candidates = [(float(util[idx]), idx + 1)]
         if outcome is not None:
@@ -335,15 +326,16 @@ def welfare_interval_violations(
     if config.num_slots != 1:
         raise ConfigError("interval coverage counting is defined on single-slot runs")
     horizon = config.horizon
-    explore_until, _ = shared_learner(config, realization)
+    _, agents, clicks, _ = shared_learner(config, realization)
     total = 0
     for p in profiles:
-        rounds, _, clicks = exploration_clicks(realization, config, p.id, explore_until)
+        shown = agents[:, 0] == p.id
+        rounds = np.flatnonzero(shown) + 1
         pulls = len(rounds)
         if pulls == 0:
             continue
         counts = np.arange(1, pulls + 1)
-        means = np.cumsum(clicks, dtype=np.float64) / counts
+        means = np.cumsum(clicks[shown, 0], dtype=np.float64) / counts
         radii = np.sqrt(2.0 * math.log(horizon) / counts)
         low = (means - radii) * p.valuation
         high = (means + radii) * p.valuation

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from deltaucb.core import AuctionConfig, exploration_budget, validate_profiles
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import bid_vector, declare, learn
+from deltaucb.mechanism import bid_vector, declare, free_rounds, learn
 from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
     DSIC_TOLERANCE,
@@ -36,7 +36,7 @@ def _reference_outcomes(config, realization):
     explore_until = min(exploration_budget(config), config.horizon)
     learner = None
     if explore_until < config.horizon:
-        learner = learn(realization, config, explore_until)
+        learner = learn(*free_rounds(realization, config, explore_until), config)
 
     def outcome_for(bids):
         if learner is None:

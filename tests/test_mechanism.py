@@ -1,6 +1,8 @@
+import itertools
 import math
 import struct
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from deltaucb import metrics
 from deltaucb.core import AuctionConfig, LearnerState, Phase, confidence_radius, exploration_budget
-from deltaucb.environment import draw_realization, realized_click
+from deltaucb.environment import ClickRealization, draw_realization, realized_click
 from deltaucb.mechanism import (
     declare,
     declare_winner,
-    exploration_clicks,
     explore,
+    free_rounds,
     iter_rounds,
     learn,
     multi_exploration_allocation,
+    run_mechanism,
     run_single_slot,
 )
 from deltaucb.mechanism_multi import price_rule_for
@@ -154,7 +157,8 @@ def test_declare_leaves_its_learner_unchanged():
     config = AuctionConfig(num_agents=3, num_slots=2, horizon=300, delta=0.9,
                            prominences=(1.0, 0.5), seed=3)
     profiles = make_profiles([0.8, 0.5, 0.2])
-    learner = learn(draw_realization(config, profiles), config, exploration_budget(config))
+    realization = draw_realization(config, profiles)
+    learner = explore(realization, config, exploration_budget(config)).learner
     before = learner.to_bytes()
     declare(learner, [[1.0, 0.5, 0.2], [0.1, 1.0, 0.3]], config.prominences, price_rule_for(2))
     assert learner.to_bytes() == before
@@ -213,11 +217,18 @@ def test_explore_ends_the_free_rounds_in_the_horizon(num_slots, prominences):
                            prominences=prominences, seed=8)
     realization = draw_realization(config, make_profiles([0.8, 0.5, 0.2]))
     for budget in (90, 91, 10**6):
-        assert explore(realization, config, budget) == (90, None)
+        # an exploration-only instance still holds the table, all T rows of it
+        explore_until, agents, clicks, learner = explore(realization, config, budget)
+        assert (explore_until, learner) == (90, None)
+        assert agents.shape == clicks.shape == (90, num_slots)
+        table = free_rounds(realization, config, 90)
+        assert np.array_equal(agents, table[0]) and np.array_equal(clicks, table[1])
     for budget in (0, 1, 5, 89):
-        explore_until, learner = explore(realization, config, budget)
+        explore_until, agents, clicks, learner = explore(realization, config, budget)
         assert explore_until == budget
-        assert learner.to_bytes() == learn(realization, config, budget).to_bytes()
+        assert agents.shape == clicks.shape == (budget, num_slots)
+        reference = learn(*free_rounds(realization, config, budget), config)
+        assert learner.to_bytes() == reference.to_bytes()
 
 
 def test_identical_agents_accrue_no_tolerance_regret():
@@ -452,35 +463,78 @@ def test_batched_declare_rejects_a_non_positive_winner_index_in_any_row():
 
 @st.composite
 def _rotations(draw):
-    """A K-agent, M-slot realization and an ``until`` that cuts a rotation cycle short.
+    """A K-agent, M-slot config, a seeded or matrix realization, and a count of free rounds.
 
-    With one agent every round ends a cycle, so there ``until`` is any count.
+    The count runs from 0 through whole cycles and cycles cut mid-way.
     """
-    num_agents = draw(st.integers(1, 7))
+    num_agents = draw(st.integers(1, 6))
     num_slots = draw(st.integers(1, num_agents))
-    cut = draw(st.integers(min(1, num_agents - 1), num_agents - 1))
-    until = num_agents * draw(st.integers(0, 4)) + cut
+    until = num_agents * draw(st.integers(0, 4)) + draw(st.integers(0, num_agents - 1))
     horizon = until + draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    observations = rng.integers(0, 2, (num_slots, horizon)) if num_slots > 1 else None
-    realization = make_realization(rng.integers(0, 2, (num_agents, horizon)), observations)
-    config = AuctionConfig(num_agents=num_agents, horizon=horizon, delta=1.0,
-                           num_slots=num_slots, prominences=(1.0,) * num_slots)
-    return config, realization, until
+    prominences = (1.0, *sorted(rng.uniform(0.1, 1.0, num_slots - 1).tolist(), reverse=True))
+    config = AuctionConfig(num_agents=num_agents, horizon=horizon, delta=1.0, num_slots=num_slots,
+                           prominences=prominences, seed=int(rng.integers(2**32)))
+    profiles = make_profiles(rng.uniform(0.0, 1.0, num_agents).tolist())
+    if draw(st.booleans()):
+        realization = draw_realization(config, profiles)
+    else:
+        observations = rng.integers(0, 2, (num_slots, horizon)) if num_slots > 1 else None
+        realization = make_realization(rng.integers(0, 2, (num_agents, horizon)), observations)
+    return config, profiles, realization, until
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_rotations())
-def test_exploration_clicks_are_the_rotations_rounds_in_order(case):
-    config, realization, until = case
-    num_agents, num_slots = config.num_agents, config.num_slots
+def test_free_rounds_table_is_the_reference_free_rounds(case):
+    config, profiles, realization, until = case
+    num_agents, slots = config.num_agents, range(1, config.num_slots + 1)
+    agents, clicks = free_rounds(realization, config, until)
+    assert agents.shape == clicks.shape == (until, config.num_slots)
+    # the reference's free rounds; the declare step after them is never reached
+    reference = iter_rounds(config, profiles, declare_winner, realization, budget_override=until)
+    records = list(itertools.islice(reference, until))
+    assert [r.phase for r in records] == [Phase.EXPLORATION] * until
+    assert agents.tolist() == [[r.allocation[m] for m in slots] for r in records]
+    assert clicks.tolist() == [[r.click_of(r.allocation[m]) for m in slots] for r in records]
+    # in ravel order an agent's entries are its rounds in order, which ``learn`` folds
     for agent in range(1, num_agents + 1):
-        rounds, slots, clicks = exploration_clicks(realization, config, agent, until)
         shown = [
             (t, m)
             for t in range(1, until + 1)
-            for m in range(1, num_slots + 1)
+            for m in slots
             if multi_exploration_allocation(t, m, num_agents) == agent
         ]
-        assert list(zip(rounds.tolist(), slots.tolist())) == shown
-        assert clicks.tolist() == [realized_click(realization, agent, m, t) for t, m in shown]
+        rows, columns = np.nonzero(agents == agent)
+        assert list(zip((rows + 1).tolist(), (columns + 1).tolist())) == shown
+        own = clicks[agents == agent].tolist()
+        assert own == [realized_click(realization, agent, m, t) for t, m in shown]
+
+
+@pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (2, (1.0, 0.6))])
+def test_free_rounds_are_read_once_per_agent_and_slot(monkeypatch, num_slots, prominences):
+    from deltaucb.strategy_lab import verify_ir
+
+    config = AuctionConfig(num_agents=3, num_slots=num_slots, horizon=400, delta=1.5,
+                           prominences=prominences, seed=5)
+    profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.7, 0.4])
+    explore_until = exploration_budget(config)
+    assert explore_until < config.horizon
+    decide = partial(declare, prominences=prominences, price_rule=price_rule_for(num_slots))
+    reads = []
+    read = ClickRealization.clicks
+
+    def counted(self, agent, slot, start, stop):
+        reads.append((agent, slot, start, stop))
+        return read(self, agent, slot, start, stop)
+
+    monkeypatch.setattr(ClickRealization, "clicks", counted)
+    once = [(a, m, 0, explore_until) for a in range(1, 4) for m in range(1, num_slots + 1)]
+    for check in (
+        lambda r: run_mechanism(config, profiles, decide, realization=r),
+        lambda r: run_mechanism(config, profiles, decide, realization=r, rounds_log="all"),
+        lambda r: verify_ir(config, profiles, r),
+    ):
+        reads.clear()
+        check(draw_realization(config, profiles))
+        assert sorted(w for w in reads if w[2] < explore_until) == once

@@ -7,7 +7,7 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, Phase, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import declare, exploration_clicks, learn, run_mechanism, run_single_slot
+from deltaucb.mechanism import declare, learn, run_mechanism, run_single_slot
 from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
     BaselineKind,
@@ -113,10 +113,10 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
 def test_learning_and_checks_take_a_config_built_directly(config):
     profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.9, 0.6])
     realization = draw_realization(config, profiles)
-    explore_until, learner = shared_learner(config, realization)
+    explore_until, agents, clicks, learner = shared_learner(config, realization)
     assert explore_until == exploration_budget(config) < config.horizon
     assert learner.phase is Phase.EXPLOITATION
-    assert learner.to_bytes() == learn(realization, config, explore_until).to_bytes()
+    assert learner.to_bytes() == learn(agents, clicks, config).to_bytes()
     rule = price_rule_for(config.num_slots)
     decide = partial(declare, prominences=config.prominences, price_rule=rule)
     run = run_mechanism(config, profiles, decide, realization=realization)
@@ -124,10 +124,10 @@ def test_learning_and_checks_take_a_config_built_directly(config):
     outcome = declare(learner, [p.bid for p in profiles], config.prominences, rule)
     assert outcome.ranking == run.outcome.ranking
     for p in profiles:
-        rounds, _, clicks = exploration_clicks(realization, config, p.id, explore_until)
-        assert learner.pull_count[p.id - 1] == len(rounds)
+        shown = agents == p.id
+        assert learner.pull_count[p.id - 1] == shown.sum()
         util = per_round_utilities(config, profiles, realization, outcome, p.id, explore_until)
-        assert np.array_equal(util[rounds - 1], p.valuation * clicks)
+        assert np.array_equal(util[np.flatnonzero(shown.any(axis=1))], p.valuation * clicks[shown])
         assert util.sum() == pytest.approx(run.summary.per_agent_utility[p.id])
 
 
