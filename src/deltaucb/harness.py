@@ -468,32 +468,13 @@ def _float_matrix(values):
 
 
 def summary_row(summary) -> dict:
-    utilities = ";".join(
-        fmt_num(summary.per_agent_utility[agent]) for agent in sorted(summary.per_agent_utility)
-    )
-    return {
-        "mechanism": summary.mechanism,
-        "seed": summary.seed,
-        "num_agents": summary.num_agents,
-        "num_slots": summary.num_slots,
-        "horizon": summary.horizon,
-        "delta": summary.delta,
-        "v_max": summary.v_max,
-        "exploration_budget": summary.exploration_budget,
-        "exploration_rounds_used": summary.exploration_rounds_used,
-        "total_delta_regret": summary.total_delta_regret,
-        "exploration_delta_regret": summary.exploration_delta_regret,
-        "exploitation_delta_regret": summary.exploitation_delta_regret,
-        "total_standard_regret": summary.total_standard_regret,
-        "total_revenue": summary.total_revenue,
-        "total_welfare": summary.total_welfare,
-        "delta_regret_over_logT": summary.total_delta_regret / math.log(summary.horizon)
-        if summary.horizon > 1
-        else float("nan"),
-        "winners": ";".join(str(w) for w in summary.winners),
-        "per_agent_utility": utilities,
-        "flags": ";".join(summary.flags),
-    }
+    """The summary's fields in column order, with winners, utilities and flags joined by ';'."""
+    row = {f.name: getattr(summary, f.name) for f in fields(summary)}
+    row["winners"] = ";".join(str(w) for w in summary.winners)
+    utilities = sorted(summary.per_agent_utility.items())
+    row["per_agent_utility"] = ";".join(fmt_num(u) for _, u in utilities)
+    row["flags"] = ";".join(summary.flags)
+    return row
 
 
 def emit_summary(summaries, path, fmt) -> None:

@@ -94,6 +94,7 @@ def free_rounds(realization: ClickRealization, config: AuctionConfig, until: int
     Row r holds round r + 1. Slot m shows agent a in the rows r with
     r ≡ (a - m) mod K, so each (agent, slot) click window is read once and
     one strided slice of it fills the agent's rows of the slot's column.
+    Both arrays are read-only: runs and every counterfactual share them.
     """
     num_agents, num_slots = config.num_agents, config.num_slots
     rounds = np.arange(1, until + 1)
@@ -104,6 +105,7 @@ def free_rounds(realization: ClickRealization, config: AuctionConfig, until: int
         for agent in range(1, num_agents + 1):
             rows = slice((agent - m) % num_agents, None, num_agents)
             clicks[rows, m - 1] = realization.clicks(agent, m, 0, until)[rows]
+    agents.flags.writeable = clicks.flags.writeable = False
     return agents, clicks
 
 

@@ -14,7 +14,8 @@ time and serve as the tables' test oracle. A run's round log is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -158,15 +159,19 @@ class InstanceTables:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Aggregates of one seeded run."""
+    """Aggregates of one seeded run, in the summary table's column order.
+
+    ``delta_regret_over_logT`` is derived (NaN at T = 1, where ln T = 0), so
+    equality ignores it.
+    """
 
     mechanism: str
+    seed: int
     num_agents: int
     num_slots: int
     horizon: int
     delta: float
     v_max: float
-    seed: int
     exploration_budget: int
     exploration_rounds_used: int
     total_delta_regret: float
@@ -175,8 +180,9 @@ class RunSummary:
     total_standard_regret: float
     total_revenue: float
     total_welfare: float
-    per_agent_utility: dict
+    delta_regret_over_logT: float = field(compare=False)
     winners: tuple
+    per_agent_utility: dict
     flags: tuple = ()
 
 
@@ -247,23 +253,27 @@ def summarize(
     flags: tuple,
 ) -> RunSummary:
     """A run's summary from its config and what accrued in each phase."""
+    total_delta = exploration.delta + exploitation.delta
     return RunSummary(
         mechanism=mechanism,
+        seed=seed,
         num_agents=config.num_agents,
         num_slots=config.num_slots,
         horizon=config.horizon,
         delta=config.delta,
         v_max=config.v_max,
-        seed=seed,
         exploration_budget=budget,
         exploration_rounds_used=rounds_used,
-        total_delta_regret=exploration.delta + exploitation.delta,
+        total_delta_regret=total_delta,
         exploration_delta_regret=exploration.delta,
         exploitation_delta_regret=exploitation.delta,
         total_standard_regret=exploration.standard + exploitation.standard,
         total_revenue=revenue,
         total_welfare=exploration.welfare + exploitation.welfare,
-        per_agent_utility=utilities,
+        delta_regret_over_logT=total_delta / math.log(config.horizon)
+        if config.horizon > 1
+        else float("nan"),
         winners=winners,
+        per_agent_utility=utilities,
         flags=flags,
     )

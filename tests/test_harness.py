@@ -845,17 +845,34 @@ def test_commands_load_no_process_pool(tmp_path):
 
 
 def test_benchmark_tracer_layers_resolve():
-    """Every function the benchmark's tracer wraps must still exist under its recorded name."""
+    """Every function the benchmark's tracer wraps or calls must still exist under its name."""
     traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
     tree = ast.parse(traced.read_text())
-    layers = next(
-        ast.literal_eval(node.value)
+    tables = {
+        target.id: ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
-    )
-    assert layers
-    for name in layers:
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("LAYERS", "MEMORY_LAYERS")
+    }
+    layers = tables["LAYERS"]
+    assert layers and set(tables["MEMORY_LAYERS"]) <= set(layers)
+    # outside LAYERS the tracer calls functions of the deltaucb modules it imports by name
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "deltaucb"
+        for alias in node.names
+    }
+    called = {
+        f"{modules[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {"metrics.delta_regret_increment", "harness.main"} <= called
+    for name in (*layers, *sorted(called)):
         module_name, attr = name.split(".")
         module = importlib.import_module(f"deltaucb.{module_name}")
         assert callable(getattr(module, attr, None)), name
