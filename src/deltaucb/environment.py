@@ -16,8 +16,8 @@ window's first round and drawn in fixed chunks, which gives the same bytes
 as drawing the whole row up front. A run then draws what the mechanism
 reads (every row over the exploration window, the winners' rows after it),
 and counting a window's clicks or dumping a row holds one chunk at a time.
-``clicks``, ``click_count`` and ``first_rounds`` are the reads that AND the
-two layers; ``realized_click`` ANDs one round of each row ``clicks`` keeps.
+Nothing read is kept (a window read twice is drawn twice), and every read
+sees the two layers ANDed in one place, ``_patterns``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ClickRealization:
         self._matrices = dict(matrices or {})
         self._rows = {layer: len(rows) for layer, rows in (rates or self._matrices).items()}
         self.num_agents = self._rows[_INTRINSIC_LAYER]
-        self._windows = {}
 
     @classmethod
     def from_matrices(cls, seed: int, intrinsic_clicks, observations=None) -> "ClickRealization":
@@ -109,18 +108,6 @@ class ClickRealization:
             else:
                 yield matrix[row - 1, lo:hi]
 
-    def _window(self, layer: int, row: int, start: int, stop: int) -> np.ndarray:
-        key = (layer, row, start, stop)
-        window = self._windows.get(key)
-        if window is None:
-            window = np.empty(stop - start, dtype=np.uint8)
-            pieces = zip(range(0, stop - start, _CHUNK), self._chunks(layer, row, start, stop))
-            for lo, chunk in pieces:
-                window[lo : lo + len(chunk)] = chunk
-            window.flags.writeable = False
-            self._windows[key] = window
-        return window
-
     def _check(self, agent: int, slot: int, start: int, stop: int) -> None:
         if not 1 <= agent <= self.num_agents:
             raise IndexError(f"agent {agent} out of range 1..{self.num_agents}")
@@ -130,15 +117,12 @@ class ClickRealization:
             raise IndexError(f"round window [{start}, {stop}) out of range 0..{self.horizon}")
 
     def clicks(self, agent: int, slot: int, start: int, stop: int) -> np.ndarray:
-        """Clicks of an agent shown at a slot in rounds [start, stop), as a read-only uint8 array.
-
-        Each row window read is kept, so reading it again (as counterfactual
-        replays do) draws nothing.
-        """
+        """Clicks of an agent shown at a slot in rounds [start, stop), as a new uint8 array."""
         self._check(agent, slot, start, stop)
-        window = self._window(_INTRINSIC_LAYER, agent, start, stop)
-        if _OBSERVATION_LAYER in self._rows:
-            window = window & self._window(_OBSERVATION_LAYER, slot, start, stop)
+        window = np.empty(stop - start, dtype=np.uint8)
+        pieces = zip(range(0, stop - start, _CHUNK), self._patterns(agent, (slot,), start, stop))
+        for lo, piece in pieces:
+            window[lo : lo + len(piece)] = piece
         return window
 
     def click_count(self, agent: int, slot: int, start: int, stop: int) -> int:
@@ -213,12 +197,7 @@ def draw_realization(config: AuctionConfig, profiles: Sequence[AgentProfile]) ->
 
 def realized_click(realization: ClickRealization, agent: int, slot: int, round: int) -> int:
     """Click outcome for an agent shown at a slot in a round (all indices 1-based)."""
-    realization._check(agent, slot, round - 1, round)
-    # index each kept row first: ANDing whole rows per call would cost O(T)
-    click = realization._window(_INTRINSIC_LAYER, agent, 0, realization.horizon)[round - 1]
-    if _OBSERVATION_LAYER in realization._rows:
-        click &= realization._window(_OBSERVATION_LAYER, slot, 0, realization.horizon)[round - 1]
-    return int(click)
+    return int(realization.clicks(agent, slot, round - 1, round)[0])
 
 
 def dump_realization(realization: ClickRealization, path) -> None:

@@ -373,27 +373,6 @@ def test_table_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     assert large - small < 2 * 2**20, (small, large)
 
 
-def test_reading_a_window_twice_draws_its_rows_once(monkeypatch):
-    calls = []
-    row_rng = environment._row_rng
-
-    def counting_row_rng(seed, layer, row):
-        calls.append((layer, row))
-        return row_rng(seed, layer, row)
-
-    monkeypatch.setattr(environment, "_row_rng", counting_row_rng)
-    config = _config(3, 5000, num_slots=2, prominences=(1.0, 0.5), seed=8)
-    realization = draw_realization(config, make_profiles([0.2, 0.5, 0.8]))
-    first = realization.clicks(2, 2, 100, 4000)
-    assert sorted(calls) == [(0, 2), (1, 2)]
-    second = realization.clicks(2, 2, 100, 4000)
-    assert len(calls) == 2
-    assert first.tobytes() == second.tobytes()
-    # another slot reuses the agent's row window and draws only its own observation row
-    realization.clicks(2, 1, 100, 4000)
-    assert sorted(calls) == [(0, 2), (1, 1), (1, 2)]
-
-
 def test_window_reads_check_their_bounds():
     realization = draw_realization(_config(2, 10, seed=1), make_profiles([0.5, 0.5]))
     for args in [(3, 1, 0, 1), (1, 2, 0, 1), (1, 1, -1, 2), (1, 1, 5, 4), (1, 1, 0, 11)]:
@@ -403,31 +382,36 @@ def test_window_reads_check_their_bounds():
             realization.click_count(*args)
 
 
-def test_realized_click_indexes_the_kept_rows_instead_of_anding_them():
-    # 2**20 rounds, so one AND of two whole rows alone would take 1 MiB
+def test_a_realization_keeps_nothing_it_reads():
+    # 2**20 rounds, so keeping any row window read, or ANDing two whole rows per call, takes 1 MiB
     horizon = 2**20
     config = _config(3, horizon, num_slots=2, prominences=(1.0, 0.5), seed=4)
     realization = draw_realization(config, make_profiles([0.3, 0.6, 0.9]))
     rounds = np.random.default_rng(0).integers(1, horizon + 1, 1000)
     tracemalloc.start()
     try:
-        realized_click(realization, 2, 2, 1)  # keeps agent 2's row and slot 2's row
-        cached = tracemalloc.get_traced_memory()[0]
+        start = tracemalloc.get_traced_memory()[0]
+        expected = realization.clicks(2, 2, 0, horizon)[rounds - 1].tolist()
+        realization.click_count(1, 2, 0, horizon)
+        realization.first_rounds(3, (1, 2), 0, horizon)
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         clicks = [realized_click(realization, 2, 2, int(t)) for t in rounds]
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cached >= 2 * horizon
-    assert peak - cached < 2**20, (cached, peak)
-    assert clicks == realization.clicks(2, 2, 0, horizon)[rounds - 1].tolist()
+    assert current - start < 64 * 2**10, (start, current)
+    assert peak - before < 2**20, (before, peak)
+    assert clicks == expected
 
 
 def _as_matrices(realization):
     """The same outcomes as explicit 0/1 matrices, which carry no rates."""
-    horizon = realization.horizon
+    def row(layer, r):
+        return np.concatenate(list(realization._chunks(layer, r, 0, realization.horizon)))
+
     layers = [
-        [realization._window(layer, row, 0, horizon) for row in range(1, count + 1)]
+        [row(layer, r) for r in range(1, count + 1)]
         for layer, count in sorted(realization._rows.items())
     ]
     return ClickRealization.from_matrices(realization.seed, *layers)
@@ -473,7 +457,6 @@ def test_a_pattern_that_never_occurs_scans_each_row_once_to_the_horizon(monkeypa
 
     monkeypatch.setattr(ClickRealization, "_chunks", recorded)
     found = realization.first_rounds(1, (1, 2), start, horizon)
-    assert realization._windows == {}
     for key in [(0, 1), (1, 1), (1, 2)]:
         windows = [(lo, hi) for layer, row, lo, hi in reads if (layer, row) == key]
         # contiguous windows from start to the horizon, each at most twice the one before
