@@ -68,7 +68,7 @@ class Outcome:
     def payment_per_click(self) -> float:
         return self.payments_per_click[0]
 
-    """The free rounds 1..explore_until as a table; the learner after them, None if they fill T."""
+
 class Learned(NamedTuple):
     """The free rounds 1..explore_until as a table, and the learner after them (or None)."""
 
@@ -92,18 +92,19 @@ def free_rounds(realization: ClickRealization, config: AuctionConfig, until: int
     """Who each slot shows in the free rounds 1..until and their clicks, as until × M arrays.
 
     Row r holds round r + 1. Slot m shows agent a in the rows r with
-    r ≡ (a - m) mod K, so each (agent, slot) click window is read once and
-    one strided slice of it fills the agent's rows of the slot's column.
-    Both arrays are read-only: runs and every counterfactual share them.
+    r ≡ (a - m) mod K, the rotation of ``multi_exploration_allocation``, so
+    one strided slice of each (agent, slot) click window, drawn once, fills
+    the agent's rows of the slot's column in both arrays. Agent ids take the
+    narrowest unsigned type that holds K. Both arrays are read-only: runs
+    and every counterfactual share them.
     """
     num_agents, num_slots = config.num_agents, config.num_slots
-    rounds = np.arange(1, until + 1)
-    agents = np.empty((until, num_slots), dtype=np.int64)
+    agents = np.empty((until, num_slots), dtype=np.min_scalar_type(num_agents))
     clicks = np.empty((until, num_slots), dtype=np.uint8)
     for m in range(1, num_slots + 1):
-        agents[:, m - 1] = multi_exploration_allocation(rounds, m, num_agents)
         for agent in range(1, num_agents + 1):
             rows = slice((agent - m) % num_agents, None, num_agents)
+            agents[rows, m - 1] = agent
             clicks[rows, m - 1] = realization.clicks(agent, m, 0, until)[rows]
     agents.flags.writeable = clicks.flags.writeable = False
     return agents, clicks

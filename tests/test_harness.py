@@ -821,6 +821,24 @@ def test_import_starts_no_blas_workers_unless_asked(preset):
     assert value == (preset or "1")
 
 
+def test_source_holds_no_string_statement_but_docstrings():
+    # a bare string anywhere else is dead code, such as a docstring left below the one it replaced
+    stray = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "deltaucb").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        docstrings = {id(node.body[0]) for node in ast.walk(tree) if isinstance(node, scopes)}
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            and id(node) not in docstrings
+        ]
+    assert stray == []
+
+
 def test_commands_load_no_process_pool(tmp_path):
     # only a forking sweep needs concurrent.futures.process and multiprocessing
     cfg = _write(tmp_path, "basic.cfg", BASIC)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -509,6 +510,23 @@ def test_free_rounds_table_is_the_reference_free_rounds(case):
         assert list(zip((rows + 1).tolist(), (columns + 1).tolist())) == shown
         own = clicks[agents == agent].tolist()
         assert own == [realized_click(realization, agent, m, t) for t, m in shown]
+
+
+@pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (3, (1.0, 0.7, 0.4))])
+def test_free_rounds_hold_the_table_and_one_click_window(num_slots, prominences):
+    # 2**20 rounds: one int64 column of rounds or agents alone would take 8 MiB
+    until = 2**20
+    config = AuctionConfig(num_agents=5, num_slots=num_slots, horizon=until, delta=0.5,
+                           prominences=prominences, seed=6)
+    realization = draw_realization(config, make_profiles([0.9, 0.7, 0.5, 0.3, 0.1]))
+    tracemalloc.start()
+    try:
+        agents, clicks = free_rounds(realization, config, until)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= agents.nbytes + clicks.nbytes + 3 * 2**20, peak
+    assert agents.dtype == clicks.dtype == np.uint8
 
 
 @pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (2, (1.0, 0.6))])
