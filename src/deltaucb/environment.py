@@ -128,8 +128,7 @@ class ClickRealization:
     def click_count(self, agent: int, slot: int, start: int, stop: int) -> int:
         """Number of clicks in ``clicks(agent, slot, start, stop)``.
 
-        Counted a chunk at a time and neither materialized nor kept, so
-        counting a long window holds one chunk and a repeated count redraws.
+        Counted a chunk at a time, so counting a long window holds one chunk.
         """
         self._check(agent, slot, start, stop)
         pieces = self._patterns(agent, (slot,), start, stop)
