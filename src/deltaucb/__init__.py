@@ -11,14 +11,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # the public names, by defining module; a module loads when one of its names is first read
 _EXPORTS = {
-    "core": "AgentProfile AuctionConfig BaselineKind ConfigError LearnerState Phase RoundRecord "
+    "core": "AgentProfile AuctionConfig ConfigError LearnerState Phase RoundRecord "
     "exploration_budget gammas_from_lambdas validate_profiles",
     "environment": "ClickRealization draw_realization dump_realization load_realization "
     "realized_click",
-    "mechanism": "Learned Outcome declare_winner explore run_single_slot",
-    "mechanism_multi": "multi_slot_payment run_multi_slot",
+    "mechanism": "MECHANISMS Learned Outcome declare_winner explore run run_multi_slot "
+    "run_single_slot",
+    "mechanism_multi": "multi_slot_payment",
     "metrics": "RunResult RunSummary agent_utility welfare",
-    "strategy_lab": "DeviationScenario build_scenario run_baseline verify_dsic verify_ir",
+    "strategy_lab": "DeviationScenario build_scenario verify_dsic verify_ir",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

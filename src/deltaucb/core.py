@@ -3,8 +3,9 @@
 Everything downstream (environment, mechanisms, metrics, verification, CLI)
 speaks in terms of the types defined here: agent profiles, the auction
 configuration, the learner's confidence state (one index rule, ``set_entry``),
-and per-round records. A run owns its mutable state; replaying the same
-seed and configuration must reproduce bit-identical records.
+and per-round records (the mechanisms are listed in ``mechanism.MECHANISMS``).
+A run owns its mutable state; replaying the same seed and configuration must
+reproduce bit-identical records.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ class Phase(Enum):
 
     EXPLORATION = "exploration"
     EXPLOITATION = "exploitation"
-
-
-class BaselineKind(Enum):
-    """Reference mechanisms for regret comparisons (run by ``strategy_lab.run_baseline``)."""
-
-    ORACLE_ALLOCATION = "oracle"
-    PLAIN_UCB = "plain-ucb"
-    EXPLORATION_SEPARATED_T23 = "explore-t23"
 
 
 @dataclass(frozen=True)

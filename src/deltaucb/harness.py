@@ -16,17 +16,16 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy._core.multiarray import dragon4_positional
 
-from .core import AgentProfile, AuctionConfig, BaselineKind, ConfigError, gammas_from_lambdas
-from .core import validate_profiles
+from .core import AgentProfile, AuctionConfig, ConfigError, gammas_from_lambdas, validate_profiles
 from .environment import draw_realization
-from .mechanism import run_single_slot
+from .mechanism import MECHANISMS, _delta_ucb_for, run
 from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
-# json, mechanism_multi and strategy_lab are imported where used: a command loads what it runs
+# json and strategy_lab are imported where used: a command loads what it runs
 
 _PROFILE_LAYER = 2
 _INSTANCE_LAYER = 3
@@ -42,10 +41,6 @@ _POWERS = 10 ** np.arange(14)
 _POW10 = np.array([float(10**i) for i in range(13)])  # 10**i, each exact in a double
 # "00" to "99", each pair of ASCII digits as one 2-byte item
 _PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).view(np.uint16).ravel()
-
-_BASELINES = tuple(kind.value for kind in BaselineKind)
-MECHANISMS = ("delta-ucb-single", "delta-ucb-multi", *_BASELINES)
-SINGLE_SLOT_MECHANISMS = ("delta-ucb-single", *_BASELINES)
 
 _INT_KEYS = {"num_agents", "num_slots", "horizon", "seed", "sweep_seeds", "jobs"}
 _FLOAT_KEYS = {"delta", "v_max"}
@@ -125,11 +120,6 @@ def _at_least_one(key: str, value: int) -> int:
     return value
 
 
-def _delta_ucb_for(num_slots: int) -> str:
-    """The Δ-UCB a slot count runs: single-slot on one slot, multi-slot on several."""
-    return "delta-ucb-single" if num_slots == 1 else "delta-ucb-multi"
-
-
 def _given(cls, values: dict) -> dict:
     """The values named by the dataclass's fields; absent ones keep the field defaults."""
     return {f.name: values[f.name] for f in fields(cls) if f.name in values}
@@ -161,7 +151,7 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
     if spec.mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism: {spec.mechanism}")
     slot_counts = {config.num_slots, *sweep.get("num_slots", ())}
-    if spec.mechanism in SINGLE_SLOT_MECHANISMS and slot_counts != {1}:
+    if MECHANISMS[spec.mechanism].single_slot and slot_counts != {1}:
         raise ConfigError(f"mechanism, num_slots: {spec.mechanism} runs on one slot only")
     _at_least_one("sweep_seeds", spec.sweep_seeds)
     _at_least_one("jobs", spec.jobs)
@@ -214,19 +204,6 @@ def build_profiles(spec: ExperimentSpec, config: AuctionConfig) -> list:
         raise ConfigError("explicit ctrs cannot be combined with a num_agents sweep")
     valuations = spec.valuations or tuple(config.v_max for _ in spec.ctrs)
     return _profiles(config, spec.ctrs, valuations, spec.bids or valuations)
-
-
-def dispatch_run(mechanism: str, config, profiles, rounds_log="none"):
-    """Run the named mechanism on the config's seeded realization and return its RunResult."""
-    if mechanism == "delta-ucb-single":
-        return run_single_slot(config, profiles, rounds_log=rounds_log)
-    if mechanism == "delta-ucb-multi":
-        from .mechanism_multi import run_multi_slot
-        return run_multi_slot(config, profiles, rounds_log=rounds_log)
-    if mechanism in _BASELINES:
-        from .strategy_lab import run_baseline
-        return run_baseline(BaselineKind(mechanism), config, profiles, rounds_log=rounds_log)
-    raise ConfigError(f"unknown mechanism: {mechanism}")
 
 
 def fmt_num(x: float) -> str:
@@ -526,8 +503,7 @@ def run_cell(spec: ExperimentSpec, cell: dict):
     """Run one sweep cell and return its summary."""
     config = _cell_config(spec, cell)
     profiles = build_profiles(spec, config)
-    result = dispatch_run(spec.mechanism, config, profiles)
-    return result.summary
+    return run(spec.mechanism, config, profiles).summary
 
 
 def _draw_instance(spec: ExperimentSpec, index: int):
@@ -639,7 +615,7 @@ def _cmd_run(args) -> int:
     config = spec.config
     profiles = build_profiles(spec, config)
     out_dir = _out_dir(args.out) if args.out else None
-    result = dispatch_run(spec.mechanism, config, profiles, rounds_log=args.rounds_log)
+    result = run(spec.mechanism, config, profiles, rounds_log=args.rounds_log)
     if out_dir:
         emit_summary([result.summary], out_dir / f"summary.{args.format}", args.format)
         if result.log is not None:

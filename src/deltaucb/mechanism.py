@@ -18,19 +18,26 @@ shared by runs and checks; bids never enter), then ``decide(learner, bids)``
 returns the ``Outcome``, reading the learner without changing it. Δ-UCB's
 steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
 the ``normalized_runner_up`` price (here), and the telescoping rule of
-``mechanism_multi`` on several. The clairvoyant allocator and the T^(2/3)
-variant in ``strategy_lab`` run this engine with their own step and budget.
-``run_mechanism`` takes both on the config's seeded realization (tests may
-pass their own), reading all clicks of the free rounds and only the winners'
-after them. Learning, the free rounds' accrual and utilities, the round log
-and the checks in ``strategy_lab`` all read the free rounds from the table;
-tests check it against ``iter_rounds``, the round-by-round reference.
+``mechanism_multi`` on several. ``run_mechanism`` takes a step and a budget
+on the config's seeded realization (tests may pass their own), reading all
+clicks of the free rounds and only the winners' after them. Learning, the
+free rounds' accrual and utilities, the round log and the checks all read
+the free rounds from the table; tests check it against ``iter_rounds``, the
+round-by-round reference.
+
+``MECHANISMS`` lists every mechanism once, by the config's ``mechanism``
+name: one slot only or not, its budget rule and its declare-step factory.
+Besides Δ-UCB it holds the clairvoyant allocator, the T^(2/3) variant and
+plain UCB, which never declares and keeps its own loop in ``strategy_lab``.
+``run(name, ...)`` runs a row; the CLI, the sweep and the checks read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -355,14 +362,72 @@ def run_mechanism(
     return RunResult(summary=summary, outcome=outcome, log=log)
 
 
-def run_single_slot(
-    config: AuctionConfig, profiles: Sequence[AgentProfile], **options
-) -> RunResult:
-    """Run the single-slot mechanism: one winner, charged the normalized runner-up price.
+def t23_budget(num_agents: int, horizon: int) -> int:
+    """Free-round budget of the polynomial-exploration reference: ceil(K * T^(2/3))."""
+    return math.ceil(num_agents * horizon ** (2.0 / 3.0))
 
-    ``options`` are ``run_mechanism``'s keyword arguments.
+
+def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]):
+    """The oracle's declare step: the true welfare ranking at price 0, whatever the bids."""
+    ranking = InstanceTables.build(profiles, config.delta, config.prominences).ranking
+    return lambda learner, bids: Outcome(ranking, (0.0,), learner)
+
+
+def _telescoping_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
+    """The multi-slot declare step: ``declare`` on the config's prominences with ``telescoping``."""
+    from .mechanism_multi import telescoping
+    return partial(declare, prominences=config.prominences, price_rule=telescoping)
+
+
+class Mechanism(NamedTuple):
+    """A row: one slot only?, ``budget(config)``, ``step(config, profiles) -> decide`` or None."""
+
+    single_slot: bool
+    budget: Callable
+    step: Optional[Callable]
+
+
+MECHANISMS = {
+    "delta-ucb-single": Mechanism(True, exploration_budget, lambda c, p: declare_winner),
+    "delta-ucb-multi": Mechanism(False, exploration_budget, _telescoping_step),
+    "oracle": Mechanism(True, lambda c: 0, clairvoyant),
+    "plain-ucb": Mechanism(True, lambda c: c.horizon, None),
+    "explore-t23": Mechanism(
+        True, lambda c: t23_budget(c.num_agents, c.horizon), lambda c, p: declare_winner
+    ),
+}
+
+
+def _delta_ucb_for(num_slots: int) -> str:
+    """The Δ-UCB a slot count runs: single-slot on one slot, multi-slot on several."""
+    return "delta-ucb-single" if num_slots == 1 else "delta-ucb-multi"
+
+
+def run(name: str, config: AuctionConfig, profiles: Sequence[AgentProfile], **options) -> RunResult:
+    """Run the row ``name`` of ``MECHANISMS``, labelling its summary with the name.
+
+    ``options`` are ``run_mechanism``'s (plain UCB's: ``realization`` and ``rounds_log``);
+    a ``budget_override`` of None takes the row's budget.
     """
-    if config.num_slots != 1:
-        raise ConfigError("single-slot mechanism requires num_slots == 1")
-    options.setdefault("mechanism_label", "delta-ucb-single")
-    return run_mechanism(config, profiles, declare_winner, **options)
+    row = MECHANISMS.get(name)
+    if row is None:
+        raise ConfigError(f"unknown mechanism: {name}")
+    if row.single_slot and config.num_slots != 1:
+        raise ConfigError(f"{name} is a single-slot mechanism: num_slots must be 1")
+    if row.step is None:
+        from .strategy_lab import _run_plain_ucb
+        return _run_plain_ucb(config, profiles, name, row.budget(config), **options)
+    if options.get("budget_override") is None:
+        options["budget_override"] = row.budget(config)
+    decide = row.step(config, profiles)
+    return run_mechanism(config, profiles, decide, mechanism_label=name, **options)
+
+
+def run_single_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **options):
+    """Run the single-slot Δ-UCB: one winner, charged the normalized runner-up price."""
+    return run("delta-ucb-single", config, profiles, **options)
+
+
+def run_multi_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **options):
+    """Run the multi-slot Δ-UCB: the top M scores take the slots at telescoping prices."""
+    return run("delta-ucb-multi", config, profiles, **options)

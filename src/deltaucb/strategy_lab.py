@@ -20,11 +20,8 @@ positive probability has been seen: a check draws the free rounds (about
 ln T) and a few committed windows per row, whatever T is. A possible
 pattern that never occurs still scans to T, as does any matrix realization.
 
-Also provides reference mechanisms for regret comparisons: a clairvoyant
-allocator, a plain bid-weighted UCB learner with no payments, and a
-variant of the main mechanism whose free-round budget grows like T^(2/3)
-instead of log T. The clairvoyant allocator and the T^(2/3) variant run
-on the engine in ``mechanism`` with their own declare step and budget.
+The checks replay the Δ-UCB row of ``mechanism.MECHANISMS`` for the slot
+count. Plain UCB, the one mechanism that never declares, keeps its loop here.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import numpy as np
 from .core import (
     AgentProfile,
     AuctionConfig,
-    BaselineKind,
     ConfigError,
     LearnerState,
     confidence_radius,
@@ -46,9 +42,8 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization
-from .mechanism import Learned, Outcome, bid_vector, declare, declare_winner, free_rounds
-from .mechanism import _fresh_learner, _prepare, explore, run_mechanism  # the engine's one way in
-from .mechanism_multi import price_rule_for
+from .mechanism import MECHANISMS, Learned, _delta_ucb_for, bid_vector, explore, free_rounds
+from .mechanism import _fresh_learner, _prepare  # the engine's one way in
 from . import metrics
 from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
 
@@ -162,6 +157,11 @@ def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Lear
     return explore(realization, config, exploration_budget(config))
 
 
+def _replayed_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
+    """The declare step of the Δ-UCB the checks replay: the slot count's row of the table."""
+    return MECHANISMS[_delta_ucb_for(config.num_slots)].step(config, profiles)
+
+
 def _placement(config, outcome, agent):
     """The agent's (slot, per-click price) under an outcome, or None when it is not shown."""
     if outcome is None:
@@ -220,7 +220,7 @@ def verify_dsic(
         # the truthful row, then one row per scenario bid, ranked and priced in one call
         rows = np.tile(truthful_bids, (len(outcomes), 1))
         rows[1:, deviator - 1] = scenario.bid_grid
-        outcomes = declare(learner, rows, config.prominences, price_rule_for(config.num_slots))
+        outcomes = _replayed_step(config, profiles)(learner, rows)
     truth = _placement(config, outcomes[0], deviator)
 
     patterns = {}  # per set of slots involved: the first round of each click pattern
@@ -275,8 +275,7 @@ def verify_ir(
     profiles = validate_profiles(profiles, config)
     truthful = np.array([p.valuation for p in profiles])
     explore_until, agents, clicks, learner = shared_learner(config, realization)
-    rule = price_rule_for(config.num_slots)
-    outcome = None if learner is None else declare(learner, truthful, config.prominences, rule)
+    outcome = None if learner is None else _replayed_step(config, profiles)(learner, truthful)
 
     worst = math.inf
     agent_hit = None
@@ -347,46 +346,7 @@ def welfare_interval_violations(
     return total
 
 
-def t23_budget(num_agents: int, horizon: int) -> int:
-    """Free-round budget of the polynomial-exploration reference: ceil(K * T^(2/3))."""
-    return math.ceil(num_agents * horizon ** (2.0 / 3.0))
-
-
-def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]):
-    """The oracle's declare step: the true welfare ranking at price 0, whatever the bids."""
-    ranking = InstanceTables.build(profiles, config.delta, config.prominences).ranking
-    return lambda learner, bids: Outcome(ranking, (0.0,), learner)
-
-
-def run_baseline(
-    kind: BaselineKind,
-    config: AuctionConfig,
-    profiles: Sequence[AgentProfile],
-    realization: Optional[ClickRealization] = None,
-    rounds_log: str = "none",
-) -> RunResult:
-    """Run one of the reference mechanisms on the shared realization."""
-    kind = BaselineKind(kind)
-    if config.num_slots != 1:
-        raise ConfigError("baselines are single-slot only")
-    if kind is BaselineKind.PLAIN_UCB:
-        return _run_plain_ucb(config, profiles, realization, rounds_log)
-    if kind is BaselineKind.ORACLE_ALLOCATION:
-        decide, budget = clairvoyant(config, profiles), 0
-    else:
-        decide, budget = declare_winner, t23_budget(config.num_agents, config.horizon)
-    return run_mechanism(
-        config,
-        profiles,
-        decide,
-        realization=realization,
-        rounds_log=rounds_log,
-        budget_override=budget,
-        mechanism_label=kind.value,
-    )
-
-
-def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
+def _run_plain_ucb(config, profiles, label, budget, realization=None, rounds_log="none"):
     """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
 
     The first K rounds show each agent once so every index is defined.
@@ -412,10 +372,10 @@ def _run_plain_ucb(config, profiles, realization, rounds_log) -> RunResult:
         per_agent_utility[agent] += profiles[agent - 1].valuation * click
         shown[t - 1], clicks[t - 1] = agent, click
     summary = summarize(
-        "plain-ucb",
+        label,
         config,
         seed=realization.seed,
-        budget=horizon,
+        budget=budget,
         rounds_used=horizon,
         exploration=tables.accrue((1, agent, 1) for agent in shown[:, 0].tolist()),
         exploitation=NO_ACCRUAL,

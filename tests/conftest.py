@@ -1,10 +1,12 @@
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
+
 from deltaucb import metrics
 from deltaucb.core import AgentProfile
 from deltaucb.environment import ClickRealization
-from deltaucb.mechanism import declare
+from deltaucb.mechanism import declare, normalized_runner_up
 from deltaucb.mechanism_multi import telescoping
 
 
@@ -24,6 +26,11 @@ def with_bids(profiles, bids):
     return [replace(p, bid=b) for p, b in zip(profiles, bids)]
 
 
+def price_rule_for(num_slots):
+    """The Δ-UCB price rule: normalized runner-up on one slot, telescoping on more."""
+    return normalized_runner_up if num_slots == 1 else telescoping
+
+
 def telescoping_step(config):
     """The multi-slot declare step: ``declare`` on the config's prominences with ``telescoping``."""
     return partial(declare, prominences=config.prominences, price_rule=telescoping)
@@ -32,6 +39,22 @@ def telescoping_step(config):
 def make_realization(intrinsic, observations=None, seed=0):
     """Hand-crafted realization from explicit 0/1 matrices."""
     return ClickRealization.from_matrices(seed, intrinsic, observations)
+
+
+def as_matrices(realization):
+    """The same outcomes as explicit 0/1 matrices, which carry no rates.
+
+    A matrix realization reads a round by indexing, so the round-by-round
+    reference replays it without drawing each round again.
+    """
+    def row(layer, r):
+        return np.concatenate(list(realization._chunks(layer, r, 0, realization.horizon)))
+
+    layers = [
+        [row(layer, r) for r in range(1, count + 1)]
+        for layer, count in sorted(realization._rows.items())
+    ]
+    return ClickRealization.from_matrices(realization.seed, *layers)
 
 
 def log_rows(log):

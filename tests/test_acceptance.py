@@ -17,15 +17,12 @@ import pytest
 
 from deltaucb.core import AuctionConfig, exploration_budget
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import run_single_slot
+from deltaucb.mechanism import run, run_single_slot, t23_budget
 from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot
 from deltaucb.strategy_lab import (
-    BaselineKind,
     build_scenario,
     max_tolerance_width,
-    run_baseline,
     shared_learner,
-    t23_budget,
     verify_dsic,
     verify_ir,
     welfare_interval_violations,
@@ -332,9 +329,7 @@ def test_criterion_11_baseline_separation(pinned_runs):
     wins = 0
     for seed in range(SEEDS):
         realization = draw_realization(replace(config, seed=seed), profiles)
-        baseline = run_baseline(
-            BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles, realization=realization
-        )
+        baseline = run("explore-t23", config, profiles, realization=realization)
         wins += (
             results[seed].summary.total_delta_regret < baseline.summary.total_delta_regret
         )
@@ -357,9 +352,7 @@ def test_baseline_separation_emerges_at_larger_horizon():
     for seed in range(5):
         realization = draw_realization(replace(config, seed=seed), profiles)
         ours = run_single_slot(config, profiles, realization=realization)
-        baseline = run_baseline(
-            BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles, realization=realization
-        )
+        baseline = run("explore-t23", config, profiles, realization=realization)
         wins += ours.summary.total_delta_regret < baseline.summary.total_delta_regret
     assert wins == 5
     print(

@@ -17,7 +17,6 @@ from hypothesis import event, given, settings, strategies as st
 from deltaucb.core import AuctionConfig, exploration_budget, validate_profiles
 from deltaucb.environment import draw_realization
 from deltaucb.mechanism import bid_vector, declare, free_rounds, learn
-from deltaucb.mechanism_multi import price_rule_for
 from deltaucb.strategy_lab import (
     DSIC_TOLERANCE,
     DsicReport,
@@ -29,7 +28,7 @@ from deltaucb.strategy_lab import (
     verify_ir,
 )
 
-from conftest import make_profiles, make_realization
+from conftest import make_profiles, make_realization, price_rule_for
 
 
 def _reference_outcomes(config, realization):

@@ -1,14 +1,16 @@
 """Generated equivalence checks for the one Δ-UCB engine.
 
-The aggregate path (``run_single_slot`` / ``run_multi_slot``, and the
-oracle baseline with no free rounds) and its round log are checked against
-the round-by-round reference ``iter_rounds`` with the same declare step:
-both price rules and the clairvoyant step. The log's running totals are
+The aggregate path (``run`` of every row of ``MECHANISMS`` that has a
+declare step: both price rules, the clairvoyant step with no free rounds
+and the T^(2/3) budget) and its round log are checked against the
+round-by-round reference ``iter_rounds`` with the same declare step, which
+replays a matrix copy of the realization. The log's running totals are
 checked against left-to-right sums of the per-call ``metrics`` functions,
 and ``InstanceTables`` against those functions. Instances draw click
 rates, values, bids and prominences from small grids, so ties in welfare
 and in scores, zero bids and zero welfare are common; horizons include 1
-and 2, and budgets include the horizon and one round short of it. Examples
+and 2, and the log-sized rows' budgets include the horizon and one round
+short of it (the other rows run at their own budget rule). Examples
 are derandomized, so the suite is deterministic.
 """
 
@@ -20,37 +22,20 @@ from deltaucb import metrics
 from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget
 from deltaucb.environment import draw_realization
 from deltaucb.harness import fmt_num, round_log_rows
-from deltaucb.mechanism import (
-    declare_winner,
-    iter_rounds,
-    multi_exploration_allocation,
-    run_single_slot,
-)
-from deltaucb.mechanism_multi import run_multi_slot
+from deltaucb.mechanism import MECHANISMS, iter_rounds, multi_exploration_allocation, run
 from deltaucb.metrics import InstanceTables
-from deltaucb.strategy_lab import BaselineKind, clairvoyant, run_baseline
 
-from conftest import delta_regret_of, log_rows, record_rows, telescoping_step, welfare_of
+from conftest import as_matrices, delta_regret_of, log_rows, record_rows, welfare_of
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def _oracle(config, profiles, budget_override, **options):
-    # the oracle runs with no free rounds; instances() draws that budget for it
-    assert budget_override == 0
-    return run_baseline(BaselineKind.ORACLE_ALLOCATION, config, profiles, **options)
-
-
-# name: (aggregate run, declare step for (config, profiles), most slots, fixed budget)
-ENGINES = {
-    "normalized-runner-up": (run_single_slot, lambda config, profiles: declare_winner, 1, None),
-    "telescoping": (run_multi_slot, lambda config, profiles: telescoping_step(config), 3, None),
-    "oracle": (_oracle, clairvoyant, 1, 0),
-}
+# every row that declares; a new row is covered as it is added
+ENGINES = sorted(name for name, row in MECHANISMS.items() if row.step is not None)
 
 
 @st.composite
-def instances(draw, max_slots, budget=None):
+def instances(draw, max_slots, drawn_budget=True):
     num_agents = draw(st.integers(1, 4))
     num_slots = draw(st.integers(1, min(num_agents, max_slots)))
     lower = draw(
@@ -74,8 +59,8 @@ def instances(draw, max_slots, budget=None):
         prominences=prominences,
         seed=draw(st.integers(0, 2**32)),
     )
-    budget_override = budget
-    if budget is None:
+    budget_override = None  # the row's own budget
+    if drawn_budget:
         budget_override = draw(
             st.one_of(
                 st.sampled_from([None, horizon, horizon - 1]),
@@ -155,19 +140,22 @@ def _check_running_totals(log, records, profiles, config):
     assert flat == record_rows(records)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", ENGINES)
 @PROPERTY
 @given(data=st.data())
 def test_engine_matches_round_by_round_reference(engine, data):
-    run, step, max_slots, fixed_budget = ENGINES[engine]
-    config, profiles, budget_override = data.draw(instances(max_slots, fixed_budget))
+    row = MECHANISMS[engine]
+    # a log-sized budget is drawn about its edges; any other rule is the row's own
+    drawn_budget = row.budget is exploration_budget
+    max_slots = 1 if row.single_slot else 3
+    config, profiles, budget_override = data.draw(instances(max_slots, drawn_budget))
     rounds_log = data.draw(st.sampled_from(["none", "all", "exploit-only"]))
     realization = draw_realization(config, profiles)
-    budget = exploration_budget(config) if budget_override is None else budget_override
+    budget = row.budget(config) if budget_override is None else budget_override
     _label_edges(config, profiles, budget, rounds_log)
-    decide = step(config, profiles)
+    decide = row.step(config, profiles)
     reference = iter_rounds(
-        config, profiles, decide, realization=realization, budget_override=budget_override
+        config, profiles, decide, realization=as_matrices(realization), budget_override=budget
     )
     try:
         records, learner = _drain(reference)
@@ -175,9 +163,10 @@ def test_engine_matches_round_by_round_reference(engine, data):
         # the budget ended before every agent was shown: neither path may declare
         event("declare refused")
         with pytest.raises(ValueError, match="pulled at least once"):
-            run(config, profiles, realization=realization, budget_override=budget_override)
+            run(engine, config, profiles, realization=realization, budget_override=budget_override)
         return
     result = run(
+        engine,
         config,
         profiles,
         realization=realization,

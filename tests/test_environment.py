@@ -15,11 +15,10 @@ from deltaucb.environment import (
     load_realization,
     realized_click,
 )
-from deltaucb.mechanism import run_single_slot
+from deltaucb.mechanism import run as run_named, run_single_slot
 from deltaucb.mechanism_multi import run_multi_slot
-from deltaucb.strategy_lab import BaselineKind, run_baseline
 
-from conftest import make_profiles, make_realization
+from conftest import as_matrices, make_profiles, make_realization
 
 DATA = Path(__file__).parent / "data"
 
@@ -303,9 +302,7 @@ def test_runs_match_on_streamed_and_loaded_realizations(
     if config.num_slots == 1:
         runs += [
             lambda r: run_single_slot(config, profiles, realization=r, **options),
-            lambda r: run_baseline(
-                BaselineKind.ORACLE_ALLOCATION, config, profiles, realization=r, rounds_log="all"
-            ),
+            lambda r: run_named("oracle", config, profiles, realization=r, rounds_log="all"),
         ]
     path = tmp_path_factory.mktemp("realization") / "realization.txt"
     with mock.patch.object(environment, "_CHUNK", -(-config.horizon // pieces)):
@@ -405,18 +402,6 @@ def test_a_realization_keeps_nothing_it_reads():
     assert clicks == expected
 
 
-def _as_matrices(realization):
-    """The same outcomes as explicit 0/1 matrices, which carry no rates."""
-    def row(layer, r):
-        return np.concatenate(list(realization._chunks(layer, r, 0, realization.horizon)))
-
-    layers = [
-        [row(layer, r) for r in range(1, count + 1)]
-        for layer, count in sorted(realization._rows.items())
-    ]
-    return ClickRealization.from_matrices(realization.seed, *layers)
-
-
 _scan_rate = st.sampled_from([0.0, 1.0, 1e-3, 2e-4, 0.02]) | st.floats(0.0, 1.0)
 
 
@@ -439,7 +424,7 @@ def test_bounded_scan_finds_what_the_whole_window_holds(
     start = min(int(start * horizon), horizon - 1)
     slots = data.draw(st.lists(st.integers(1, num_slots), max_size=2, unique=True).map(sorted))
     agent = data.draw(st.integers(1, 4))
-    expected = _as_matrices(realization).first_rounds(agent, tuple(slots), start, horizon)
+    expected = as_matrices(realization).first_rounds(agent, tuple(slots), start, horizon)
     assert realization.first_rounds(agent, tuple(slots), start, horizon) == expected
 
 
@@ -465,7 +450,7 @@ def test_a_pattern_that_never_occurs_scans_each_row_once_to_the_horizon(monkeypa
         widths = [hi - lo for lo, hi in windows]
         assert widths[0] == environment._SCAN and all(b <= 2 * a for a, b in zip(widths, widths[1:]))
     assert ({1: 0, 2: 1}, start + 1) not in found
-    assert found == _as_matrices(realization).first_rounds(1, (1, 2), start, horizon)
+    assert found == as_matrices(realization).first_rounds(1, (1, 2), start, horizon)
 
 
 def test_a_seeded_scan_stops_once_every_possible_pattern_is_seen(monkeypatch):

@@ -761,7 +761,7 @@ def test_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatc
     def never(*args, **kwargs):
         raise AssertionError("the run started before --out was checked")
 
-    monkeypatch.setattr(harness, "dispatch_run", never)
+    monkeypatch.setattr(harness, "run", never)
     monkeypatch.setattr(harness, "run_cell", never)
     (tmp_path / "blocker").write_text("a regular file\n")
     cfg = _write(tmp_path, "basic.cfg", BASIC)
@@ -837,6 +837,31 @@ def test_source_holds_no_string_statement_but_docstrings():
             and id(node) not in docstrings
         ]
     assert stray == []
+
+
+def test_mechanism_names_are_spelled_in_one_module():
+    # a name is written once, in the table; every other module reads it from there
+    from deltaucb.mechanism import MECHANISMS
+
+    spelled = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "deltaucb").glob("*.py")):
+        if path.name == "mechanism.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        spelled += [
+            f"{path.name}:{node.lineno} {node.value}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in MECHANISMS
+            and id(node) not in docstrings
+        ]
+    assert spelled == []
 
 
 def test_commands_load_no_process_pool(tmp_path):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaucb import metrics
-from deltaucb.core import AuctionConfig, LearnerState, Phase, confidence_radius, exploration_budget
+from deltaucb.core import AuctionConfig, ConfigError, LearnerState, Phase, confidence_radius
+from deltaucb.core import exploration_budget
 from deltaucb.environment import ClickRealization, draw_realization, realized_click
 from deltaucb.mechanism import (
+    MECHANISMS,
     declare,
     declare_winner,
     explore,
@@ -20,10 +22,11 @@ from deltaucb.mechanism import (
     iter_rounds,
     learn,
     multi_exploration_allocation,
+    run,
     run_mechanism,
     run_single_slot,
 )
-from deltaucb.mechanism_multi import price_rule_for
+from deltaucb.harness import spec_from_values
 from deltaucb.strategy_lab import max_tolerance_width, welfare_interval_violations
 
 from conftest import (
@@ -31,6 +34,7 @@ from conftest import (
     log_rows,
     make_profiles,
     make_realization,
+    price_rule_for,
     record_rows,
     welfare_of,
     with_bids,
@@ -556,3 +560,37 @@ def test_free_rounds_are_read_once_per_agent_and_slot(monkeypatch, num_slots, pr
         reads.clear()
         check(draw_realization(config, profiles))
         assert sorted(w for w in reads if w[2] < explore_until) == once
+
+
+SINGLE_SLOT_ROWS = sorted(name for name, row in MECHANISMS.items() if row.single_slot)
+TWO_SLOTS = AuctionConfig(num_agents=3, num_slots=2, horizon=100, delta=0.5, prominences=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("name", SINGLE_SLOT_ROWS)
+def test_library_rejects_a_single_slot_row_on_several_slots_as_the_cli_does(name):
+    values = {"num_agents": "3", "num_slots": "2", "prominences": "1.0, 0.5", "horizon": "100"}
+    values.update(delta="0.5", mechanism=name)
+    with pytest.raises(ConfigError, match="runs on one slot only"):
+        spec_from_values(values)
+    with pytest.raises(ConfigError, match="single-slot"):
+        run(name, TWO_SLOTS, make_profiles([0.5, 0.4, 0.3]))
+
+
+def test_library_rejects_an_unknown_mechanism_as_the_cli_does():
+    values = {"num_agents": "2", "horizon": "100", "delta": "0.5", "mechanism": "nope"}
+    with pytest.raises(ConfigError, match="^unknown mechanism: nope$"):
+        spec_from_values(values)
+    config = AuctionConfig(num_agents=2, horizon=100, delta=0.5)
+    with pytest.raises(ConfigError, match="^unknown mechanism: nope$"):
+        run("nope", config, make_profiles([0.5, 0.4]))
+
+
+def test_run_single_slot_rejects_several_slots():
+    with pytest.raises(ConfigError, match="single-slot"):
+        run_single_slot(TWO_SLOTS, make_profiles([0.5, 0.4, 0.3]))
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_run_labels_the_summary_with_the_row_name(name):
+    config = AuctionConfig(num_agents=2, horizon=300, delta=0.5, seed=4)
+    assert run(name, config, make_profiles([0.7, 0.3])).summary.mechanism == name

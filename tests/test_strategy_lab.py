@@ -7,20 +7,16 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, Phase, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import declare, learn, run_mechanism, run_single_slot
-from deltaucb.mechanism_multi import price_rule_for
+from deltaucb.mechanism import declare, learn, run, run_mechanism, run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
-    BaselineKind,
     build_scenario,
     per_round_utilities,
-    run_baseline,
     shared_learner,
-    t23_budget,
     verify_dsic,
     verify_ir,
 )
 
-from conftest import make_profiles, random_instance, with_bids
+from conftest import make_profiles, price_rule_for, random_instance, with_bids
 
 
 def _single_config(num_agents=2, horizon=2000, delta=0.5, seed=0):
@@ -351,7 +347,7 @@ def test_learning_is_identical_across_bid_profiles(separated_instance):
 def test_oracle_baseline_has_zero_regret():
     config = _single_config(num_agents=3, horizon=800, delta=0.4, seed=3)
     profiles = make_profiles([0.7, 0.5, 0.2], [0.9, 1.0, 0.6])
-    result = run_baseline(BaselineKind.ORACLE_ALLOCATION, config, profiles)
+    result = run("oracle", config, profiles)
     assert result.summary.total_delta_regret == 0.0
     assert result.summary.total_standard_regret == 0.0
     assert result.summary.total_revenue == 0.0
@@ -365,8 +361,7 @@ def test_plain_ucb_concentrates_on_best_arm():
         config = _single_config(num_agents=3, horizon=horizon, delta=0.3)
         for seed in range(seeds):
             realization = draw_realization(replace(config, seed=seed), profiles)
-            result = run_baseline(BaselineKind.PLAIN_UCB, config, profiles,
-                                  realization=realization)
+            result = run("plain-ucb", config, profiles, realization=realization)
             # zero payments, so utility / valuation counts the best arm's clicks;
             # pull share is cleaner: recompute from regret-free welfare accounting
             welfare_best = 0.9
@@ -391,8 +386,7 @@ def test_t23_explores_longer_and_regrets_more_when_tolerance_is_loose():
     for seed in range(10):
         realization = draw_realization(replace(config, seed=seed), profiles)
         tolerant = run_single_slot(config, profiles, realization=realization)
-        poly = run_baseline(BaselineKind.EXPLORATION_SEPARATED_T23, config, profiles,
-                            realization=realization)
+        poly = run("explore-t23", config, profiles, realization=realization)
         assert poly.summary.exploration_delta_regret > tolerant.summary.exploration_delta_regret
 
 
@@ -401,7 +395,7 @@ def test_baselines_reject_multi_slot():
                            prominences=(1.0, 0.5))
     profiles = make_profiles([0.5, 0.4, 0.3])
     with pytest.raises(ConfigError, match="single-slot"):
-        run_baseline(BaselineKind.ORACLE_ALLOCATION, config, profiles)
+        run("oracle", config, profiles)
 
 
 def test_multi_slot_underbid_finding_is_reported():
