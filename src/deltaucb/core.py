@@ -249,6 +249,9 @@ class LearnerState:
         arrays = (self.pull_count, self.sample_sum, self.empirical_ctr, self.ucb, self.lcb)
         return head + b"".join(a.tobytes() for a in arrays)
 
+    def __eq__(self, other):
+        return isinstance(other, LearnerState) and self.to_bytes() == other.to_bytes()
+
 
 @dataclass(frozen=True)
 class RoundRecord:

@@ -148,13 +148,13 @@ class ClickRealization:
     def first_rounds(self, agent: int, slots, start: int, stop: int) -> list:
         """The first round in start+1..stop of each pattern of the agent's clicks at ``slots``.
 
-        Returns ({slot: click}, round) pairs for the patterns that occur. A
-        matrix-backed realization scans the whole window. A seeded one scans
-        windows that double from ``_SCAN`` rounds, drawing each round once,
-        and stops when every pattern of positive probability has been seen:
-        (1 - r)·[no bit set] + r·∏ (γ_m if bit m is set, else 1 - γ_m), for
-        the agent's rate r and the slots' rates γ (1 with no observation
-        layer), is positive when each factor of a term is.
+        Returns ({slot: click}, round) pairs for the patterns that occur. The
+        scan reads windows that double from ``_SCAN`` rounds, reading each
+        round once, and stops when every pattern that may occur has been
+        seen. On a matrix any pattern may; on a seeded realization those of
+        positive probability: (1 - r)·[no bit set] + r·∏ (γ_m if bit m is
+        set, else 1 - γ_m), for the agent's rate r and the slots' rates γ (1
+        with no observation layer), is positive when each factor of a term is.
         """
         if not slots:
             return [({}, start + 1)]
@@ -172,7 +172,7 @@ class ClickRealization:
                 or (rate > 0.0 and all(can[j][k >> j & 1] for j in range(len(slots))))
             }
         first = {}
-        lo, width = start, _SCAN if self._rates else stop - start
+        lo, width = start, _SCAN
         while lo < stop and not wanted <= first.keys():
             hi = min(lo + width, stop)
             for offset, code in zip(range(lo, hi, _CHUNK), self._patterns(agent, slots, lo, hi)):

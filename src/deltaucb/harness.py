@@ -22,7 +22,7 @@ import numpy as np
 from .core import AgentProfile, AuctionConfig, ConfigError, gammas_from_lambdas, validate_profiles
 from .environment import draw_realization
 from .mechanism import MECHANISMS, _delta_ucb_for, run
-from .metrics import ROUNDS_LOG_LEVELS, InstanceTables
+from .metrics import ROUNDS_LOG_LEVELS
 # json and strategy_lab are imported where used: a command loads what it runs
 
 _PROFILE_LAYER = 2
@@ -217,31 +217,14 @@ def fmt_num(x: float) -> str:
     return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
 
 
-def round_log_rows(log, profiles, config) -> dict:
-    """The round log as table columns, one row per shown (round, slot), with running totals.
-
-    The columns are numpy arrays. The running columns are ``np.cumsum`` of
-    per-row amounts; numpy accumulates them in row order, so each entry is
-    the left-to-right sum.
-    """
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
-    cell = (log.agent - 1, log.slot - 1)
-    return {
-        "t": log.t,
-        "phase": log.phase,
-        "slot": log.slot,
-        "agent": log.agent,
-        "click": log.click,
-        "payment": log.payment,
-        "delta_regret_cum": np.cumsum(np.array(tables.delta_gap)[cell]),
-        "regret_cum": np.cumsum(np.array(tables.gap)[cell]),
-        "revenue_cum": np.cumsum(log.payment),
-    }
+def round_log_rows(log) -> dict:
+    """The round log's columns by name, in the written order: its fields but ``explore_until``."""
+    return {f.name: getattr(log, f.name) for f in fields(log) if f.name != "explore_until"}
 
 
-def emit_round_log(log, path, fmt, profiles, config) -> None:
+def emit_round_log(log, path, fmt) -> None:
     """Write the round log as CSV (12-significant-digit numbers) or JSONL."""
-    write_table(round_log_rows(log, profiles, config), path, fmt)
+    write_table(round_log_rows(log), path, fmt)
 
 
 def write_table(columns: dict, path, fmt) -> None:
@@ -616,7 +599,7 @@ def _cmd_run(args) -> int:
         emit_summary([result.summary], out_dir / f"summary.{args.format}", args.format)
         if result.log is not None:
             path = out_dir / f"rounds.{args.format}"
-            emit_round_log(result.log, path, args.format, profiles, config)
+            emit_round_log(result.log, path, args.format)
     row = summary_row(result.summary)
     print(
         f"run: mechanism={row['mechanism']} seed={row['seed']} "

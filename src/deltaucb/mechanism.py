@@ -21,10 +21,10 @@ steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
 the ``normalized_runner_up`` price (here), and the telescoping rule of
 ``mechanism_multi`` on several. ``run_mechanism`` takes a step and a budget
 on the config's seeded realization (tests may pass their own), reading all
-clicks of the free rounds and only the winners' after them. Learning, the
+clicks of the free rounds and only the winners' after them; the summary and
+the round log's running columns read one ``InstanceTables``. Learning, the
 free rounds' accrual and utilities, the round log and the checks all read
-the free rounds from the table; tests check it against ``iter_rounds``, the
-round-by-round reference.
+the free rounds from the table; tests check it against ``iter_rounds``.
 
 ``MECHANISMS`` lists every mechanism once, by the config's ``mechanism``
 name: one slot only or not, its budget rule and its declare-step factory.
@@ -341,9 +341,8 @@ def run_mechanism(
             (horizon - explore_until, agent, m) for m, agent in enumerate(winners, start=1)
         )
 
-    log = round_log(
-        rounds_log, explore_until, lambda: _round_grids(realization, config, learned, outcome)
-    )
+    grids = partial(_round_grids, realization, config, learned, outcome)
+    log = round_log(rounds_log, explore_until, grids, tables)
     summary = summarize(
         mechanism_label,
         config,

@@ -9,13 +9,14 @@ Tolerance regret accrues in exploration and exploitation rounds alike.
 Runs do their accounting through ``InstanceTables``, built once per run;
 the per-call functions below define the same quantities one allocation at a
 time and serve as the tables' test oracle. A run's round log is one
-``RoundLog`` of event arrays, whichever mechanism built it.
+``RoundLog``, whichever mechanism built it: ``round_log`` makes every written
+column, the running regret columns from the run's own tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -188,33 +189,39 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RoundLog:
-    """One row per shown (round, slot), in (round, slot) order.
+    """One row per shown (round, slot), in (round, slot) order; the columns, in written order.
 
-    ``t``, ``slot``, ``agent``, ``click`` and ``payment`` are equal-length
-    1-D arrays; a row's payment is its slot's per-click price times its
-    click. Rows with ``t <= explore_until`` are exploration rounds.
+    Equal-length 1-D arrays: a row's payment is its slot's per-click price
+    times its click, and ``t <= explore_until`` marks exploration. Logs
+    compare by each column's dtype and bytes.
     """
 
     t: np.ndarray
+    phase: np.ndarray
     slot: np.ndarray
     agent: np.ndarray
     click: np.ndarray
     payment: np.ndarray
+    delta_regret_cum: np.ndarray
+    regret_cum: np.ndarray
+    revenue_cum: np.ndarray
     explore_until: int
 
-    @property
-    def phase(self) -> np.ndarray:
-        """Each row's phase label: exploration up to ``explore_until``, exploitation after."""
-        labels = (Phase.EXPLORATION.value, Phase.EXPLOITATION.value)
-        return np.where(self.t <= self.explore_until, *labels)
+    def __eq__(self, other):
+        if not isinstance(other, RoundLog) or self.explore_until != other.explore_until:
+            return False
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[:-1])
+        return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
 
 
-def round_log(level: str, explore_until: int, grids) -> Optional[RoundLog]:
-    """The rows of a run's round log that a ``rounds_log`` level keeps.
+def round_log(level: str, explore_until: int, grids, tables: InstanceTables) -> Optional[RoundLog]:
+    """The rows of a run's round log that a ``rounds_log`` level keeps, with their running totals.
 
     ``grids()`` returns the run's agents, clicks and payments as (round,
     slot) arrays whose row r - 1 holds round r; level "none" never calls
-    it, and "exploit-only" keeps the rounds after ``explore_until``.
+    it, and "exploit-only" keeps the rounds after ``explore_until``. The
+    running columns sum each kept row's tolerance gap and gap, read from the
+    run's own ``tables``, and its payment from the first kept row, left to right.
     """
     if level not in ROUNDS_LOG_LEVELS:
         raise ConfigError(f"rounds_log must be one of {ROUNDS_LOG_LEVELS}")
@@ -225,8 +232,13 @@ def round_log(level: str, explore_until: int, grids) -> Optional[RoundLog]:
     t = np.repeat(np.arange(1, rounds + 1), slots)
     slot = np.tile(np.arange(1, slots + 1), rounds)
     keep = t > explore_until if level == "exploit-only" else slice(None)
-    columns = (t, slot, agents.ravel(), clicks.ravel(), payments.ravel())
-    return RoundLog(*(column[keep] for column in columns), explore_until)
+    t, slot, agent, click, payment = (
+        column[keep] for column in (t, slot, agents.ravel(), clicks.ravel(), payments.ravel())
+    )
+    cell = (agent - 1, slot - 1)
+    phase = np.where(t <= explore_until, Phase.EXPLORATION.value, Phase.EXPLOITATION.value)
+    gaps = [np.cumsum(np.array(gap)[cell]) for gap in (tables.delta_gap, tables.gap)]
+    return RoundLog(t, phase, slot, agent, click, payment, *gaps, np.cumsum(payment), explore_until)
 
 
 @dataclass(frozen=True)

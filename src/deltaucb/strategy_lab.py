@@ -15,10 +15,10 @@ involved is scored once, at the first round it occurs, instead of filling
 a length-T utility vector per bid. ``per_round_utilities`` is that vector,
 kept as the reference the checks agree with. A scenario's bids are ranked
 and priced in one ``declare`` call. ``ClickRealization.first_rounds`` finds
-the first rounds and, on a seeded realization, stops once every pattern of
-positive probability has been seen: a check draws the free rounds (about
-ln T) and a few committed windows per row, whatever T is. A possible
-pattern that never occurs still scans to T, as does any matrix realization.
+the first rounds and stops once every pattern that may occur (on a seeded
+realization, of positive probability) has been seen: a check draws the free
+rounds (about ln T) and a few committed windows per row, whatever T is. A
+possible pattern that never occurs still scans to T.
 
 The checks replay the Δ-UCB row of ``mechanism.MECHANISMS`` for the slot
 count. Plain UCB, the one mechanism that never declares, keeps its loop here.
@@ -39,7 +39,6 @@ from .core import (
     LearnerState,
     confidence_index,
     confidence_radius,
-    exploration_budget,
     validate_profiles,
 )
 from .environment import ClickRealization
@@ -154,8 +153,8 @@ def build_scenario(
 
 
 def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Learned:
-    """The free rounds and the learner after them, shared by every check on the realization."""
-    return explore(realization, config, exploration_budget(config))
+    """The free rounds under the replayed Δ-UCB row's budget and the learner after them."""
+    return explore(realization, config, MECHANISMS[_delta_ucb_for(config.num_slots)].budget(config))
 
 
 def _replayed_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
@@ -387,5 +386,7 @@ def _run_plain_ucb(config, profiles, label, budget, realization=None, rounds_log
         winners=(),
         flags=("continual-learning",),
     )
-    log = metrics.round_log(rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))))
+    log = metrics.round_log(
+        rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))), tables
+    )
     return RunResult(summary=summary, outcome=None, log=log)

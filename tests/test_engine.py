@@ -117,7 +117,7 @@ def _pairwise_exploration_sums(config, profiles, explore_until):
 
 def _check_running_totals(log, records, profiles, config):
     """round_log_rows' columns against the records, its totals as Python sums, bit for bit."""
-    columns = round_log_rows(log, profiles, config)
+    columns = round_log_rows(log)
     table = {name: column.tolist() for name, column in columns.items()}
     delta = regret = revenue = 0.0
     expected = {"phase": [], "delta_regret_cum": [], "regret_cum": [], "revenue_cum": []}

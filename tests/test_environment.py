@@ -468,3 +468,22 @@ def test_a_seeded_scan_stops_once_every_possible_pattern_is_seen(monkeypatch):
     found = realization.first_rounds(1, (1, 2), 100, 10**7)
     assert sorted(clicks[1] + 2 * clicks[2] for clicks, _ in found) == [0, 1, 3]
     assert reads == [environment._SCAN] * 3
+
+
+def test_a_matrix_scan_stops_once_every_pattern_is_seen(monkeypatch):
+    # all four patterns of two slots occur in rounds 1..4 of a window four scan windows long
+    horizon = 4 * environment._SCAN
+    observations = [np.tile([0, 1, 0, 1], horizon // 4), np.tile([0, 0, 1, 1], horizon // 4)]
+    realization = make_realization(np.ones((1, horizon)), observations)
+    reads = []
+    chunks = ClickRealization._chunks
+
+    def recorded(self, layer, row, lo, hi):
+        reads.append((layer, row, lo, hi))
+        return chunks(self, layer, row, lo, hi)
+
+    monkeypatch.setattr(ClickRealization, "_chunks", recorded)
+    found = realization.first_rounds(1, (1, 2), 0, horizon)
+    assert [t for _, t in found] == [1, 2, 3, 4]
+    window = (0, environment._SCAN)
+    assert sorted(reads) == [(0, 1, *window), (1, 1, *window), (1, 2, *window)]

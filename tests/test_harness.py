@@ -29,12 +29,16 @@ from deltaucb.harness import (
     _INT_LIST_KEYS,
     _STR_KEYS,
     ExperimentSpec,
+    build_profiles,
     derive_subseed,
     fmt_num,
     main,
     parse_config_file,
+    round_log_rows,
     spec_from_values,
 )
+from deltaucb.mechanism import run
+from deltaucb.metrics import InstanceTables
 
 DATA = Path(__file__).parent / "data"
 ROUND_LOG_HEADER = "t,phase,slot,agent,click,payment,delta_regret_cum,regret_cum,revenue_cum"
@@ -633,6 +637,34 @@ def test_golden_files_cover_drawn_profiles(tmp_path):
                  "--rounds-log", "all"]) == 0
     assert (out / "rounds.csv").read_bytes() == (DATA / "golden_drawn_rounds.csv").read_bytes()
     assert (out / "summary.csv").read_bytes() == (DATA / "golden_drawn_summary.csv").read_bytes()
+
+
+def test_a_logged_run_builds_one_instance_table(tmp_path, monkeypatch):
+    builds = []
+    build = InstanceTables.build.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(InstanceTables, "build", classmethod(counted))
+    assert main(["run", "--config", str(DATA / "golden.cfg"), "--out", str(tmp_path),
+                 "--rounds-log", "all"]) == 0
+    assert (tmp_path / "rounds.csv").read_bytes() == (DATA / "golden_rounds.csv").read_bytes()
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "config_name, mechanism",
+    [("golden.cfg", None), ("golden_multi.cfg", None), ("golden.cfg", "oracle"),
+     ("golden.cfg", "plain-ucb")],
+)
+def test_round_log_rows_are_the_written_columns(config_name, mechanism):
+    spec = parse_config_file(DATA / config_name)
+    profiles = build_profiles(spec, spec.config)
+    log = run(mechanism or spec.mechanism, spec.config, profiles, rounds_log="all").log
+    header = (DATA / "golden_rounds.csv").read_text().splitlines()[0]
+    assert list(round_log_rows(log)) == header.split(",")
 
 
 # the benchmark's rounds-log-1e5 run (perfbench/run.py, default seed): two 65,536-row blocks

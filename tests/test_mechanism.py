@@ -583,3 +583,12 @@ def test_run_single_slot_rejects_several_slots():
 def test_run_labels_the_summary_with_the_row_name(name):
     config = AuctionConfig(num_agents=2, horizon=300, delta=0.5, seed=4)
     assert run(name, config, make_profiles([0.7, 0.3])).summary.mechanism == name
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_results_compare_by_value(name):
+    config = AuctionConfig(num_agents=2, horizon=300, delta=0.5, seed=4)
+    profiles = make_profiles([0.7, 0.3])
+    first, again = (run(name, config, profiles, rounds_log="all") for _ in range(2))
+    assert first == again
+    assert first != run(name, replace(config, seed=5), profiles, rounds_log="all")

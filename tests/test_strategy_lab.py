@@ -7,7 +7,8 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import declare, learn, run, run_mechanism, run_single_slot, t23_budget
+from deltaucb.mechanism import MECHANISMS, _delta_ucb_for, declare, learn, run, run_mechanism
+from deltaucb.mechanism import run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
     build_scenario,
     per_round_utilities,
@@ -421,3 +422,17 @@ def test_multi_slot_price_can_exceed_value_finding():
     report = verify_ir(config, profiles, realization)
     assert not report.holds
     assert report.worst_utility < 0.0
+
+
+@pytest.mark.parametrize("num_slots", [1, 2])
+def test_the_checks_replay_the_delta_ucb_rows_budget(monkeypatch, num_slots):
+    prominences = (1.0, 0.5)[:num_slots]
+    config = AuctionConfig(
+        num_agents=3, num_slots=num_slots, prominences=prominences, horizon=500, delta=1.0
+    )
+    realization = draw_realization(config, make_profiles([0.7, 0.5, 0.3]))
+    explore_until = shared_learner(config, realization).explore_until
+    name = _delta_ucb_for(num_slots)
+    row = MECHANISMS[name]
+    monkeypatch.setitem(MECHANISMS, name, row._replace(budget=lambda c: explore_until + 7))
+    assert shared_learner(config, realization).explore_until == explore_until + 7
