@@ -15,9 +15,8 @@ _EXPORTS = {
     "exploration_budget gammas_from_lambdas validate_profiles",
     "environment": "ClickRealization draw_realization dump_realization load_realization "
     "realized_click",
-    "mechanism": "MECHANISMS Learned Outcome declare_winner explore run run_multi_slot "
-    "run_single_slot",
-    "mechanism_multi": "multi_slot_payment",
+    "mechanism": "MECHANISMS Learned Outcome declare_winner explore multi_slot_payment run "
+    "run_multi_slot run_single_slot",
     "metrics": "RunResult RunSummary agent_utility welfare",
     "strategy_lab": "DeviationScenario build_scenario verify_dsic verify_ir",
 }

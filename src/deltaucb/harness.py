@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import AgentProfile, AuctionConfig, ConfigError, gammas_from_lambdas, validate_profiles
 from .environment import draw_realization
-from .mechanism import MECHANISMS, _delta_ucb_for, run
+from .mechanism import MECHANISMS, delta_ucb_for, run
 from .metrics import ROUNDS_LOG_LEVELS
 # json and strategy_lab are imported where used: a command loads what it runs
 
@@ -136,7 +136,7 @@ def spec_from_values(raw: dict) -> ExperimentSpec:
         if chain[: len(head)] != head:
             raise ConfigError("lambdas: their chain must start with the prominences")
     config = AuctionConfig(**_given(AuctionConfig, values))
-    values.setdefault("mechanism", _delta_ucb_for(config.num_slots))
+    values.setdefault("mechanism", delta_ucb_for(config.num_slots))
     sweep = {
         axis: values[f"sweep_{axis}"]
         for axis in ("horizon", "delta", "num_agents", "num_slots")
@@ -537,7 +537,7 @@ def property_check(command: str, spec: ExperimentSpec, instances: int) -> list:
     """Run one of ``_CHECKS`` over random instances; returns the (instance, report) violations."""
     _at_least_one("instances", instances)
     # the checks replay Δ-UCB with the slot count's price rule and the log-sized budget
-    replayed = _delta_ucb_for(spec.config.num_slots)
+    replayed = delta_ucb_for(spec.config.num_slots)
     if spec.mechanism != replayed:
         raise ConfigError(f"mechanism: {command} replays {replayed}, not {spec.mechanism}")
     # loaded before the first draw: loaded between draws it left ~0.5 MiB more peak RSS

@@ -18,19 +18,21 @@ sample sums and makes the learner from them once, a read-only value
 (``LearnerState.of``; ``Learned`` holds both for runs and checks, and bids
 never enter), then ``decide(learner, bids)`` returns the ``Outcome``. Δ-UCB's
 steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
-the ``normalized_runner_up`` price (here), and the telescoping rule of
-``mechanism_multi`` on several. ``run_mechanism`` takes a step and a budget
-on the config's seeded realization (tests may pass their own), reading all
-clicks of the free rounds and only the winners' after them; the summary and
-the round log's running columns read one ``InstanceTables``. Learning, the
-free rounds' accrual and utilities, the round log and the checks all read
-the free rounds from the table; tests check it against ``iter_rounds``.
+the ``normalized_runner_up`` price, and ``declare`` with the ``telescoping``
+price on several; the paper's two versions differ only in this price rule.
+``run_mechanism`` takes a step and a budget on the config's seeded
+realization (tests may pass their own), reading all clicks of the free
+rounds and only the winners' after them; the summary and the round log's
+running columns read one ``InstanceTables``. Learning, the free rounds'
+accrual and utilities, the round log and the checks all read the free
+rounds from the table; tests check it against ``iter_rounds``.
 
 ``MECHANISMS`` lists every mechanism once, by the config's ``mechanism``
 name: one slot only or not, its budget rule and its declare-step factory.
 Besides Δ-UCB it holds the clairvoyant allocator, the T^(2/3) variant and
-plain UCB, which never declares and keeps its own loop in ``strategy_lab``.
-``run(name, ...)`` runs a row; the CLI, the sweep and the checks read it.
+plain UCB, which never declares and keeps its own loop (``_run_plain_ucb``).
+``run(name, ...)`` runs a row; the CLI and the sweep read it, and the checks
+replay the row ``delta_ucb_for`` names.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .core import (
     LearnerState,
     Phase,
     RoundRecord,
+    confidence_index,
     exploration_budget,
     validate_profiles,
 )
@@ -143,6 +146,35 @@ def normalized_runner_up(rankings, scores, ucb, prominences) -> np.ndarray:
     if rankings.shape[1] == 1:
         return np.zeros((len(rankings), 1))
     return np.take_along_axis(scores, rankings[:, 1:2] - 1, axis=1) / winner_ucb[:, None]
+
+
+def multi_slot_payment(slot: int, ranking, prominences, scores):
+    """Per-click price for a slot: telescoping prominence drops times the scores ranked below.
+
+    Terms past the number of agents contribute nothing; the prominence
+    below the last slot is zero. ``ranking`` and ``scores`` may also be
+    matrices of rows, giving one price per row. The sum runs term by term
+    from 0.0, so a row's price does not depend on the rows beside it.
+    """
+    num_slots = len(prominences)
+    gamma = list(prominences) + [0.0]
+    ranked = np.take_along_axis(np.asarray(scores, float), np.asarray(ranking) - 1, axis=-1)
+    total = np.zeros(ranked.shape[:-1])
+    for rank in range(slot + 1, min(num_slots + 1, ranked.shape[-1]) + 1):
+        total = total + (gamma[rank - 2] - gamma[rank - 1]) * ranked[..., rank - 1]
+    return total if total.ndim else float(total)
+
+
+def telescoping(rankings, scores, ucb, prominences) -> np.ndarray:
+    """Multi-slot price rule: ``multi_slot_payment`` for every slot of every row.
+
+    Its shape differs from ``normalized_runner_up``: with M = 1 it charges
+    the runner-up score without dividing by the winner's own index. So
+    allocations coincide with the single-slot mechanism on shared
+    randomness and payments do not; tests pin both facts.
+    """
+    slots = range(1, len(prominences) + 1)
+    return np.stack([multi_slot_payment(m, rankings, prominences, scores) for m in slots], axis=1)
 
 
 def declare(state: LearnerState, bids, prominences, price_rule):
@@ -370,10 +402,48 @@ def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]):
     return lambda learner, bids: Outcome(ranking, (0.0,), learner)
 
 
-def _telescoping_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
-    """The multi-slot declare step: ``declare`` on the config's prominences with ``telescoping``."""
-    from .mechanism_multi import telescoping
-    return partial(declare, prominences=config.prominences, price_rule=telescoping)
+def _run_plain_ucb(config, profiles, label, budget, realization, rounds_log) -> RunResult:
+    """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
+
+    The first K rounds show each agent once so every index is defined.
+    """
+    profiles, bids_arr, realization, _ = _prepare(config, profiles, realization, budget)
+    horizon = config.horizon
+    num_agents = config.num_agents
+    tables = InstanceTables.build(profiles, config.delta, config.prominences)
+
+    counts, sums, ucb = [0] * num_agents, [0.0] * num_agents, np.full(num_agents, np.nan)
+    per_agent_utility = {p.id: 0.0 for p in profiles}
+    shown = np.empty((horizon, 1), dtype=np.int64)
+    clicks = np.empty((horizon, 1), dtype=np.uint8)
+    # the agent shown depends on every earlier click, so read every agent's whole row
+    rows = [realization.clicks(agent, 1, 0, horizon) for agent in range(1, num_agents + 1)]
+    for t in range(1, horizon + 1):
+        if t <= num_agents:
+            agent = t
+        else:
+            agent = int(np.argmax(ucb * bids_arr)) + 1
+        click = int(rows[agent - 1][t - 1])
+        counts[agent - 1] += 1
+        sums[agent - 1] += click
+        ucb[agent - 1] = confidence_index(counts[agent - 1], sums[agent - 1], horizon)[1]
+        per_agent_utility[agent] += profiles[agent - 1].valuation * click
+        shown[t - 1], clicks[t - 1] = agent, click
+    summary = summarize(
+        label,
+        config,
+        seed=realization.seed,
+        budget=budget,
+        rounds_used=horizon,
+        exploration=tables.accrue((1, agent, 1) for agent in shown[:, 0].tolist()),
+        exploitation=NO_ACCRUAL,
+        revenue=0.0,
+        utilities=per_agent_utility,
+        winners=(),
+        flags=("continual-learning",),
+    )
+    log = round_log(rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))), tables)
+    return RunResult(summary=summary, outcome=None, log=log)
 
 
 class Mechanism(NamedTuple):
@@ -386,7 +456,11 @@ class Mechanism(NamedTuple):
 
 MECHANISMS = {
     "delta-ucb-single": Mechanism(True, exploration_budget, lambda c, p: declare_winner),
-    "delta-ucb-multi": Mechanism(False, exploration_budget, _telescoping_step),
+    "delta-ucb-multi": Mechanism(
+        False,
+        exploration_budget,
+        lambda c, p: partial(declare, prominences=c.prominences, price_rule=telescoping),
+    ),
     "oracle": Mechanism(True, lambda c: 0, clairvoyant),
     "plain-ucb": Mechanism(True, lambda c: c.horizon, None),
     "explore-t23": Mechanism(
@@ -395,16 +469,16 @@ MECHANISMS = {
 }
 
 
-def _delta_ucb_for(num_slots: int) -> str:
+def delta_ucb_for(num_slots: int) -> str:
     """The Δ-UCB a slot count runs: single-slot on one slot, multi-slot on several."""
     return "delta-ucb-single" if num_slots == 1 else "delta-ucb-multi"
 
 
-def run(name: str, config: AuctionConfig, profiles: Sequence[AgentProfile], **options) -> RunResult:
-    """Run the row ``name`` of ``MECHANISMS``, labelling its summary with the name.
+def run(name, config, profiles, realization=None, rounds_log="none", budget_override=None):
+    """Run the row ``name`` of ``MECHANISMS``: its ``RunResult``, the summary labelled ``name``.
 
-    ``options`` are ``run_mechanism``'s (plain UCB's: ``realization`` and ``rounds_log``);
-    a ``budget_override`` of None takes the row's budget.
+    The options are ``run_mechanism``'s; a ``budget_override`` of None takes
+    the row's budget. Plain UCB learns in every round and takes none.
     """
     row = MECHANISMS.get(name)
     if row is None:
@@ -412,12 +486,12 @@ def run(name: str, config: AuctionConfig, profiles: Sequence[AgentProfile], **op
     if row.single_slot and config.num_slots != 1:
         raise ConfigError(f"{name} is a single-slot mechanism: num_slots must be 1")
     if row.step is None:
-        from .strategy_lab import _run_plain_ucb
-        return _run_plain_ucb(config, profiles, name, row.budget(config), **options)
-    if options.get("budget_override") is None:
-        options["budget_override"] = row.budget(config)
+        if budget_override is not None:
+            raise ConfigError(f"budget_override: {name} learns in every round and takes no budget")
+        return _run_plain_ucb(config, profiles, name, row.budget(config), realization, rounds_log)
+    budget = row.budget(config) if budget_override is None else budget_override
     decide = row.step(config, profiles)
-    return run_mechanism(config, profiles, decide, mechanism_label=name, **options)
+    return run_mechanism(config, profiles, decide, realization, rounds_log, budget, name)
 
 
 def run_single_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **options):

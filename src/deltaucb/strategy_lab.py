@@ -1,4 +1,4 @@
-"""Counterfactual replay checks and reference mechanisms.
+"""Counterfactual replay checks of Δ-UCB's truthfulness, rationality and intervals.
 
 Truthfulness is checked the strong way: fix the click realization and the
 other agents' bids, try one deviating bid per placement it can buy, and
@@ -21,7 +21,8 @@ rounds (about ln T) and a few committed windows per row, whatever T is. A
 possible pattern that never occurs still scans to T.
 
 The checks replay the Δ-UCB row of ``mechanism.MECHANISMS`` for the slot
-count. Plain UCB, the one mechanism that never declares, keeps its loop here.
+count (``delta_ucb_for``); every mechanism, plain UCB's loop too, is defined
+in ``mechanism``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization
-from .mechanism import MECHANISMS, Learned, _delta_ucb_for, bid_vector, explore, free_rounds
-from .mechanism import _prepare  # the engine's one way in
+from .mechanism import MECHANISMS, Learned, bid_vector, delta_ucb_for, explore, free_rounds
 from . import metrics
-from .metrics import NO_ACCRUAL, InstanceTables, RunResult, summarize
 
 DSIC_TOLERANCE = 1e-12
 
@@ -154,12 +153,12 @@ def build_scenario(
 
 def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Learned:
     """The free rounds under the replayed Δ-UCB row's budget and the learner after them."""
-    return explore(realization, config, MECHANISMS[_delta_ucb_for(config.num_slots)].budget(config))
+    return explore(realization, config, MECHANISMS[delta_ucb_for(config.num_slots)].budget(config))
 
 
 def _replayed_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
     """The declare step of the Δ-UCB the checks replay: the slot count's row of the table."""
-    return MECHANISMS[_delta_ucb_for(config.num_slots)].step(config, profiles)
+    return MECHANISMS[delta_ucb_for(config.num_slots)].step(config, profiles)
 
 
 def _placement(config, outcome, agent):
@@ -330,63 +329,14 @@ def welfare_interval_violations(
     for p in profiles:
         shown = agents[:, 0] == p.id
         rounds = np.flatnonzero(shown) + 1
-        pulls = len(rounds)
-        if pulls == 0:
+        if len(rounds) == 0:
             continue
-        counts = np.arange(1, pulls + 1)
-        means = np.cumsum(clicks[shown, 0], dtype=np.float64) / counts
-        radii = np.sqrt(2.0 * math.log(horizon) / counts)
-        low = (means - radii) * p.valuation
-        high = (means + radii) * p.valuation
+        sums = np.cumsum(clicks[shown, 0], dtype=np.float64).tolist()
+        # each pull's interval holds for K rounds, the last one's up to the horizon
+        spans = [config.num_agents] * (len(rounds) - 1) + [horizon - int(rounds[-1]) + 1]
         target = metrics.welfare(p)
-        violated = (target < low) | (target > high)
-        spans = np.full(pulls, config.num_agents, dtype=np.int64)
-        spans[-1] = horizon - rounds[-1] + 1
-        total += int((violated * spans).sum())
+        for count, (sample_sum, span) in enumerate(zip(sums, spans), start=1):
+            _, high, low = confidence_index(count, sample_sum, horizon)
+            if target < low * p.valuation or target > high * p.valuation:
+                total += span
     return total
-
-
-def _run_plain_ucb(config, profiles, label, budget, realization=None, rounds_log="none"):
-    """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
-
-    The first K rounds show each agent once so every index is defined.
-    """
-    profiles, bids_arr, realization, _ = _prepare(config, profiles, realization, None)
-    horizon = config.horizon
-    num_agents = config.num_agents
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
-
-    counts, sums, ucb = [0] * num_agents, [0.0] * num_agents, np.full(num_agents, np.nan)
-    per_agent_utility = {p.id: 0.0 for p in profiles}
-    shown = np.empty((horizon, 1), dtype=np.int64)
-    clicks = np.empty((horizon, 1), dtype=np.uint8)
-    # the agent shown depends on every earlier click, so read every agent's whole row
-    rows = [realization.clicks(agent, 1, 0, horizon) for agent in range(1, num_agents + 1)]
-    for t in range(1, horizon + 1):
-        if t <= num_agents:
-            agent = t
-        else:
-            agent = int(np.argmax(ucb * bids_arr)) + 1
-        click = int(rows[agent - 1][t - 1])
-        counts[agent - 1] += 1
-        sums[agent - 1] += click
-        ucb[agent - 1] = confidence_index(counts[agent - 1], sums[agent - 1], horizon)[1]
-        per_agent_utility[agent] += profiles[agent - 1].valuation * click
-        shown[t - 1], clicks[t - 1] = agent, click
-    summary = summarize(
-        label,
-        config,
-        seed=realization.seed,
-        budget=budget,
-        rounds_used=horizon,
-        exploration=tables.accrue((1, agent, 1) for agent in shown[:, 0].tolist()),
-        exploitation=NO_ACCRUAL,
-        revenue=0.0,
-        utilities=per_agent_utility,
-        winners=(),
-        flags=("continual-learning",),
-    )
-    log = metrics.round_log(
-        rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))), tables
-    )
-    return RunResult(summary=summary, outcome=None, log=log)

@@ -6,8 +6,7 @@ import numpy as np
 from deltaucb import metrics
 from deltaucb.core import AgentProfile
 from deltaucb.environment import ClickRealization
-from deltaucb.mechanism import declare, normalized_runner_up
-from deltaucb.mechanism_multi import telescoping
+from deltaucb.mechanism import declare, normalized_runner_up, telescoping
 
 
 def make_profiles(ctrs, valuations=None, bids=None):

@@ -17,8 +17,7 @@ import pytest
 
 from deltaucb.core import AuctionConfig, exploration_budget
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import run, run_single_slot, t23_budget
-from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot
+from deltaucb.mechanism import multi_slot_payment, run, run_multi_slot, run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
     build_scenario,
     max_tolerance_width,

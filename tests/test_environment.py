@@ -15,8 +15,7 @@ from deltaucb.environment import (
     load_realization,
     realized_click,
 )
-from deltaucb.mechanism import run as run_named, run_single_slot
-from deltaucb.mechanism_multi import run_multi_slot
+from deltaucb.mechanism import run as run_named, run_multi_slot, run_single_slot
 
 from conftest import as_matrices, make_profiles, make_realization
 

@@ -554,12 +554,19 @@ def test_non_ascii_text_is_written_as_utf8(tmp_path):
 
 
 def test_run_loads_only_what_it_runs(tmp_path):
-    # a single-slot CSV run needs neither the checks, the multi-slot price rule nor json; and
-    # numpy.ma, which np.unique loads when asked for the values alone, costs ~30 ms. validate,
-    # run first, needs no hashlib either (~2.4 ms); run loads it through numpy.random
+    # a CSV run needs neither the checks nor json, whatever its mechanism: plain UCB's loop and
+    # the multi-slot price rule live in mechanism, and mechanism_multi only re-exports names for
+    # the benchmark tracer. Nor numpy.ma, which np.unique loads when asked for the values alone
+    # (~30 ms). validate, run first, needs no hashlib either (~2.4 ms); run loads it through
+    # numpy.random
     cfg = str(DATA / "golden.cfg")
+    plain_text = (DATA / "golden.cfg").read_text() + "mechanism = plain-ucb\n"
+    plain_cfg = _write(tmp_path, "plain.cfg", plain_text)
     validate = ["validate", "--config", cfg]
     run = ["run", "--config", cfg, "--out", str(tmp_path), "--format", "csv", "--rounds-log", "all"]
+    plain = ["run", "--config", plain_cfg, "--out", str(tmp_path / "plain"), "--rounds-log", "all"]
+    multi_cfg = str(DATA / "golden_multi.cfg")
+    multi = ["run", "--config", multi_cfg, "--out", str(tmp_path / "multi"), "--rounds-log", "all"]
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     unused = ("deltaucb.strategy_lab", "deltaucb.mechanism_multi", "json", "numpy.ma")
@@ -568,14 +575,17 @@ def test_run_loads_only_what_it_runs(tmp_path):
         "import sys; from deltaucb.harness import main; "
         "loaded = lambda names: [m for m in names if m in sys.modules]; "
         f"code = main({validate!r}); print(code, loaded({unused_by_validate!r})); "
-        f"code = main({run!r}); print(code, loaded({unused!r}))"
+        f"code = main({run!r}); print(code, loaded({unused!r})); "
+        f"code = main({plain!r}); print(code, loaded({unused!r})); "
+        f"code = main({multi!r}); print(code, loaded({unused!r}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[1] == "0 []" and lines[-1] == "0 []", done.stdout
+    # each command prints one line, then the modules it should not have loaded
+    assert lines[1::2] == ["0 []"] * 4, done.stdout
     assert (tmp_path / "rounds.csv").read_bytes() == (DATA / "golden_rounds.csv").read_bytes()
 
 
@@ -896,6 +906,40 @@ def test_source_imports_no_private_numpy_module():
                 continue
             private += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("numpy._")]
     assert private == []
+
+
+def test_modules_import_no_private_name_of_another_and_form_no_cycle():
+    # every relative import, inside functions too: a module's _names are its own, and the
+    # import graph is a DAG, so no module needs a deferred import to break a cycle
+    graph, private = {}, []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "deltaucb").glob("*.py")):
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            if node.module is None:
+                edges.update(alias.name for alias in node.names)
+                continue
+            edges.add(node.module)
+            private += [
+                f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert private == []
+    done, on_path = set(), []
+
+    def visit(module):
+        assert module not in on_path, " -> ".join([*on_path, module])
+        if module not in done:
+            on_path.append(module)
+            for imported in sorted(graph.get(module, ())):
+                visit(imported)
+            on_path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
 
 
 def test_commands_load_no_process_pool(tmp_path):

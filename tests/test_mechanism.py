@@ -376,7 +376,7 @@ def test_fast_path_matches_round_by_round_reference():
 @pytest.mark.parametrize("runner", ["single", "multi"])
 def test_nan_bids_are_rejected(runner):
     from deltaucb.core import ConfigError
-    from deltaucb.mechanism_multi import run_multi_slot
+    from deltaucb.mechanism import run_multi_slot
 
     config = AuctionConfig(num_agents=2, horizon=200, delta=1.5, seed=5)
     run = run_single_slot if runner == "single" else run_multi_slot
@@ -572,6 +572,17 @@ def test_library_rejects_an_unknown_mechanism_as_the_cli_does():
     config = AuctionConfig(num_agents=2, horizon=100, delta=0.5)
     with pytest.raises(ConfigError, match="^unknown mechanism: nope$"):
         run("nope", config, make_profiles([0.5, 0.4]))
+
+
+def test_plain_ucb_rejects_a_budget_override():
+    # plain UCB has no free-round budget to override; every other row takes one
+    config = AuctionConfig(num_agents=2, horizon=100, delta=0.5)
+    profiles = make_profiles([0.5, 0.4])
+    message = "^budget_override: plain-ucb learns in every round and takes no budget$"
+    with pytest.raises(ConfigError, match=message):
+        run("plain-ucb", config, profiles, budget_override=5)
+    for name in sorted(set(MECHANISMS) - {"plain-ucb"}):
+        assert run(name, config, profiles, budget_override=5).summary.exploration_budget == 5
 
 
 def test_run_single_slot_rejects_several_slots():

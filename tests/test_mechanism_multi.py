@@ -6,8 +6,8 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, Phase, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import iter_rounds, multi_exploration_allocation, run_single_slot
-from deltaucb.mechanism_multi import multi_slot_payment, run_multi_slot
+from deltaucb.mechanism import iter_rounds, multi_exploration_allocation, multi_slot_payment
+from deltaucb.mechanism import run_multi_slot, run_single_slot
 from deltaucb import metrics
 
 from conftest import (

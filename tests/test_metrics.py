@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from deltaucb.core import AgentProfile, AuctionConfig, Phase, RoundRecord
-from deltaucb.mechanism import run_single_slot
-from deltaucb.mechanism_multi import run_multi_slot
+from deltaucb.mechanism import run_multi_slot, run_single_slot
 from deltaucb import metrics
 
 from conftest import make_profiles, random_instance

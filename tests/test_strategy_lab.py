@@ -7,7 +7,7 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import MECHANISMS, _delta_ucb_for, declare, learn, run, run_mechanism
+from deltaucb.mechanism import MECHANISMS, declare, delta_ucb_for, learn, run, run_mechanism
 from deltaucb.mechanism import run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
     build_scenario,
@@ -129,7 +129,7 @@ def test_learning_and_checks_take_a_config_built_directly(config):
 
 
 def test_multi_dsic_shortcut_matches_full_runs():
-    from deltaucb.mechanism_multi import declare_ranking, run_multi_slot, telescoping
+    from deltaucb.mechanism import declare as declare_ranking, run_multi_slot, telescoping
 
     config = AuctionConfig(num_agents=3, num_slots=2, horizon=1200, delta=0.7,
                            prominences=(1.0, 0.6), seed=55)
@@ -432,7 +432,7 @@ def test_the_checks_replay_the_delta_ucb_rows_budget(monkeypatch, num_slots):
     )
     realization = draw_realization(config, make_profiles([0.7, 0.5, 0.3]))
     explore_until = shared_learner(config, realization).explore_until
-    name = _delta_ucb_for(num_slots)
+    name = delta_ucb_for(num_slots)
     row = MECHANISMS[name]
     monkeypatch.setitem(MECHANISMS, name, row._replace(budget=lambda c: explore_until + 7))
     assert shared_learner(config, realization).explore_until == explore_until + 7
