@@ -234,6 +234,8 @@ class LearnerState:
         """Each agent's ``confidence_index``; an agent never pulled keeps mean 0.0 and NaN indices."""
         counts = np.array(counts, dtype=np.int64)
         sums = np.array(sums, dtype=np.float64)
+        if counts.ndim != 1 or counts.shape != sums.shape:
+            raise ValueError(f"counts {counts.shape} and sums {sums.shape} must be 1-D, one length")
         means = np.zeros(len(counts))
         ucb, lcb = np.full(len(counts), np.nan), np.full(len(counts), np.nan)
         for i, (count, total) in enumerate(zip(counts.tolist(), sums.tolist())):

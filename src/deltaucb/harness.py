@@ -240,7 +240,10 @@ def write_table(columns: dict, path, fmt) -> None:
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
-    rows = min((len(column) for column in columns.values()), default=0)
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns must have equal lengths, got {lengths}")
+    rows = min(lengths.values(), default=0)
     if fmt == "csv":
         names, head = list(columns), ",".join(columns) + "\n"
         seps = ["", *[","] * (len(names) - 1), "\n"]

@@ -38,6 +38,7 @@ replay the row ``delta_ucb_for`` names.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -79,6 +80,13 @@ class Outcome:
     def payment_per_click(self) -> float:
         return self.payments_per_click[0]
 
+    def placement(self, agent: int) -> Optional[tuple]:
+        """The agent's (slot, per-click price), or None when it is not shown; one price per slot."""
+        rank = self.ranking.index(agent)
+        if rank >= len(self.payments_per_click):
+            return None
+        return rank + 1, self.payments_per_click[rank]
+
 
 class Learned(NamedTuple):
     """The free rounds 1..explore_until as a table, and the learner after them (or None)."""
@@ -119,17 +127,6 @@ def free_rounds(realization: ClickRealization, config: AuctionConfig, until: int
             clicks[rows, m - 1] = realization.clicks(agent, m, 0, until)[rows]
     agents.flags.writeable = clicks.flags.writeable = False
     return agents, clicks
-
-
-def bid_vector(bids, config: AuctionConfig) -> np.ndarray:
-    """A bid row as a float array, checked to hold one bid in [0, v_max] per agent."""
-    arr = np.asarray(bids, dtype=float)
-    if arr.shape != (config.num_agents,):
-        raise ConfigError("bids must have one entry per agent")
-    # written so that NaN fails the test too
-    if not np.all((arr >= 0.0) & (arr <= config.v_max)):
-        raise ConfigError("bid must lie in [0, v_max]")
-    return arr
 
 
 def normalized_runner_up(rankings, scores, ucb, prominences) -> np.ndarray:
@@ -248,6 +245,10 @@ def exploitation_step(
 
 def _prepare(config, profiles, realization, budget_override):
     profiles = validate_profiles(profiles, config)
+    if budget_override is not None and not (
+        isinstance(budget_override, numbers.Integral) and budget_override >= 0
+    ):
+        raise ConfigError("budget_override: must be a non-negative integer")
     bids_arr = np.array([p.bid for p in profiles], float)
     if realization is None:
         realization = draw_realization(config, profiles)

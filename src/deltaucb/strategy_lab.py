@@ -43,7 +43,7 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization
-from .mechanism import MECHANISMS, Learned, bid_vector, delta_ucb_for, explore, free_rounds
+from .mechanism import MECHANISMS, Learned, delta_ucb_for, explore, free_rounds
 from . import metrics
 
 DSIC_TOLERANCE = 1e-12
@@ -51,11 +51,10 @@ DSIC_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class DeviationScenario:
-    """One agent's counterfactual bid sweep against fixed competitors and randomness."""
+    """One agent's counterfactual bid sweep against fixed randomness; the profiles bid the rest."""
 
     deviator: int
     bid_grid: tuple
-    fixed_others: tuple
     realization: ClickRealization
     learned: Learned = field(repr=False, compare=False)
 
@@ -134,21 +133,15 @@ def build_scenario(
     realization's ``shared_learner``; the scenario keeps it.
     """
     profiles = validate_profiles(profiles, config)
-    others = np.array([p.bid for p in profiles], float)
     bids = [0.0]
     learner = learned.learner
     if learner is not None:
         own = float(learner.ucb[deviator - 1])
-        top = np.sort(np.delete(learner.ucb * others, deviator - 1))[-config.num_slots :]
+        scores = learner.ucb * np.array([p.bid for p in profiles], float)
+        top = np.sort(np.delete(scores, deviator - 1))[-config.num_slots :]
         edges = [0.0, *np.minimum(top / own, config.v_max).tolist(), config.v_max]
         bids = [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    return DeviationScenario(
-        deviator=deviator,
-        bid_grid=tuple(bids),
-        fixed_others=tuple(float(b) for b in others),
-        realization=realization,
-        learned=learned,
-    )
+    return DeviationScenario(deviator, tuple(bids), realization, learned)
 
 
 def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Learned:
@@ -159,16 +152,6 @@ def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Lear
 def _replayed_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
     """The declare step of the Δ-UCB the checks replay: the slot count's row of the table."""
     return MECHANISMS[delta_ucb_for(config.num_slots)].step(config, profiles)
-
-
-def _placement(config, outcome, agent):
-    """The agent's (slot, per-click price) under an outcome, or None when it is not shown."""
-    if outcome is None:
-        return None
-    rank = outcome.ranking.index(agent)
-    if rank >= config.num_slots:
-        return None
-    return rank + 1, outcome.payments_per_click[rank]
 
 
 def _committed_utility(valuation, placement, clicks):
@@ -197,40 +180,42 @@ def verify_dsic(
     """Check that no scenario bid ever beats the truthful bid in any round.
 
     Declares the ranking and prices on the scenario's shared learner with
-    the deviator truthful and once per scenario bid, against the fixed
-    competitor bids. Free rounds ignore bids, so their gain is 0.0. A
+    the deviator truthful and once per scenario bid, against the profiles'
+    other bids. Free rounds ignore bids, so their gain is 0.0. A
     committed round's gain depends only on the deviator's clicks at its
     deviated and its truthful slot; each pattern of those clicks is scored
     at its first round, once per deviated slot. The worst gain is the
     first-round maximum, and across the bids the first one strictly worse
-    for truthfulness wins.
+    for truthfulness wins. A deviator outside 1..K or a bid outside
+    [0, v_max] is a ``ConfigError``.
     """
     profiles = validate_profiles(profiles, config)
     deviator = scenario.deviator
+    if deviator not in range(1, config.num_agents + 1):
+        raise ConfigError(f"deviator: must be an agent id in 1..{config.num_agents}")
+    grid = np.asarray(scenario.bid_grid, dtype=float)
+    # written so that NaN fails the test too
+    if not np.all((grid >= 0.0) & (grid <= config.v_max)):
+        raise ConfigError("bid_grid: every bid must lie in [0, v_max]")
     realization = scenario.realization
     truthful_value = profiles[deviator - 1].valuation
-
-    truthful_bids = np.array(scenario.fixed_others, dtype=float)
-    truthful_bids[deviator - 1] = truthful_value
-    truthful_bids = bid_vector(truthful_bids, config)
     explore_until, _, _, learner = scenario.learned
-    outcomes = [None] * (1 + len(scenario.bid_grid))
     if learner is not None:
         # the truthful row, then one row per scenario bid, ranked and priced in one call
-        rows = np.tile(truthful_bids, (len(outcomes), 1))
-        rows[1:, deviator - 1] = scenario.bid_grid
+        rows = np.tile([p.bid for p in profiles], (1 + len(grid), 1))
+        rows[:, deviator - 1] = [truthful_value, *grid]
         outcomes = _replayed_step(config, profiles)(learner, rows)
-    truth = _placement(config, outcomes[0], deviator)
+        truth, *deviated = [outcome.placement(deviator) for outcome in outcomes]
 
     patterns = {}  # per set of slots involved: the first round of each click pattern
     worst = -math.inf
     witness_round = None
     witness_bid = None
-    for bid, outcome in zip(scenario.bid_grid, outcomes[1:]):
-        placement = _placement(config, outcome, deviator)
+    for k, bid in enumerate(grid.tolist()):
         # the budget is at least one round, and a free round's gain is 0.0
         candidates = [(0.0, 1)]
         if learner is not None:
+            placement = deviated[k]
             slots = tuple(sorted({p[0] for p in (placement, truth) if p is not None}))
             if slots not in patterns:
                 patterns[slots] = realization.first_rounds(
@@ -248,14 +233,14 @@ def verify_dsic(
         if gain > worst:
             worst = float(gain)
             witness_round = t
-            witness_bid = float(bid)
+            witness_bid = bid
     return DsicReport(
         deviator=deviator,
         holds=worst <= DSIC_TOLERANCE,
         worst_violation=worst,
         witness_round=witness_round,
         witness_bid=witness_bid,
-        grid_size=len(scenario.bid_grid),
+        grid_size=len(grid),
     )
 
 
@@ -284,7 +269,7 @@ def verify_ir(
         idx = int(np.argmin(util))
         candidates = [(float(util[idx]), idx + 1)]
         if outcome is not None:
-            placement = _placement(config, outcome, p.id)
+            placement = outcome.placement(p.id)
             slots = () if placement is None else (placement[0],)
             scan = realization.first_rounds(p.id, slots, explore_until, config.horizon)
             candidates += [(_committed_utility(p.valuation, placement, c), t) for c, t in scan]

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from deltaucb.core import AuctionConfig, exploration_budget, validate_profiles
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import bid_vector, declare, free_rounds, learn
+from deltaucb.mechanism import declare, free_rounds, learn
 from deltaucb.strategy_lab import (
     DSIC_TOLERANCE,
     DsicReport,
@@ -50,9 +50,8 @@ def reference_dsic(config, profiles, scenario):
     profiles = validate_profiles(profiles, config)
     deviator = scenario.deviator
     realization = scenario.realization
-    truthful_bids = np.array(scenario.fixed_others, dtype=float)
+    truthful_bids = np.array([p.bid for p in profiles], dtype=float)
     truthful_bids[deviator - 1] = profiles[deviator - 1].valuation
-    truthful_bids = bid_vector(truthful_bids, config)
     explore_until, outcome_for = _reference_outcomes(config, realization)
     truth_util = per_round_utilities(
         config, profiles, realization, outcome_for(truthful_bids), deviator, explore_until

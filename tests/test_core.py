@@ -225,6 +225,15 @@ def test_learner_state_radius_relation():
     assert np.isnan(state.ucb[0]) and np.isnan(state.ucb[2])
 
 
+@pytest.mark.parametrize(
+    "counts, sums",
+    [([1, 2, 3], [1.0]), ([1], [1.0, 0.0]), ([[1, 2]], [[1.0, 0.0]]), (1, 1.0)],
+)
+def test_learner_state_rejects_counts_and_sums_that_do_not_pair_up(counts, sums):
+    with pytest.raises(ValueError, match="must be 1-D, one length"):
+        LearnerState.of(counts, sums, horizon=100)
+
+
 def test_learner_state_frozen_rejects_pulls():
     state = LearnerState.of([1, 1], [1.0, 0.0], horizon=100)
     before = state.to_bytes()

@@ -596,6 +596,12 @@ def test_write_table_with_no_rows(tmp_path):
         assert (tmp_path / f"empty.{fmt}").read_bytes() == expected
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_table_rejects_columns_of_unequal_length(tmp_path, fmt):
+    with pytest.raises(ValueError, match=r"^columns must have equal lengths, got \{'a': 2, 'b': 1\}$"):
+        harness.write_table({"a": [1, 2], "b": [1]}, tmp_path / f"t.{fmt}", fmt)
+
+
 def test_golden_files_are_stable(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(DATA / "golden.cfg"), "--out", str(out),

@@ -15,6 +15,7 @@ from deltaucb.core import exploration_budget
 from deltaucb.environment import ClickRealization, draw_realization, realized_click
 from deltaucb.mechanism import (
     MECHANISMS,
+    Outcome,
     declare,
     declare_winner,
     exploration_step,
@@ -583,6 +584,25 @@ def test_plain_ucb_rejects_a_budget_override():
         run("plain-ucb", config, profiles, budget_override=5)
     for name in sorted(set(MECHANISMS) - {"plain-ucb"}):
         assert run(name, config, profiles, budget_override=5).summary.exploration_budget == 5
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "5", 5.0])
+def test_a_budget_override_must_be_a_non_negative_integer(budget):
+    # every row with a budget, and the engine's two ways in
+    calls = [partial(run, name) for name in sorted(set(MECHANISMS) - {"plain-ucb"})]
+    calls += [
+        partial(run_mechanism, decide=declare_winner),
+        lambda *args, **options: next(iter_rounds(*args, declare_winner, **options)),
+    ]
+    config = AuctionConfig(num_agents=2, horizon=100, delta=0.5)
+    for call in calls:
+        with pytest.raises(ConfigError, match="^budget_override: must be a non-negative integer$"):
+            call(config, make_profiles([0.5, 0.4]), budget_override=budget)
+
+
+def test_an_outcome_places_the_top_ranks_one_per_price():
+    outcome = Outcome((2, 3, 1), (0.5, 0.25), LearnerState.of([1, 1, 1], [1.0, 0.0, 1.0], 100))
+    assert [outcome.placement(agent) for agent in (1, 2, 3)] == [None, (1, 0.5), (2, 0.25)]
 
 
 def test_run_single_slot_rejects_several_slots():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -10,6 +10,7 @@ from deltaucb.environment import draw_realization
 from deltaucb.mechanism import MECHANISMS, declare, delta_ucb_for, learn, run, run_mechanism
 from deltaucb.mechanism import run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
+    DeviationScenario,
     build_scenario,
     per_round_utilities,
     shared_learner,
@@ -171,14 +172,15 @@ def _verdict(report):
     return report.holds, report.worst_violation, report.witness_round
 
 
-def _pivots(scenario):
+def _pivots(profiles, scenario):
     """The deviator's upper index and the competitor scores; score / index is a pivot bid."""
     learner = scenario.learned.learner
     own = float(learner.ucb[scenario.deviator - 1])
-    return own, np.delete(learner.ucb * np.array(scenario.fixed_others), scenario.deviator - 1)
+    bids = np.array([p.bid for p in profiles])
+    return own, np.delete(learner.ucb * bids, scenario.deviator - 1)
 
 
-def _reference_grid(config, scenario):
+def _reference_grid(config, profiles, scenario):
     """A 21-bid reference grid: uniform over [0, v_max] plus probes 1e-6 either side of two
     pivot bids, with each exact score tie nudged away. It reaches most placements by density,
     not by construction.
@@ -189,7 +191,7 @@ def _reference_grid(config, scenario):
     learner = scenario.learned.learner
     probes = []
     if learner is not None:
-        own, scores = _pivots(scenario)
+        own, scores = _pivots(profiles, scenario)
         pivots = np.sort(scores)[::-1]
         targets = list(pivots[:1])
         if min(config.num_slots, len(pivots) - 1) > 0:
@@ -209,20 +211,20 @@ def _reference_grid(config, scenario):
     return tuple(grid)
 
 
-def _placement_windows(config, scenario):
+def _placement_windows(config, profiles, scenario):
     """The non-empty bid windows (lo, hi) between 0.0, the top M pivot bids and v_max, ascending."""
-    own, scores = _pivots(scenario)
+    own, scores = _pivots(profiles, scenario)
     top = sorted(scores.tolist(), reverse=True)[: config.num_slots]
     edges = [0.0, *sorted(min(score / own, config.v_max) for score in top), config.v_max]
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
 
-def _one_bid_per_window(config, scenario):
+def _one_bid_per_window(config, profiles, scenario):
     """The scenario with one bid in the middle of each window between two competitor pivot bids.
 
     The windows cover every rank the deviator can take, so every placement.
     """
-    own, scores = _pivots(scenario)
+    own, scores = _pivots(profiles, scenario)
     inside = [b for b in (scores / own).tolist() if 0.0 < b < config.v_max]
     edges = sorted({0.0, config.v_max, *inside})
     return replace(scenario, bid_grid=tuple((lo + hi) / 2 for lo, hi in zip(edges, edges[1:])))
@@ -245,7 +247,8 @@ def test_verify_dsic_finds_the_worst_placement_a_window_oracle_finds(num_slots):
             scenario = build_scenario(config, profiles, realization, deviator, learned)
             report = verify_dsic(config, profiles, scenario)
             if learned.learner is not None:
-                oracle = verify_dsic(config, profiles, _one_bid_per_window(config, scenario))
+                windowed = _one_bid_per_window(config, profiles, scenario)
+                oracle = verify_dsic(config, profiles, windowed)
                 assert _verdict(report) == _verdict(oracle), f"instance {index} deviator {deviator}"
 
 
@@ -269,7 +272,7 @@ def test_placement_bids_find_the_worst_gain_the_reference_grid_finds(num_slots):
         learned = shared_learner(config, realization)
         for deviator in range(1, num_agents + 1):
             scenario = build_scenario(config, profiles, realization, deviator, learned)
-            grid = _reference_grid(config, scenario) + scenario.bid_grid
+            grid = _reference_grid(config, profiles, scenario) + scenario.bid_grid
             reference = verify_dsic(config, profiles, replace(scenario, bid_grid=grid))
             report = verify_dsic(config, profiles, scenario)
             assert _verdict(report) == _verdict(reference), f"instance {index} deviator {deviator}"
@@ -284,14 +287,14 @@ def test_a_three_slot_placement_the_grid_misses_is_found():
     )
     realization = draw_realization(config, profiles)
     scenario = build_scenario(config, profiles, realization, 1, shared_learner(config, realization))
-    grid = _reference_grid(config, scenario)
+    grid = _reference_grid(config, profiles, scenario)
     assert verify_dsic(config, profiles, replace(scenario, bid_grid=grid)).holds
     report = verify_dsic(config, profiles, scenario)
     assert not report.holds
     assert report.witness_round == 1228
     assert report.worst_violation == pytest.approx(0.793122, abs=1e-6)
     # the witness is the midpoint of a window no reference bid falls in
-    windows = _placement_windows(config, scenario)
+    windows = _placement_windows(config, profiles, scenario)
     [(lo, hi)] = [(lo, hi) for lo, hi in windows if lo < report.witness_bid < hi]
     assert report.witness_bid == (lo + hi) / 2
     assert not any(lo < bid < hi for bid in grid)
@@ -319,12 +322,33 @@ def test_scenario_tries_one_bid_inside_each_placement_window(config):
         if learned.learner is None:
             assert bids == (0.0,)
             continue
-        windows = _placement_windows(config, scenario)
+        windows = _placement_windows(config, profiles, scenario)
         assert len(bids) == len(windows) <= min(config.num_agents, config.num_slots + 1)
         assert list(bids) == sorted(bids)
         assert all(lo < bid < hi for bid, (lo, hi) in zip(bids, windows))
-        own, scores = _pivots(scenario)
+        own, scores = _pivots(profiles, scenario)
         assert not set((own * np.array(bids)).tolist()) & set(scores.tolist())
+
+
+def test_a_scenario_holds_no_bids_of_its_own_besides_the_grid():
+    # the competitors' bids come from the profiles the check is given
+    names = [f.name for f in fields(DeviationScenario)]
+    assert names == ["deviator", "bid_grid", "realization", "learned"]
+
+
+@pytest.mark.parametrize(
+    "deviator, bid, field",
+    [(2, 2.0, "bid_grid"), (2, math.nan, "bid_grid"), (2, -1.0, "bid_grid"),
+     (0, 0.5, "deviator"), (4, 0.5, "deviator")],
+)
+def test_verify_dsic_rejects_a_bid_or_deviator_out_of_range(deviator, bid, field):
+    config = _single_config(num_agents=3, horizon=2000, delta=0.5, seed=4)
+    profiles = make_profiles([0.9, 0.6, 0.3])
+    realization = draw_realization(config, profiles)
+    scenario = build_scenario(config, profiles, realization, 2, shared_learner(config, realization))
+    scenario = replace(scenario, deviator=deviator, bid_grid=(0.5, bid))
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        verify_dsic(config, profiles, scenario)
 
 
 def test_verify_ir_exact_on_random_instances():
