@@ -1,4 +1,4 @@
-"""The Δ-UCB engine: free rotated learning, then an allocation frozen for the remaining rounds.
+"""The run engine: free rotated learning, then stretches of fixed allocations to the horizon.
 
 For a budgeted number of free rounds, slot m of round t shows agent
 (((t-1) mod K) + m - 1) mod K + 1, ignoring bids entirely, so over K
@@ -11,28 +11,28 @@ radius. At the end of the budget the ranking and each slot's per-click
 price are fixed once: the rank-m agent takes slot m for every remaining
 round. Indices never change after the budget.
 
-A run is two steps: ``explore`` ends the free rounds in the horizon, reads
+A row's play, ``play(realization, config, budget, bids) -> Play``, returns
+a run's free rounds and the stretches of one fixed allocation each after
+them (``Segments``). ``explore`` ends the free rounds in the horizon, reads
 them once into a (round × slot) table of who was shown and clicked
-(``free_rounds``), and ``learn`` folds it into per-agent pull counts and
-sample sums and makes the learner from them once, a read-only value
-(``LearnerState.of``; ``Learned`` holds both for runs and checks, and bids
-never enter), then ``decide(learner, bids)`` returns the ``Outcome``. Δ-UCB's
-steps rank by ucb * bid (``declare``): ``declare_winner`` on one slot, with
-the ``normalized_runner_up`` price, and ``declare`` with the ``telescoping``
-price on several; the paper's two versions differ only in this price rule.
-``run_mechanism`` takes a step and a budget on the config's seeded
-realization (tests may pass their own), reading all clicks of the free
-rounds and only the winners' after them; the summary and the round log's
-running columns read one ``InstanceTables``. Learning, the free rounds'
-accrual and utilities, the round log and the checks all read the free
-rounds from the table; tests check it against ``iter_rounds``.
+(``free_rounds``), and ``learn`` folds it into the learner, a read-only
+value made once (``LearnerState.of``; ``Learned`` holds both, and bids never
+enter). ``Declared(decide)`` plays ``decide(learner, bids)``'s ``Outcome``
+in one stretch to T. Δ-UCB's steps rank by ucb * bid (``declare``):
+``declare_winner`` on one slot, with the ``normalized_runner_up`` price, and
+``declare`` with the ``telescoping`` price on several; the paper's two
+versions differ only in this price rule. ``run_mechanism`` runs a play on
+the config's seeded realization (tests may pass their own) and makes every
+output from the table and the stretches; tests check it against
+``iter_rounds``.
 
 ``MECHANISMS`` lists every mechanism once, by the config's ``mechanism``
-name: one slot only or not, its budget rule and its declare-step factory.
-Besides Δ-UCB it holds the clairvoyant allocator, the T^(2/3) variant and
-plain UCB, which never declares and keeps its own loop (``_run_plain_ucb``).
-``run(name, ...)`` runs a row; the CLI and the sweep read it, and the checks
-replay the row ``delta_ucb_for`` names.
+name: one slot only or not, its budget rule (None: it learns in every
+round) and its play factory. Besides Δ-UCB it holds the clairvoyant
+allocator, the T^(2/3) variant and plain UCB (``plain_ucb``), whose rounds
+after the first K are one-round stretches. ``run(name, ...)`` runs a row;
+the CLI and the sweep read it, and the checks replay the declare step of
+the row ``delta_ucb_for`` names.
 """
 
 from __future__ import annotations
@@ -57,7 +57,11 @@ from .core import (
     validate_profiles,
 )
 from .environment import ClickRealization, draw_realization, realized_click
-from .metrics import NO_ACCRUAL, SINGLE_SLOT, InstanceTables, RunResult, round_log, summarize
+from .metrics import SINGLE_SLOT, Accrual, InstanceTables, RunResult, RunSummary, round_log
+from .metrics import carried_sum
+
+# stretches per block of a run's accounting: bounds its memory when each round is one (plain UCB)
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -67,18 +71,6 @@ class Outcome:
     ranking: tuple
     payments_per_click: tuple
     learner: LearnerState
-
-    @property
-    def winner(self) -> int:
-        return self.ranking[0]
-
-    @property
-    def runner_up(self) -> Optional[int]:
-        return self.ranking[1] if len(self.ranking) > 1 else None
-
-    @property
-    def payment_per_click(self) -> float:
-        return self.payments_per_click[0]
 
     def placement(self, agent: int) -> Optional[tuple]:
         """The agent's (slot, per-click price), or None when it is not shown; one price per slot."""
@@ -95,6 +87,34 @@ class Learned(NamedTuple):
     agents: np.ndarray
     clicks: np.ndarray
     learner: Optional[LearnerState]
+
+
+class Segments(NamedTuple):
+    """The rounds after the free ones: stretch i holds rounds start[i] + 1 .. start[i + 1] (or T),
+    and per slot (column) who the slot shows, its per-click price and its clicks over them."""
+
+    start: np.ndarray
+    agents: np.ndarray
+    prices: np.ndarray
+    clicks: np.ndarray
+
+    @classmethod
+    def of(cls, start, agents, prices, clicks, num_slots: int) -> "Segments":
+        """Stretches from sequences: one start each, and ``num_slots`` entries each in the rest."""
+        grids = zip((agents, prices, clicks), (np.int64, float, np.int64))
+        rows = [np.array(values, dtype).reshape(-1, num_slots) for values, dtype in grids]
+        return cls(np.array(start, np.int64), *rows)
+
+
+class Play(NamedTuple):
+    """A run as played: the free rounds, the last learning round, the stretches after the free
+    rounds, the ``Outcome`` committed to (or None) and the summary flags."""
+
+    learned: Learned
+    learn_until: int
+    segments: Segments
+    outcome: Optional[Outcome]
+    flags: tuple
 
 
 def multi_exploration_allocation(t, slot: int, num_agents: int):
@@ -257,15 +277,18 @@ def _prepare(config, profiles, realization, budget_override):
 
 
 def learn(agents: np.ndarray, clicks: np.ndarray, config: AuctionConfig) -> LearnerState:
-    """The learner after a ``free_rounds`` table; bids never enter.
+    """The learner after a ``free_rounds`` table, one agent's samples at a time; bids never enter.
 
     Each agent's sum adds its prominence-corrected samples to 0.0 in round
     order, the table's ravel order: the sequential sum the reference makes.
     """
-    samples = clicks / np.array(config.prominences)
-    own = [samples[agents == agent] for agent in range(1, config.num_agents + 1)]
-    sums = [float(np.cumsum(np.r_[0.0, pulled])[-1]) for pulled in own]
-    counts = [len(pulled) for pulled in own]
+    prominences = np.broadcast_to(config.prominences, agents.shape)
+    counts, sums = [], []
+    for agent in range(1, config.num_agents + 1):
+        shown = agents == agent
+        pulled = clicks[shown] / prominences[shown]
+        counts.append(len(pulled))
+        sums.append(carried_sum(0.0, pulled))
     return LearnerState.of(counts, sums, config.horizon, 1.0 / config.prominences[-1])
 
 
@@ -287,7 +310,7 @@ def iter_rounds(
 ) -> Iterator[RoundRecord]:
     """Replay the whole mechanism round by round (the tests' reference path).
 
-    ``decide`` is the declare step, as in ``run_mechanism``. The
+    ``decide`` is the declare step, as in ``Declared``. The
     generator's return value is the final learner state, so tests can
     compare it with the aggregate path's.
     """
@@ -306,87 +329,140 @@ def iter_rounds(
     return state
 
 
-def _round_grids(realization, config, learned, outcome):
-    """Agents, clicks and payments per (round, slot): the free rounds' table, then the ranking."""
+@dataclass(frozen=True)
+class Declared:
+    """A declaring row's play: the budget's free rounds, then one stretch to T in which the
+    ranking of the declare step's ``decide(learner, bids)`` takes the slots at its prices."""
+
+    decide: Callable
+
+    def __call__(self, realization, config: AuctionConfig, budget: int, bids) -> Play:
+        learned = explore(realization, config, budget)
+        explore_until, num_slots = learned.explore_until, config.num_slots
+        if learned.learner is None:
+            no_stretches = Segments.of((), (), (), (), num_slots)
+            return Play(learned, explore_until, no_stretches, None, ("exploration-only",))
+        outcome = self.decide(learned.learner, bids)
+        winners = outcome.ranking[:num_slots]
+        clicks = [
+            realization.click_count(a, m, explore_until, config.horizon)
+            for m, a in enumerate(winners, start=1)
+        ]
+        prices = outcome.payments_per_click
+        segments = Segments.of((explore_until,), winners, prices, clicks, num_slots)
+        return Play(learned, explore_until, segments, outcome, ())
+
+
+def plain_ucb(realization, config: AuctionConfig, budget: int, bids) -> Play:
+    """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
+
+    The K free rounds define every index; each later round is a one-round
+    stretch at price 0. Every round is a learning round, and the budget is
+    not read.
+    """
+    horizon, num_agents = config.horizon, config.num_agents
+    explore_until = min(num_agents, horizon)
+    table = free_rounds(realization, config, explore_until)
+    learner = learn(*table, config)
+    counts, sums = learner.pull_count.tolist(), learner.sample_sum.tolist()
+    ucb = learner.ucb.copy()
+    start = np.arange(explore_until, horizon, dtype=np.min_scalar_type(horizon))
+    agents = np.empty((len(start), 1), dtype=np.min_scalar_type(num_agents))
+    clicks = np.empty((len(start), 1), dtype=np.uint8)
+    # the agent shown depends on every earlier click, so read every agent's whole row
+    rows = [realization.clicks(a, 1, explore_until, horizon) for a in range(1, num_agents + 1)]
+    for i in range(len(start)):
+        shown = int(np.argmax(ucb * bids))
+        click = int(rows[shown][i])
+        counts[shown] += 1
+        sums[shown] += click
+        ucb[shown] = confidence_index(counts[shown], sums[shown], horizon)[1]
+        agents[i], clicks[i] = shown + 1, click
+    segments = Segments(start, agents, np.zeros(agents.shape), clicks)
+    learned = Learned(explore_until, *table, learner)
+    return Play(learned, horizon, segments, None, ("continual-learning",))
+
+
+def _round_grids(realization, config, learned, segments):
+    """Agents, clicks and payments per (round, slot): the free rounds' table, then the stretches."""
     horizon, num_slots = config.horizon, config.num_slots
     explore_until = learned.explore_until
     agents = np.empty((horizon, num_slots), dtype=np.int64)
     clicks = np.empty((horizon, num_slots), dtype=np.uint8)
     payments = np.zeros((horizon, num_slots))
     agents[:explore_until], clicks[:explore_until] = learned.agents, learned.clicks
-    if outcome is not None:
-        for m, agent in enumerate(outcome.ranking[:num_slots], start=1):
-            agents[explore_until:, m - 1] = agent
-            clicks[explore_until:, m - 1] = realization.clicks(agent, m, explore_until, horizon)
-        payments[explore_until:] = clicks[explore_until:] * outcome.payments_per_click
+    lengths = np.diff(np.append(segments.start, horizon))
+    agents[explore_until:] = np.repeat(segments.agents, lengths, axis=0)
+    payments[explore_until:] = np.repeat(segments.prices, lengths, axis=0)
+    for m in range(1, num_slots + 1):
+        shown, clicked = agents[explore_until:, m - 1], clicks[explore_until:, m - 1]
+        for agent in set(segments.agents[:, m - 1].tolist()):
+            own = shown == agent
+            clicked[own] = realization.clicks(agent, m, explore_until, horizon)[own]
+    payments[explore_until:] *= clicks[explore_until:]
     return agents, clicks, payments
 
 
 def run_mechanism(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
-    decide,
+    play,
     realization: Optional[ClickRealization] = None,
     rounds_log: str = "none",
     budget_override: Optional[int] = None,
     mechanism_label: str = "delta-ucb",
 ) -> RunResult:
-    """Run the mechanism and aggregate regret, revenue, welfare, and utilities.
+    """Run a play and aggregate its regret, revenue, welfare and utilities into the summary.
 
-    ``decide(learner, bids)`` is the declare step: after the free rounds it
-    returns the ``Outcome`` the remaining rounds follow. Regret and welfare
-    accrue as pull count times the per-(agent, slot) table entry, agent by
-    agent.
+    Regret and welfare accrue as count times the per-(agent, slot) table
+    entry: the free rounds agent by agent, then the stretches in order, the
+    ones starting before ``learn_until`` as exploration. Revenue and each
+    agent's utility (from its free-round clicks on) add stretch by stretch,
+    ``_BLOCK`` stretches at a time.
     """
     profiles, bids_arr, realization, budget = _prepare(
         config, profiles, realization, budget_override
     )
-    horizon = config.horizon
+    horizon, num_agents, num_slots = config.horizon, config.num_agents, config.num_slots
     tables = InstanceTables.build(profiles, config.delta, config.prominences)
+    learned, learn_until, segments, outcome, flags = play(realization, config, budget, bids_arr)
 
-    learned = explore(realization, config, budget)
-    explore_until, free_agents, free_clicks, state = learned
-    per_agent_utility = {}
-    pulls = []
+    pulls, utility = [], []
     for p in profiles:
-        shown = free_agents == p.id
-        counts = shown.sum(axis=0).tolist()
-        pulls += [(count, p.id, m) for m, count in enumerate(counts, start=1)]
-        per_agent_utility[p.id] = p.valuation * int(free_clicks[shown].sum())
-    exploration = tables.accrue(pulls)
+        shown = learned.agents == p.id
+        pulls.append(shown.sum(axis=0))
+        utility.append(p.valuation * int(learned.clicks[shown].sum()))
+    slots = np.arange(1, num_slots + 1)
+    exploration = tables.accrue(np.array(pulls), np.arange(1, num_agents + 1)[:, None], slots)
+    exploitation, revenue = Accrual(), 0.0
+    for lo in range(0, len(segments.start), _BLOCK):
+        # the block's starts, then the next block's first start or T
+        edges = np.append(segments.start[lo : lo + _BLOCK + 1], horizon)[: _BLOCK + 1]
+        count, early = np.diff(edges)[:, None], edges[:-1] < learn_until
+        agent, price, clicks = (column[lo : lo + _BLOCK] for column in segments[1:])
+        exploration = tables.accrue(count[early], agent[early], slots, exploration)
+        exploitation = tables.accrue(count[~early], agent[~early], slots, exploitation)
+        revenue = carried_sum(revenue, price * clicks)
+        for a in set(agent.ravel().tolist()):
+            own = agent == a
+            gain = (profiles[a - 1].valuation - price[own]) * clicks[own]
+            utility[a - 1] = carried_sum(utility[a - 1], gain)
 
-    outcome = None
-    winners = ()
-    flags = ()
-    exploitation = NO_ACCRUAL
-    total_revenue = 0.0
-    if state is None:
-        flags = ("exploration-only",)
-    else:
-        outcome = decide(state, bids_arr)
-        winners = outcome.ranking[: config.num_slots]
-        for m, agent in enumerate(winners, start=1):
-            n_clicks = realization.click_count(agent, m, explore_until, horizon)
-            price = outcome.payments_per_click[m - 1]
-            total_revenue += price * n_clicks
-            per_agent_utility[agent] += (profiles[agent - 1].valuation - price) * n_clicks
-        exploitation = tables.accrue(
-            (horizon - explore_until, agent, m) for m, agent in enumerate(winners, start=1)
-        )
-
-    grids = partial(_round_grids, realization, config, learned, outcome)
-    log = round_log(rounds_log, explore_until, grids, tables)
-    summary = summarize(
-        mechanism_label,
-        config,
-        seed=realization.seed,
-        budget=budget,
-        rounds_used=explore_until,
-        exploration=exploration,
-        exploitation=exploitation,
-        revenue=total_revenue,
-        utilities=per_agent_utility,
-        winners=winners,
+    grids = partial(_round_grids, realization, config, learned, segments)
+    log = round_log(rounds_log, learn_until, grids, tables)
+    total_delta = exploration.delta + exploitation.delta
+    summary = RunSummary(
+        mechanism_label, realization.seed, num_agents, num_slots, horizon, config.delta,
+        config.v_max, budget, learn_until,
+        total_delta_regret=total_delta,
+        exploration_delta_regret=exploration.delta,
+        exploitation_delta_regret=exploitation.delta,
+        total_standard_regret=exploration.standard + exploitation.standard,
+        total_revenue=revenue,
+        total_welfare=exploration.welfare + exploitation.welfare,
+        delta_regret_over_logT=total_delta / math.log(horizon) if horizon > 1 else math.nan,
+        winners=() if outcome is None else outcome.ranking[:num_slots],
+        per_agent_utility={p.id: u for p, u in zip(profiles, utility)},
         flags=flags,
     )
     return RunResult(summary=summary, outcome=outcome, log=log)
@@ -397,75 +473,32 @@ def t23_budget(num_agents: int, horizon: int) -> int:
     return math.ceil(num_agents * horizon ** (2.0 / 3.0))
 
 
-def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]):
-    """The oracle's declare step: the true welfare ranking at price 0, whatever the bids."""
+def clairvoyant(config: AuctionConfig, profiles: Sequence[AgentProfile]) -> Declared:
+    """The oracle's play: the true welfare ranking at price 0, whatever the bids."""
     ranking = InstanceTables.build(profiles, config.delta, config.prominences).ranking
-    return lambda learner, bids: Outcome(ranking, (0.0,), learner)
-
-
-def _run_plain_ucb(config, profiles, label, budget, realization, rounds_log) -> RunResult:
-    """Non-truthful reference: re-pick argmax ucb * bid every round, learn forever, charge nothing.
-
-    The first K rounds show each agent once so every index is defined.
-    """
-    profiles, bids_arr, realization, _ = _prepare(config, profiles, realization, budget)
-    horizon = config.horizon
-    num_agents = config.num_agents
-    tables = InstanceTables.build(profiles, config.delta, config.prominences)
-
-    counts, sums, ucb = [0] * num_agents, [0.0] * num_agents, np.full(num_agents, np.nan)
-    per_agent_utility = {p.id: 0.0 for p in profiles}
-    shown = np.empty((horizon, 1), dtype=np.int64)
-    clicks = np.empty((horizon, 1), dtype=np.uint8)
-    # the agent shown depends on every earlier click, so read every agent's whole row
-    rows = [realization.clicks(agent, 1, 0, horizon) for agent in range(1, num_agents + 1)]
-    for t in range(1, horizon + 1):
-        if t <= num_agents:
-            agent = t
-        else:
-            agent = int(np.argmax(ucb * bids_arr)) + 1
-        click = int(rows[agent - 1][t - 1])
-        counts[agent - 1] += 1
-        sums[agent - 1] += click
-        ucb[agent - 1] = confidence_index(counts[agent - 1], sums[agent - 1], horizon)[1]
-        per_agent_utility[agent] += profiles[agent - 1].valuation * click
-        shown[t - 1], clicks[t - 1] = agent, click
-    summary = summarize(
-        label,
-        config,
-        seed=realization.seed,
-        budget=budget,
-        rounds_used=horizon,
-        exploration=tables.accrue((1, agent, 1) for agent in shown[:, 0].tolist()),
-        exploitation=NO_ACCRUAL,
-        revenue=0.0,
-        utilities=per_agent_utility,
-        winners=(),
-        flags=("continual-learning",),
-    )
-    log = round_log(rounds_log, horizon, lambda: (shown, clicks, np.zeros((horizon, 1))), tables)
-    return RunResult(summary=summary, outcome=None, log=log)
+    return Declared(lambda learner, bids: Outcome(ranking, (0.0,), learner))
 
 
 class Mechanism(NamedTuple):
-    """A row: one slot only?, ``budget(config)``, ``step(config, profiles) -> decide`` or None."""
+    """A row: one slot only?, ``budget(config)`` (None: learns in every round, takes no
+    override, reports T), and ``step(config, profiles) -> play``."""
 
     single_slot: bool
-    budget: Callable
-    step: Optional[Callable]
+    budget: Optional[Callable]
+    step: Callable
 
 
 MECHANISMS = {
-    "delta-ucb-single": Mechanism(True, exploration_budget, lambda c, p: declare_winner),
+    "delta-ucb-single": Mechanism(True, exploration_budget, lambda c, p: Declared(declare_winner)),
     "delta-ucb-multi": Mechanism(
         False,
         exploration_budget,
-        lambda c, p: partial(declare, prominences=c.prominences, price_rule=telescoping),
+        lambda c, p: Declared(partial(declare, prominences=c.prominences, price_rule=telescoping)),
     ),
     "oracle": Mechanism(True, lambda c: 0, clairvoyant),
-    "plain-ucb": Mechanism(True, lambda c: c.horizon, None),
+    "plain-ucb": Mechanism(True, None, lambda c, p: plain_ucb),
     "explore-t23": Mechanism(
-        True, lambda c: t23_budget(c.num_agents, c.horizon), lambda c, p: declare_winner
+        True, lambda c: t23_budget(c.num_agents, c.horizon), lambda c, p: Declared(declare_winner)
     ),
 }
 
@@ -486,13 +519,12 @@ def run(name, config, profiles, realization=None, rounds_log="none", budget_over
         raise ConfigError(f"unknown mechanism: {name}")
     if row.single_slot and config.num_slots != 1:
         raise ConfigError(f"{name} is a single-slot mechanism: num_slots must be 1")
-    if row.step is None:
-        if budget_override is not None:
-            raise ConfigError(f"budget_override: {name} learns in every round and takes no budget")
-        return _run_plain_ucb(config, profiles, name, row.budget(config), realization, rounds_log)
-    budget = row.budget(config) if budget_override is None else budget_override
-    decide = row.step(config, profiles)
-    return run_mechanism(config, profiles, decide, realization, rounds_log, budget, name)
+    if budget_override is None:
+        budget_override = config.horizon if row.budget is None else row.budget(config)
+    elif row.budget is None:
+        raise ConfigError(f"budget_override: {name} learns in every round and takes no budget")
+    play = row.step(config, profiles)
+    return run_mechanism(config, profiles, play, realization, rounds_log, budget_override, name)
 
 
 def run_single_slot(config: AuctionConfig, profiles: Sequence[AgentProfile], **options):

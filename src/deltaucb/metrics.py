@@ -6,22 +6,23 @@ with a tolerance: allocating any agent whose welfare sits within ``delta``
 of the best choice for its slot costs nothing, and only larger gaps accrue.
 Tolerance regret accrues in exploration and exploitation rounds alike.
 
-Runs do their accounting through ``InstanceTables``, built once per run;
-the per-call functions below define the same quantities one allocation at a
-time and serve as the tables' test oracle. A run's round log is one
-``RoundLog``, whichever mechanism built it: ``round_log`` makes every written
-column, the running regret columns from the run's own tables.
+Runs do their accounting through ``InstanceTables``, built once per run:
+``accrue`` sums count times an entry over arrays, adding in order
+(``carried_sum``) as a Python loop would. The per-call functions below
+define the same quantities one allocation at a time and serve as the
+tables' test oracle. The run engine, ``mechanism.run_mechanism``, builds
+every ``RunSummary``, and ``round_log`` every column of a run's
+``RoundLog``, the running regret columns from the run's own tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentProfile, AuctionConfig, ConfigError, Phase, RoundRecord
+from .core import AgentProfile, ConfigError, Phase, RoundRecord
 
 SINGLE_SLOT = (1.0,)
 ROUNDS_LOG_LEVELS = ("none", "all", "exploit-only")
@@ -102,14 +103,17 @@ def agent_utility(record: RoundRecord, agent: int, valuation: float) -> float:
 
 
 class Accrual(NamedTuple):
-    """Tolerance regret, plain regret, and welfare summed over some rounds."""
+    """Tolerance regret, plain regret, and welfare summed over some rounds (none by default)."""
 
-    delta: float
-    standard: float
-    welfare: float
+    delta: float = 0.0
+    standard: float = 0.0
+    welfare: float = 0.0
 
 
-NO_ACCRUAL = Accrual(0.0, 0.0, 0.0)
+def carried_sum(carry: float, values) -> float:
+    """carry plus the values in ravel order, added left to right (``np.cumsum`` adds in order)."""
+    terms = np.r_[carry, np.ravel(values)]
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -148,14 +152,11 @@ class InstanceTables:
             member=member.tolist(),
         )
 
-    def accrue(self, counts) -> Accrual:
-        """Sum count times the table entry over (count, agent, slot) triples, in order, from 0.0."""
-        delta = standard = total_welfare = 0.0
-        for count, agent, slot in counts:
-            delta += count * self.delta_gap[agent - 1][slot - 1]
-            standard += count * self.gap[agent - 1][slot - 1]
-            total_welfare += count * self.welfare[agent - 1][slot - 1]
-        return Accrual(delta, standard, total_welfare)
+    def accrue(self, counts, agents, slots, carry: Accrual = Accrual()) -> Accrual:
+        """``carry`` plus count times entry over broadcast (count, agent, slot), in ravel order."""
+        cell = (np.asarray(agents) - 1, np.asarray(slots) - 1)
+        tables = (self.delta_gap, self.gap, self.welfare)
+        return Accrual(*(carried_sum(c, counts * np.array(t)[cell]) for c, t in zip(carry, tables)))
 
 
 @dataclass(frozen=True)
@@ -248,44 +249,3 @@ class RunResult:
     summary: RunSummary
     outcome: object = None
     log: Optional[RoundLog] = None
-
-
-def summarize(
-    mechanism: str,
-    config: AuctionConfig,
-    *,
-    seed: int,
-    budget: int,
-    rounds_used: int,
-    exploration: Accrual,
-    exploitation: Accrual,
-    revenue: float,
-    utilities: dict,
-    winners: tuple,
-    flags: tuple,
-) -> RunSummary:
-    """A run's summary from its config and what accrued in each phase."""
-    total_delta = exploration.delta + exploitation.delta
-    return RunSummary(
-        mechanism=mechanism,
-        seed=seed,
-        num_agents=config.num_agents,
-        num_slots=config.num_slots,
-        horizon=config.horizon,
-        delta=config.delta,
-        v_max=config.v_max,
-        exploration_budget=budget,
-        exploration_rounds_used=rounds_used,
-        total_delta_regret=total_delta,
-        exploration_delta_regret=exploration.delta,
-        exploitation_delta_regret=exploitation.delta,
-        total_standard_regret=exploration.standard + exploitation.standard,
-        total_revenue=revenue,
-        total_welfare=exploration.welfare + exploitation.welfare,
-        delta_regret_over_logT=total_delta / math.log(config.horizon)
-        if config.horizon > 1
-        else float("nan"),
-        winners=winners,
-        per_agent_utility=utilities,
-        flags=flags,
-    )

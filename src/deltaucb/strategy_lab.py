@@ -20,9 +20,9 @@ realization, of positive probability) has been seen: a check draws the free
 rounds (about ln T) and a few committed windows per row, whatever T is. A
 possible pattern that never occurs still scans to T.
 
-The checks replay the Δ-UCB row of ``mechanism.MECHANISMS`` for the slot
-count (``delta_ucb_for``); every mechanism, plain UCB's loop too, is defined
-in ``mechanism``.
+The checks replay the declare step of the Δ-UCB row of
+``mechanism.MECHANISMS`` for the slot count (``delta_ucb_for``); every
+mechanism is defined in ``mechanism``.
 """
 
 from __future__ import annotations
@@ -114,6 +114,11 @@ def per_round_utilities(
     return util
 
 
+def _check_deviator(config: AuctionConfig, deviator: int) -> None:
+    if deviator not in range(1, config.num_agents + 1):
+        raise ConfigError(f"deviator: must be an agent id in 1..{config.num_agents}")
+
+
 def build_scenario(
     config: AuctionConfig,
     profiles: Sequence[AgentProfile],
@@ -130,9 +135,11 @@ def build_scenario(
     scores, capped at v_max; a midpoint lies strictly inside its window, so
     no tie-break decides its placement, and an empty window is skipped.
     Without a committed learner the bids are (0.0,). ``learned`` is the
-    realization's ``shared_learner``; the scenario keeps it.
+    realization's ``shared_learner``; the scenario keeps it. A deviator
+    outside 1..K is a ``ConfigError``.
     """
     profiles = validate_profiles(profiles, config)
+    _check_deviator(config, deviator)
     bids = [0.0]
     learner = learned.learner
     if learner is not None:
@@ -151,7 +158,7 @@ def shared_learner(config: AuctionConfig, realization: ClickRealization) -> Lear
 
 def _replayed_step(config: AuctionConfig, profiles: Sequence[AgentProfile]):
     """The declare step of the Δ-UCB the checks replay: the slot count's row of the table."""
-    return MECHANISMS[delta_ucb_for(config.num_slots)].step(config, profiles)
+    return MECHANISMS[delta_ucb_for(config.num_slots)].step(config, profiles).decide
 
 
 def _committed_utility(valuation, placement, clicks):
@@ -186,17 +193,16 @@ def verify_dsic(
     deviated and its truthful slot; each pattern of those clicks is scored
     at its first round, once per deviated slot. The worst gain is the
     first-round maximum, and across the bids the first one strictly worse
-    for truthfulness wins. A deviator outside 1..K or a bid outside
-    [0, v_max] is a ``ConfigError``.
+    for truthfulness wins. A deviator outside 1..K, an empty bid grid or a
+    bid outside [0, v_max] is a ``ConfigError``.
     """
     profiles = validate_profiles(profiles, config)
     deviator = scenario.deviator
-    if deviator not in range(1, config.num_agents + 1):
-        raise ConfigError(f"deviator: must be an agent id in 1..{config.num_agents}")
+    _check_deviator(config, deviator)
     grid = np.asarray(scenario.bid_grid, dtype=float)
     # written so that NaN fails the test too
-    if not np.all((grid >= 0.0) & (grid <= config.v_max)):
-        raise ConfigError("bid_grid: every bid must lie in [0, v_max]")
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= config.v_max)):
+        raise ConfigError("bid_grid: must hold one or more bids, each in [0, v_max]")
     realization = scenario.realization
     truthful_value = profiles[deviator - 1].valuation
     explore_until, _, _, learner = scenario.learned

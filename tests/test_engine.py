@@ -1,17 +1,20 @@
-"""Generated equivalence checks for the one Δ-UCB engine.
+"""Generated equivalence checks for the one run engine.
 
-The aggregate path (``run`` of every row of ``MECHANISMS`` that has a
-declare step: both price rules, the clairvoyant step with no free rounds
-and the T^(2/3) budget) and its round log are checked against the
-round-by-round reference ``iter_rounds`` with the same declare step, which
-replays a matrix copy of the realization. The log's running totals are
-checked against left-to-right sums of the per-call ``metrics`` functions,
-and ``InstanceTables`` against those functions. Instances draw click
-rates, values, bids and prominences from small grids, so ties in welfare
-and in scores, zero bids and zero welfare are common; horizons include 1
-and 2, and the log-sized rows' budgets include the horizon and one round
-short of it (the other rows run at their own budget rule). Examples
-are derandomized, so the suite is deterministic.
+The aggregate path (``run`` of every row of ``MECHANISMS``: both price
+rules, the clairvoyant step with no free rounds, the T^(2/3) budget and
+plain UCB) and its round log are checked against a round-by-round
+reference: ``iter_rounds`` with the row's declare step, or, for plain UCB,
+``plain_ucb_rounds`` below, each replaying a matrix copy of the
+realization. Plain UCB's engine sums its one-round stretches in round
+order, so its summary matches the reference's per-round sums bit for bit.
+The log's running totals are checked against left-to-right sums of the
+per-call ``metrics`` functions, and ``InstanceTables`` against those
+functions. Instances draw click rates, values, bids and prominences from
+small grids, so ties in welfare and in scores, zero bids and zero welfare
+are common; horizons include 1 and 2, and the log-sized rows' budgets
+include the horizon and one round short of it (the other rows run at
+their own budget rule). Examples are derandomized, so the suite is
+deterministic.
 """
 
 import numpy as np
@@ -19,8 +22,15 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from deltaucb import metrics
-from deltaucb.core import AgentProfile, AuctionConfig, Phase, exploration_budget
-from deltaucb.environment import draw_realization
+from deltaucb.core import (
+    AgentProfile,
+    AuctionConfig,
+    Phase,
+    RoundRecord,
+    confidence_index,
+    exploration_budget,
+)
+from deltaucb.environment import draw_realization, realized_click
 from deltaucb.harness import fmt_num, round_log_rows
 from deltaucb.mechanism import MECHANISMS, iter_rounds, multi_exploration_allocation, run
 from deltaucb.metrics import InstanceTables
@@ -30,19 +40,38 @@ from conftest import as_matrices, delta_regret_of, log_rows, record_rows, welfar
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-# every row that declares; a new row is covered as it is added
-ENGINES = sorted(name for name, row in MECHANISMS.items() if row.step is not None)
+# every row; a new row is covered as it is added
+ENGINES = sorted(MECHANISMS)
+
+
+def plain_ucb_rounds(config, profiles, realization):
+    """Plain UCB round by round: the reference for the engine's ``plain-ucb`` play.
+
+    Round t <= K shows agent t, and every later round the argmax of
+    ucb * bid. Each click updates the shown agent's upper index, and nothing
+    is charged, so every round is a learning round.
+    """
+    horizon, num_agents = config.horizon, config.num_agents
+    bids = np.array([p.bid for p in profiles], float)
+    counts, sums, ucb = [0] * num_agents, [0.0] * num_agents, np.full(num_agents, np.nan)
+    for t in range(1, horizon + 1):
+        agent = t if t <= num_agents else int(np.argmax(ucb * bids)) + 1
+        click = realized_click(realization, agent, 1, t)
+        counts[agent - 1] += 1
+        sums[agent - 1] += click
+        ucb[agent - 1] = confidence_index(counts[agent - 1], sums[agent - 1], horizon)[1]
+        yield RoundRecord(t, Phase.EXPLORATION, {1: agent}, {agent: click}, {agent: 0.0})
 
 
 @st.composite
-def instances(draw, max_slots, drawn_budget=True):
+def instances(draw, max_slots, drawn_budget=True, values=(0.0, 0.25, 0.5, 1.0)):
     num_agents = draw(st.integers(1, 4))
     num_slots = draw(st.integers(1, min(num_agents, max_slots)))
     lower = draw(
         st.lists(st.sampled_from([0.25, 0.6, 1.0]), min_size=num_slots - 1, max_size=num_slots - 1)
     )
     prominences = (1.0, *sorted(lower, reverse=True))
-    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    grid = st.sampled_from(values)
     ctrs = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
     valuations = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
     bids = draw(st.lists(grid, min_size=num_agents, max_size=num_agents))
@@ -115,6 +144,31 @@ def _pairwise_exploration_sums(config, profiles, explore_until):
     return tuple(float(np.array(sums).sum()) for sums in (delta, standard, welfare))
 
 
+def _check_round_order_sums(summary, records, profiles, config):
+    """Every summary float as the reference's per-round sums, left to right from 0.0, by hex."""
+    delta = standard = welfare = revenue = 0.0
+    utility = dict.fromkeys((p.id for p in profiles), 0.0)
+    for record in records:
+        delta += delta_regret_of(record, profiles, config)
+        standard += metrics.standard_regret_increment(
+            record.allocation, profiles, config.prominences
+        )
+        welfare += welfare_of(record, profiles, config)
+        revenue += sum(record.payments.values())
+        for p in profiles:
+            utility[p.id] += metrics.agent_utility(record, p.id, p.valuation)
+    for value, expected in (
+        (summary.total_delta_regret, delta),
+        (summary.exploration_delta_regret, delta),
+        (summary.exploitation_delta_regret, 0.0),
+        (summary.total_standard_regret, standard),
+        (summary.total_welfare, welfare),
+        (summary.total_revenue, revenue),
+        *((summary.per_agent_utility[p.id], utility[p.id]) for p in profiles),
+    ):
+        assert value.hex() == expected.hex()
+
+
 def _check_running_totals(log, records, profiles, config):
     """round_log_rows' columns against the records, its totals as Python sums, bit for bit."""
     columns = round_log_rows(log)
@@ -148,15 +202,23 @@ def test_engine_matches_round_by_round_reference(engine, data):
     # a log-sized budget is drawn about its edges; any other rule is the row's own
     drawn_budget = row.budget is exploration_budget
     max_slots = 1 if row.single_slot else 3
-    config, profiles, budget_override = data.draw(instances(max_slots, drawn_budget))
+    learns_throughout = row.budget is None
+    # plain UCB's sums are compared by hex: values that are not all dyadic make a changed
+    # summation order show in their last bits
+    values = (0.0, 0.3, 0.7, 1.0) if learns_throughout else (0.0, 0.25, 0.5, 1.0)
+    config, profiles, budget_override = data.draw(instances(max_slots, drawn_budget, values))
     rounds_log = data.draw(st.sampled_from(["none", "all", "exploit-only"]))
     realization = draw_realization(config, profiles)
-    budget = row.budget(config) if budget_override is None else budget_override
+    if learns_throughout:
+        budget = config.horizon
+        reference = plain_ucb_rounds(config, profiles, as_matrices(realization))
+    else:
+        budget = row.budget(config) if budget_override is None else budget_override
+        decide = row.step(config, profiles).decide
+        reference = iter_rounds(
+            config, profiles, decide, realization=as_matrices(realization), budget_override=budget
+        )
     _label_edges(config, profiles, budget, rounds_log)
-    decide = row.step(config, profiles)
-    reference = iter_rounds(
-        config, profiles, decide, realization=as_matrices(realization), budget_override=budget
-    )
     try:
         records, learner = _drain(reference)
     except ValueError:
@@ -184,7 +246,10 @@ def test_engine_matches_round_by_round_reference(engine, data):
         _check_running_totals(result.log, wanted, profiles, config)
 
     outcome = result.outcome
-    if budget >= config.horizon:
+    if learns_throughout:
+        assert outcome is None and summary.flags == ("continual-learning",)
+        _check_round_order_sums(summary, records, profiles, config)
+    elif budget >= config.horizon:
         event("exploration-only")
         assert outcome is None and summary.flags == ("exploration-only",)
     else:
@@ -218,6 +283,8 @@ def test_engine_matches_round_by_round_reference(engine, data):
     ):
         assert _at_fmt_precision(value) == _at_fmt_precision(sum(increments))
 
+    if learns_throughout:
+        return
     # the summed-over-the-event-grid figures the aggregate path used to report
     delta, standard, welfare = _pairwise_exploration_sums(config, profiles, len(explore))
     exploit_rounds = len(exploit)

@@ -15,6 +15,7 @@ from deltaucb.core import exploration_budget
 from deltaucb.environment import ClickRealization, draw_realization, realized_click
 from deltaucb.mechanism import (
     MECHANISMS,
+    Declared,
     Outcome,
     declare,
     declare_winner,
@@ -99,23 +100,23 @@ def test_exploration_updates_only_allocated_agent():
 def test_declare_winner_tie_breaks_to_lowest_id():
     state = _state_with_indices([0.3, 0.7, 0.7])
     outcome = declare_winner(state, np.ones(3))
-    assert outcome.winner == 2
-    assert outcome.runner_up == 3
+    assert outcome.ranking[0] == 2
+    assert outcome.ranking[1] == 3
 
 
 def test_declare_winner_payment_formula():
     state = _state_with_indices([0.8, 0.5])
     outcome = declare_winner(state, np.array([1.0, 0.8]))
-    assert outcome.winner == 1
-    assert outcome.payment_per_click == pytest.approx(0.5)  # 0.4 / 0.8
+    assert outcome.ranking[0] == 1
+    assert outcome.payments_per_click[0] == pytest.approx(0.5)  # 0.4 / 0.8
 
 
 def test_declare_winner_single_agent_pays_nothing():
     state = _state_with_indices([0.8])
     outcome = declare_winner(state, np.array([1.0]))
-    assert outcome.winner == 1
-    assert outcome.runner_up is None
-    assert outcome.payment_per_click == 0.0
+    assert outcome.ranking[0] == 1
+    assert outcome.ranking[1:] == ()
+    assert outcome.payments_per_click[0] == 0.0
 
 
 def test_declare_winner_requires_full_exploration():
@@ -133,11 +134,11 @@ def test_exploitation_pays_only_on_click():
     result = run_single_slot(config, profiles, realization=realization, rounds_log="all")
     budget = result.summary.exploration_budget
     assert budget < 20
-    price = result.outcome.payment_per_click
+    price = result.outcome.payments_per_click[0]
     assert price > 0
     for t, _, winner, click, payment in log_rows(result.log):
         if t > budget:
-            assert winner == result.outcome.winner
+            assert winner == result.outcome.ranking[0]
             expected = price if click else 0.0
             assert payment == expected
 
@@ -289,8 +290,8 @@ def test_payment_bounded_by_winning_bid():
         bids = rng.uniform(0.0, 1.0, 5)
         realization = draw_realization(replace(config, seed=100 + trial), profiles)
         result = run_single_slot(config, with_bids(profiles, bids), realization=realization)
-        price = result.outcome.payment_per_click
-        assert 0.0 <= price <= bids[result.outcome.winner - 1] + 1e-12
+        price = result.outcome.payments_per_click[0]
+        assert 0.0 <= price <= bids[result.outcome.ranking[0] - 1] + 1e-12
 
 
 def test_confidence_width_below_tolerance_after_exploration():
@@ -523,6 +524,25 @@ def test_free_rounds_hold_the_table_and_one_click_window(num_slots, prominences)
     assert agents.dtype == clicks.dtype == np.uint8
 
 
+@pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (3, (1.0, 0.7, 0.4))])
+def test_explore_holds_one_agents_samples_at_a_time(num_slots, prominences):
+    # the table takes 2 B a (round, slot) cell and learning one agent at a time about 6 B
+    # more; selecting every agent's float samples at once took about 21 B in all
+    budget = 300_000
+    config = AuctionConfig(num_agents=5, num_slots=num_slots, horizon=10**7, delta=0.5,
+                           prominences=prominences, seed=3)
+    realization = draw_realization(config, make_profiles([0.9, 0.6, 0.5, 0.3, 0.1]))
+    explore(realization, config, 1_000)  # numpy's one-time allocations are not per cell
+    tracemalloc.start()
+    try:
+        learner = explore(realization, config, budget).learner
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert learner is not None
+    assert peak / (budget * num_slots) <= 12.0, peak
+
+
 @pytest.mark.parametrize("num_slots, prominences", [(1, (1.0,)), (2, (1.0, 0.6))])
 def test_free_rounds_are_read_once_per_agent_and_slot(monkeypatch, num_slots, prominences):
     from deltaucb.strategy_lab import verify_ir
@@ -532,7 +552,7 @@ def test_free_rounds_are_read_once_per_agent_and_slot(monkeypatch, num_slots, pr
     profiles = make_profiles([0.8, 0.5, 0.2], [1.0, 0.7, 0.4])
     explore_until = exploration_budget(config)
     assert explore_until < config.horizon
-    decide = partial(declare, prominences=prominences, price_rule=price_rule_for(num_slots))
+    play = Declared(partial(declare, prominences=prominences, price_rule=price_rule_for(num_slots)))
     reads = []
     read = ClickRealization.clicks
 
@@ -543,8 +563,8 @@ def test_free_rounds_are_read_once_per_agent_and_slot(monkeypatch, num_slots, pr
     monkeypatch.setattr(ClickRealization, "clicks", counted)
     once = [(a, m, 0, explore_until) for a in range(1, 4) for m in range(1, num_slots + 1)]
     for check in (
-        lambda r: run_mechanism(config, profiles, decide, realization=r),
-        lambda r: run_mechanism(config, profiles, decide, realization=r, rounds_log="all"),
+        lambda r: run_mechanism(config, profiles, play, realization=r),
+        lambda r: run_mechanism(config, profiles, play, realization=r, rounds_log="all"),
         lambda r: verify_ir(config, profiles, r),
     ):
         reads.clear()
@@ -591,7 +611,7 @@ def test_a_budget_override_must_be_a_non_negative_integer(budget):
     # every row with a budget, and the engine's two ways in
     calls = [partial(run, name) for name in sorted(set(MECHANISMS) - {"plain-ucb"})]
     calls += [
-        partial(run_mechanism, decide=declare_winner),
+        partial(run_mechanism, play=Declared(declare_winner)),
         lambda *args, **options: next(iter_rounds(*args, declare_winner, **options)),
     ]
     config = AuctionConfig(num_agents=2, horizon=100, delta=0.5)

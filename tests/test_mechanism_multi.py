@@ -225,15 +225,15 @@ def test_single_slot_special_case_matches_single_mechanism():
     realization = draw_realization(config, profiles)
     single = run_single_slot(config, profiles, realization=realization, rounds_log="all")
     multi = run_multi_slot(config, profiles, realization=realization, rounds_log="all")
-    assert multi.outcome.ranking[0] == single.outcome.winner
+    assert multi.outcome.ranking[0] == single.outcome.ranking[0]
     allocations_single = [row[:3] for row in log_rows(single.log)]
     allocations_multi = [row[:3] for row in log_rows(multi.log)]
     assert allocations_single == allocations_multi
     # price shapes: the one-slot list price is the runner-up score, without the
     # division by the winner's own index that the dedicated single-slot rule applies
-    winner_ucb = single.outcome.learner.ucb[single.outcome.winner - 1]
+    winner_ucb = single.outcome.learner.ucb[single.outcome.ranking[0] - 1]
     assert multi.outcome.payments_per_click[0] == pytest.approx(
-        single.outcome.payment_per_click * winner_ucb, rel=1e-12
+        single.outcome.payments_per_click[0] * winner_ucb, rel=1e-12
     )
 
 

@@ -7,7 +7,15 @@ import pytest
 
 from deltaucb.core import AuctionConfig, ConfigError, exploration_budget, gammas_from_lambdas
 from deltaucb.environment import draw_realization
-from deltaucb.mechanism import MECHANISMS, declare, delta_ucb_for, learn, run, run_mechanism
+from deltaucb.mechanism import (
+    MECHANISMS,
+    Declared,
+    declare,
+    delta_ucb_for,
+    learn,
+    run,
+    run_mechanism,
+)
 from deltaucb.mechanism import run_single_slot, t23_budget
 from deltaucb.strategy_lab import (
     DeviationScenario,
@@ -42,7 +50,7 @@ def test_winning_overbid_changes_nothing(separated_instance):
     config, profiles, realization = separated_instance
     truthful = _outcome_for_bids(config, profiles, realization, [1.0, 0.8])
     overbid = _outcome_for_bids(config, profiles, realization, [1.0, 0.8])
-    assert truthful.outcome.winner == 1
+    assert truthful.outcome.ranking[0] == 1
     u_truth = per_round_utilities(config, profiles, realization, truthful.outcome, 1,
                                   truthful.summary.exploration_rounds_used)
     u_over = per_round_utilities(config, profiles, realization, overbid.outcome, 1,
@@ -54,7 +62,7 @@ def test_underbid_below_pivot_forfeits_the_slot(separated_instance):
     config, profiles, realization = separated_instance
     truthful = _outcome_for_bids(config, profiles, realization, [1.0, 0.8])
     dropped = _outcome_for_bids(config, profiles, realization, [0.01, 0.8])
-    assert truthful.outcome.winner == 1 and dropped.outcome.winner == 2
+    assert truthful.outcome.ranking[0] == 1 and dropped.outcome.ranking[0] == 2
     explore_until = truthful.summary.exploration_rounds_used
     u_truth = per_round_utilities(config, profiles, realization, truthful.outcome, 1, explore_until)
     u_drop = per_round_utilities(config, profiles, realization, dropped.outcome, 1, explore_until)
@@ -66,10 +74,10 @@ def test_losing_overbid_buys_negative_utility(separated_instance):
     # truthful loser case: overbidding past the pivot wins rounds at a price above value
     config, profiles, realization = separated_instance
     truthful = _outcome_for_bids(config, profiles, realization, [1.0, 0.8])
-    assert truthful.outcome.winner == 1
+    assert truthful.outcome.ranking[0] == 1
     grabbed = _outcome_for_bids(config, profiles, realization, [1.0, 1.0])
     explore_until = truthful.summary.exploration_rounds_used
-    if grabbed.outcome.winner == 2:
+    if grabbed.outcome.ranking[0] == 2:
         u_grab = per_round_utilities(config, profiles, realization, grabbed.outcome, 2,
                                      explore_until)
         exploit = u_grab[explore_until:]
@@ -89,8 +97,8 @@ def test_dsic_shortcut_matches_full_runs(separated_instance):
         bids = np.array([1.0, bid])
         direct = declare_winner(base.outcome.learner, bids)
         full = run_single_slot(config, with_bids(profiles, bids), realization=realization)
-        assert direct.winner == full.outcome.winner
-        assert direct.payment_per_click == full.outcome.payment_per_click
+        assert direct.ranking[0] == full.outcome.ranking[0]
+        assert direct.payments_per_click[0] == full.outcome.payments_per_click[0]
         u_direct = per_round_utilities(config, profiles, realization, direct, 2, explore_until)
         u_full = per_round_utilities(config, profiles, realization, full.outcome, 2,
                                      explore_until)
@@ -117,7 +125,7 @@ def test_learning_and_checks_take_a_config_built_directly(config):
     assert learner.to_bytes() == learn(agents, clicks, config).to_bytes()
     rule = price_rule_for(config.num_slots)
     decide = partial(declare, prominences=config.prominences, price_rule=rule)
-    run = run_mechanism(config, profiles, decide, realization=realization)
+    run = run_mechanism(config, profiles, Declared(decide), realization=realization)
     assert run.outcome.learner.to_bytes() == learner.to_bytes()
     outcome = declare(learner, [p.bid for p in profiles], config.prominences, rule)
     assert outcome.ranking == run.outcome.ranking
@@ -337,18 +345,32 @@ def test_a_scenario_holds_no_bids_of_its_own_besides_the_grid():
 
 
 @pytest.mark.parametrize(
-    "deviator, bid, field",
-    [(2, 2.0, "bid_grid"), (2, math.nan, "bid_grid"), (2, -1.0, "bid_grid"),
-     (0, 0.5, "deviator"), (4, 0.5, "deviator")],
+    "deviator, bid_grid, field",
+    [(2, (0.5, 2.0), "bid_grid"), (2, (0.5, math.nan), "bid_grid"), (2, (0.5, -1.0), "bid_grid"),
+     (2, (), "bid_grid"), (0, (0.5, 0.5), "deviator"), (4, (0.5, 0.5), "deviator")],
 )
-def test_verify_dsic_rejects_a_bid_or_deviator_out_of_range(deviator, bid, field):
+def test_verify_dsic_rejects_a_bid_or_deviator_out_of_range(deviator, bid_grid, field):
     config = _single_config(num_agents=3, horizon=2000, delta=0.5, seed=4)
     profiles = make_profiles([0.9, 0.6, 0.3])
     realization = draw_realization(config, profiles)
     scenario = build_scenario(config, profiles, realization, 2, shared_learner(config, realization))
-    scenario = replace(scenario, deviator=deviator, bid_grid=(0.5, bid))
+    scenario = replace(scenario, deviator=deviator, bid_grid=bid_grid)
     with pytest.raises(ConfigError, match=f"^{field}: "):
         verify_dsic(config, profiles, scenario)
+
+
+@pytest.mark.parametrize("deviator", [0, 4])
+def test_build_scenario_rejects_a_deviator_out_of_range_as_verify_dsic_does(deviator):
+    config = _single_config(num_agents=3, horizon=2000, delta=0.5, seed=4)
+    profiles = make_profiles([0.9, 0.6, 0.3])
+    realization = draw_realization(config, profiles)
+    learned = shared_learner(config, realization)
+    scenario = replace(build_scenario(config, profiles, realization, 2, learned), deviator=deviator)
+    message = "^deviator: must be an agent id in 1..3$"
+    with pytest.raises(ConfigError, match=message):
+        verify_dsic(config, profiles, scenario)
+    with pytest.raises(ConfigError, match=message):
+        build_scenario(config, profiles, realization, deviator, learned)
 
 
 def test_verify_ir_exact_on_random_instances():
